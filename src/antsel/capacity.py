@@ -5,6 +5,17 @@ Rates are in bits/s/Hz over a flat channel with average SINR ``rho``
 integrate the selection-gain law from :mod:`antsel.orderstats`; the
 approximate routes use the Gumbel fit; the bounds sandwich the ergodic
 capacity between two closed-form quantile expressions.
+
+Expectations over the selection gain use a composite Gauss-Legendre rule
+built once per :class:`SelectionConfig` and kept in a bounded cache (Golub &
+Welsch nodes from ``numpy.polynomial.legendre.leggauss``).  Above the
+``1 - 1/m`` quantile, equal panels run up to the quantile leaving ``1e-12``
+of tail mass.  Below it, panels halve in width toward x = 0, next to the
+singularity of ``log1p(rho x)`` at x = -1/rho, so one rule serves every
+SINR; none of them is wider than an upper panel.  The weights carry the
+density, so each expectation is one dot product.  The value is the 2N-point
+rule on every panel; its difference from the N-point rule is the error
+estimate.
 """
 from __future__ import annotations
 
@@ -12,9 +23,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from scipy.integrate import quad
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .gumbel import EULER_GAMMA, FitStrategy, normalizing_constants
 from .orderstats import (
@@ -43,10 +55,22 @@ __all__ = [
 _LN2 = math.log(2.0)
 _EXP_GAMMA = math.exp(EULER_GAMMA)
 
-# Adaptive quadrature settings: absolute tolerance and the tail mass left
-# outside the truncated integration interval.
+# Quadrature settings: the largest accepted error estimate and the tail
+# mass left outside the truncated integration interval.
 QUAD_ABS_TOL = 1e-9
 _TRUNCATION_MASS = 1e-12
+
+# Composite Gauss-Legendre rule: N and 2N nodes per panel, equal panels
+# above the knee, and panels halving toward zero below it.  Each halving
+# panel lies at least its own width away from the log1p singularity at
+# x = -1/rho, whatever rho; thirty halvings leave an innermost panel of
+# about 1e-9 of the knee, which keeps that distance up to about 80 dB.
+_GAUSS_POINTS = 12
+_UPPER_PANELS = 12
+_GRADED_PANELS = 30
+_GRADING = 0.5
+_RULE_CACHE_SIZE = 256
+_UNIT_RULES = tuple(leggauss(p) for p in (_GAUSS_POINTS, 2 * _GAUSS_POINTS))
 
 
 class Method(str, Enum):
@@ -75,7 +99,7 @@ class LinkParams:
 class CapacityResult:
     """A capacity value (bits/s/Hz) with its method tag and error estimate.
 
-    ``error_estimate`` is the quadrature error bound or the Monte Carlo
+    ``error_estimate`` is the quadrature error estimate or the Monte Carlo
     standard error; zero for closed forms.  ``degenerate`` marks a Gumbel
     approximation that strayed below the physical support and was clamped
     to zero.
@@ -101,28 +125,73 @@ def _upper_cutoff(cfg: SelectionConfig) -> float:
     return tail_quantile(cfg.n, branch_tail)
 
 
-def _expect(cfg: SelectionConfig, fn: Callable[[float], float]) -> tuple[float, float]:
-    """E[fn(X)] over the selection gain; returns (value, error estimate)."""
+class _Rule(NamedTuple):
+    """Nodes and density-weighted weights of the N- and 2N-point rules."""
+
+    coarse_x: np.ndarray
+    coarse_w: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+
+
+def _panel_edges(cfg: SelectionConfig) -> np.ndarray:
+    """Panel boundaries over [0, _upper_cutoff(cfg)]."""
     x_hi = _upper_cutoff(cfg)
-    peak = characteristic_largest(cfg)
-    points = [peak] if 0.0 < peak < x_hi else None
-    out = quad(
-        lambda x: fn(x) * max_pdf(cfg, x),
-        0.0,
-        x_hi,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=1e-10,
-        limit=200,
-        points=points,
-        full_output=1,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
+    # For m = 1 the 1 - 1/m quantile is 0; the first equal panel then
+    # takes its place as the start of the grading.
+    knee = max(characteristic_largest(cfg), x_hi / _UPPER_PANELS)
+    width = (x_hi - knee) / _UPPER_PANELS
+    graded = [0.0] + [knee * _GRADING**k for k in range(_GRADED_PANELS, -1, -1)]
+    edges = [0.0]
+    for a, b in zip(graded, graded[1:]):
+        parts = max(1, math.ceil((b - a) / width))
+        edges += [a + (b - a) * j / parts for j in range(1, parts + 1)]
+    edges += [knee + width * j for j in range(1, _UPPER_PANELS)] + [x_hi]
+    return np.array(edges)
+
+
+def _gauss_legendre(
+    edges: np.ndarray, unit: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a unit rule mapped onto every panel."""
+    t, w = unit
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _density_rule(cfg: SelectionConfig) -> _Rule:
+    edges = _panel_edges(cfg)
+    arrays = []
+    for unit in _UNIT_RULES:
+        x, w = _gauss_legendre(edges, unit)
+        arrays += [x, w * max_pdf(cfg, x)]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Rule(*arrays)
+
+
+def _expect(
+    cfg: SelectionConfig, fn: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float]:
+    """E[fn(X)] over the selection gain; returns (value, error estimate).
+
+    ``fn`` maps an array of gains to an array of values.  The estimate is
+    |Q_N - Q_2N|, floored at the rounding error of the dot product so that
+    it is never exactly zero.
+    """
+    rule = _density_rule(cfg)
+    terms = rule.w * fn(rule.x)
+    value = float(terms.sum())
+    coarse = float(rule.coarse_w @ fn(rule.coarse_x))
+    error = max(abs(coarse - value), np.finfo(float).eps * float(np.abs(terms).sum()))
+    if not error <= QUAD_ABS_TOL:
         raise SolverError(
             f"quadrature did not converge for n={cfg.n}, m={cfg.m} "
-            f"(partial estimate {value!r}, error {abserr!r}): {out[3]}"
+            f"(estimate {value!r}, error {error!r})"
         )
-    return value, abserr
+    return value, error
 
 
 def outage_probability(
@@ -171,9 +240,17 @@ def outage_capacity(
 
 @lru_cache(maxsize=None)
 def ergodic_capacity(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
-    """E[log2(1 + rho X)] over the selection gain, by adaptive quadrature."""
+    """E[log2(1 + rho X)] over the selection gain.
+
+    Composite Gauss-Legendre quadrature against the selection-gain density,
+    with the rule cached per configuration (see the module docstring), so
+    further SINR values cost one dot product each.  ``error_estimate`` is
+    the difference between the N- and 2N-point rules, at least the dot
+    product's rounding error; above ``QUAD_ABS_TOL`` a ``SolverError`` is
+    raised.
+    """
     rho = link.rho
-    value, abserr = _expect(cfg, lambda x: _log2_1p(rho * x))
+    value, abserr = _expect(cfg, lambda x: np.log1p(rho * x) / _LN2)
     return CapacityResult(value, Method.EXACT_QUADRATURE, abserr)
 
 

@@ -176,6 +176,8 @@ def _dist_grid(cfg: SelectionConfig, points: int) -> list[float]:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     strategy = _STRATEGIES[args.strategy]
     enabled = _mode_set(args, ("exact", "approx"))
     rows: list[list[object]] = []

@@ -8,8 +8,8 @@ i.i.d. unit-variance complex Gaussian entries is
 
 Ergodic capacity, outage capacity, and the greedy-scheduled multiuser
 variant are estimated by seeded, chunk-deterministic simulation.  Receive
-arrays up to n = 8 are supported; the log-determinant is evaluated by
-direct elimination on the small Gram matrix.
+arrays up to n = 8 are supported; the log-determinant is
+``numpy.linalg.slogdet`` of I_n + (rho/m) H H† on the small Gram matrix.
 """
 from __future__ import annotations
 

@@ -13,13 +13,17 @@ tail-first: the survival sum is computed directly (never as one minus a
 near-one cdf) and powers of F go through log1p of the survival, which keeps
 m up to 1e4 and deep tail levels exact to roundoff.
 
-All functions are pure and thread-safe.
+All functions are pure and thread-safe.  They take and return floats,
+except ``max_pdf``, which also evaluates a numpy array of points at once
+for the ergodic quadrature.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SolverError",
@@ -126,19 +130,37 @@ def max_cdf(cfg: SelectionConfig, x: float) -> float:
     return math.exp(cfg.m * math.log1p(-s))
 
 
-def max_pdf(cfg: SelectionConfig, x: float) -> float:
-    """Density of the selection gain, m F^{m-1}(x) f(x)."""
-    if x < 0.0:
+def _log_tail_sums(n: int, log_x: np.ndarray) -> np.ndarray | float:
+    """_log_tail_sum over an array of points, given their logs."""
+    if n == 1:
         return 0.0
-    f = pdf(cfg.n, x)
-    if cfg.m == 1:
-        return f
-    if x == 0.0:
-        return 0.0
-    s = math.exp(_log_survival(cfg.n, x))
-    if s >= 1.0:
-        return 0.0
-    return cfg.m * math.exp((cfg.m - 1) * math.log1p(-s)) * f
+    k = np.arange(n)[:, None]
+    terms = k * log_x - np.array([math.lgamma(j + 1) for j in range(n)])[:, None]
+    hi = terms.max(axis=0)
+    return hi + np.log(np.exp(terms - hi).sum(axis=0))
+
+
+def max_pdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:
+    """Density of the selection gain, m F^{m-1}(x) f(x).
+
+    Accepts a float or an array of points; a float returns a float.  The
+    survival goes through the same log-domain tail sum as the scalar
+    functions, and the density is zero wherever that survival rounds to one.
+    """
+    n, m = cfg.n, cfg.m
+    shape = np.shape(x)
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    # Only a single exponential branch has a nonzero density at x = 0.
+    support = xs >= 0.0 if n == 1 and m == 1 else xs > 0.0
+    x0 = np.where(support, xs, 0.0)
+    log_x = np.log(np.where(xs > 0.0, xs, 1.0))
+    f = np.exp(-x0 + (n - 1) * log_x - math.lgamma(n))
+    if m > 1:
+        s = np.exp(-x0 + _log_tail_sums(n, log_x))
+        support &= s < 1.0
+        f = m * np.exp((m - 1) * np.log1p(-np.where(support, s, 0.0))) * f
+    out = np.where(support, f, 0.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _tail_seed(n: int, log_tail: float) -> float:

@@ -9,13 +9,11 @@ quantile form log2(1 + rho (q + γ)).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .capacity import CapacityResult, LinkParams, ergodic_capacity
-from .gumbel import EULER_GAMMA
-from .orderstats import SelectionConfig, characteristic_largest
+from .capacity import CapacityResult, LinkParams, ergodic_approx, ergodic_capacity
+from .orderstats import SelectionConfig
 
 __all__ = [
     "SchedulingScenario",
@@ -28,9 +26,6 @@ __all__ = [
     "gain_report",
     "gain_table",
 ]
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class SchedulingScenario:
@@ -78,10 +73,6 @@ def round_robin_capacity(scen: SchedulingScenario) -> CapacityResult:
     return ergodic_capacity(scen.cfg, scen.link)
 
 
-def _quantile_capacity(cfg: SelectionConfig, rho: float) -> float:
-    return math.log1p(rho * (characteristic_largest(cfg) + EULER_GAMMA)) / _LN2
-
-
 def scheduling_gain(scen: SchedulingScenario, mode: str = "exact") -> float:
     """Capacity increase of greedy over round-robin scheduling, in bits.
 
@@ -91,9 +82,9 @@ def scheduling_gain(scen: SchedulingScenario, mode: str = "exact") -> float:
     if mode == "exact":
         return greedy_capacity(scen).value - round_robin_capacity(scen).value
     if mode == "approx":
-        rho = scen.link.rho
-        return _quantile_capacity(scen.pooled_cfg, rho) - _quantile_capacity(
-            scen.cfg, rho
+        return (
+            ergodic_approx(scen.pooled_cfg, scen.link).value
+            - ergodic_approx(scen.cfg, scen.link).value
         )
     raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
 

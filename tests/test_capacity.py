@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from scipy.integrate import quad
+from scipy.special import comb, exp1, gammainc, gammainccinv, gammaln, xlogy
 
 from antsel import (
     EULER_GAMMA,
@@ -25,6 +27,40 @@ RHO_GRID = (10.0**-0.5, 1.0, 10.0**0.5, 10.0)
 
 def log2(v: float) -> float:
     return math.log(v) / math.log(2.0)
+
+
+def exponential_ergodic(m: int, rho: float) -> float:
+    """n = 1 closed form: sum_j (-1)^{j+1} C(m,j) e^{j/rho} E1(j/rho) / ln 2."""
+    total = sum(
+        (-1) ** (j + 1) * comb(m, j, exact=True) * math.exp(j / rho) * exp1(j / rho)
+        for j in range(1, m + 1)
+    )
+    return total / math.log(2.0)
+
+
+def reference_ergodic(n: int, m: int, rho: float) -> float:
+    """Adaptive quadrature over a density built from scipy.special alone."""
+
+    def density(x: float) -> float:
+        log_f = xlogy(n - 1, x) - x - gammaln(n)
+        if m == 1:
+            return math.exp(log_f)
+        return m * math.exp((m - 1) * math.log(gammainc(n, x)) + log_f)
+
+    x_hi = gammainccinv(n, 1e-16 / m)
+    peak = gammainccinv(n, 1.0 / m)
+    out = quad(
+        lambda x: math.log1p(rho * x) / math.log(2.0) * density(x),
+        0.0,
+        x_hi,
+        epsabs=1e-11,
+        epsrel=1e-12,
+        limit=400,
+        points=[peak] if 0.0 < peak < x_hi else None,
+        full_output=1,
+    )
+    assert len(out) == 3, f"reference quadrature failed: {out[3]}"
+    return out[0]
 
 
 class TestTypes:
@@ -173,6 +209,26 @@ class TestErgodicCapacity:
             diff = val - log2(1.0 + n)
             scale = math.sqrt(n) / ((1.0 + n) * math.log(2.0))
             assert 0.0 < diff / scale <= 5.0
+
+
+class TestErgodicQuadrature:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_matches_independent_quadrature(self, n):
+        for m in (1, 2, 5, 20, 640):
+            cfg = SelectionConfig(n, m)
+            for db in range(-30, 41, 5):
+                rho = 10.0 ** (db / 10.0)
+                res = ergodic_capacity(cfg, LinkParams(rho))
+                assert abs(res.value - reference_ergodic(n, m, rho)) <= 1e-9, (m, db)
+                assert 0.0 < res.error_estimate <= 1e-9, (m, db)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("db", [0.0, 30.0, 40.0, 60.0, 80.0])
+    def test_high_snr_matches_exponential_closed_form(self, m, db):
+        rho = 10.0 ** (db / 10.0)
+        res = ergodic_capacity(SelectionConfig(1, m), LinkParams(rho))
+        assert res.value == pytest.approx(exponential_ergodic(m, rho), abs=1e-9)
+        assert 0.0 < res.error_estimate <= 1e-9
 
 
 class TestErgodicBounds:

@@ -1,9 +1,14 @@
 """CLI behavior: schemas, formatting, determinism, exit codes."""
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import antsel
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 
 
@@ -92,6 +97,13 @@ class TestErgodic:
         assert main(["ergodic", "--n", "1", "--m", "2", "--mode", "mc"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_high_snr_single_branch(self, tmp_path):
+        out = tmp_path / "erg60.csv"
+        assert main(["ergodic", "--n", "1", "--m", "1", "--rho-db", "60",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0][3] == "19.09884293"
+
 
 class TestDistAndFit:
     def test_dist_schema_and_monotone_cdf(self, tmp_path):
@@ -104,6 +116,14 @@ class TestDistAndFit:
         approx = [float(r[5]) for r in rows]
         assert all(a < b for a, b in zip(exact, exact[1:]))
         assert all(0.0 <= v <= 1.0 for v in approx)
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_points_exit_two(self, points, tmp_path, capsys):
+        out = tmp_path / "dist.csv"
+        assert main(["dist", "--n", "1", "--m", "2", "--points", points,
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_matches_library(self, tmp_path):
         out = tmp_path / "fit.csv"
@@ -184,6 +204,18 @@ class TestVerify:
         header, rows = read_csv(out)
         assert header == SCHEMAS["verify"]
         assert all(r[1] == "PASS" for r in rows)
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(antsel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys, antsel.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestArgHandling:
