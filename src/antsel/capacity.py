@@ -254,6 +254,16 @@ def ergodic_capacity(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
     return CapacityResult(value, Method.EXACT_QUADRATURE, abserr)
 
 
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _bound_quantiles(cfg: SelectionConfig) -> tuple[float, float]:
+    """The (1 - 1/m) quantile and the quantile at tail level 1/(e^γ (m+1)),
+    solved once per configuration for every SINR of a grid."""
+    return (
+        characteristic_largest(cfg),
+        tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1))),
+    )
+
+
 def ergodic_bounds(
     cfg: SelectionConfig, link: LinkParams
 ) -> tuple[CapacityResult, CapacityResult]:
@@ -263,8 +273,8 @@ def ergodic_bounds(
     expression at the quantile with tail level 1/(e^γ (m+1)).
     """
     rho = link.rho
-    lower = _log2_1p(rho * characteristic_largest(cfg))
-    q_hi = tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1)))
+    q_lo, q_hi = _bound_quantiles(cfg)
+    lower = _log2_1p(rho * q_lo)
     upper = _log2_1p(rho * q_hi)
     return (
         CapacityResult(lower, Method.BOUND_LOWER),
@@ -275,7 +285,7 @@ def ergodic_bounds(
 def ergodic_approx(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
     """Closed-form approximation log2(1 + rho (q + γ)) with q the
     (1 - 1/m) quantile; lies inside the sandwich bounds."""
-    value = _log2_1p(link.rho * (characteristic_largest(cfg) + EULER_GAMMA))
+    value = _log2_1p(link.rho * (_bound_quantiles(cfg)[0] + EULER_GAMMA))
     return CapacityResult(value, Method.QUANTILE_APPROX)
 
 

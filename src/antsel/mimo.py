@@ -4,29 +4,44 @@ With no transmitter channel knowledge the power splits equally across the
 m transmit antennas, and the instantaneous rate of an n x m channel H with
 i.i.d. unit-variance complex Gaussian entries is
 
-    log2 det(I_n + (rho/m) H H†).
+    log2 det(I_n + (rho/m) H H†) = sum_i log2(1 + (rho/m) lambda_i),
 
-Ergodic capacity, outage capacity, and the greedy-scheduled multiuser
-variant are estimated by seeded, chunk-deterministic simulation.  Receive
-arrays up to n = 8 are supported; the log-determinant is
-``numpy.linalg.slogdet`` of I_n + (rho/m) H H† on the small Gram matrix.
+with lambda_i the eigenvalues of the Gram matrix H H†.  Ergodic capacity,
+outage capacity, and the greedy-scheduled multiuser variant are estimated
+by seeded, chunk-deterministic simulation.  Receive arrays up to n = 8 are
+supported.
+
+The eigenvalues do not depend on rho, so each (n, m, McRun) channel set is
+drawn and reduced once and kept in a small bounded cache: the ergodic and
+outage estimators at every SINR share it.  The reduction works in real
+arithmetic on the real and imaginary parts of H, on the smaller of the two
+Gram matrices (H H† or H^T conj(H), which share their nonzero eigenvalues).
+With r = min(n, m), the eigenvalue is a squared norm for r = 1; r = 2 and
+r = 3 use the closed forms of 2 x 2 and 3 x 3 Hermitian matrices, and
+larger r ``numpy.linalg.eigvalsh``.  The outage bootstrap resamples sorted
+rates, so a resample's quantile is the rate at a rank that depends only on
+(seed, sample count, quantile level); those ranks are drawn once and
+cached too.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .capacity import CapacityResult, LinkParams, Method
+from .capacity import _LN2, CapacityResult, LinkParams, Method
 from .streams import McRun, chunk_generators, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
 MAX_RX_ANTENNAS = 8
 
-_LN2 = math.log(2.0)
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
+# Channel sets (samples x min(n, m) eigenvalues each) and bootstrap rank
+# sets kept at once; a CLI grid needs one of each at a time.
+_CACHE_SIZE = 4
 
 
 def _validate(n: int, m: int) -> None:
@@ -36,21 +51,106 @@ def _validate(n: int, m: int) -> None:
         raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
-def _logdet_rates(z: np.ndarray, n: int, m: int, rho: float) -> np.ndarray:
-    """Rates for a batch of channels drawn as (..., 2, n, m) standard normals."""
-    h = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * math.sqrt(0.5)
-    gram = h @ h.conj().swapaxes(-1, -2)
-    a = np.eye(n) + (rho / m) * gram
-    _, logdet = np.linalg.slogdet(a)
-    return logdet / _LN2
+# Real and imaginary parts of one Gram matrix entry across a batch.
+_Entry = tuple[np.ndarray, np.ndarray]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _gram_entry(a: np.ndarray, b: np.ndarray, i: int, j: int) -> _Entry:
+    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2)."""
+    ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
+    return 0.5 * (_dot(ai, aj) + _dot(bi, bj)), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
+
+
+def _abs2(entry: _Entry) -> np.ndarray:
+    re, im = entry
+    return re * re + im * im
+
+
+def _hermitian3_eigenvalues(
+    diag: np.ndarray, g12: _Entry, g13: _Entry, g23: _Entry
+) -> np.ndarray:
+    """Eigenvalues of 3 x 3 Hermitian matrices, largest first, from the
+    diagonal and the (real, imaginary) upper entries: the trigonometric
+    solution of the characteristic cubic (O. K. Smith, CACM 4, 1961)."""
+    q = diag.sum(axis=-1) / 3
+    e1, e2, e3 = (diag[..., i] - q for i in range(3))
+    s12, s13, s23 = _abs2(g12), _abs2(g13), _abs2(g23)
+    p = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + 2 * (s12 + s13 + s23)) / 6)
+    (r12, i12), (r13, i13), (r23, i23) = g12, g13, g23
+    # det(G - qI); the middle term is 2 Re(g12 g23 conj(g13)).
+    triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
+    det = e1 * e2 * e3 + 2 * triple - e1 * s23 - e2 * s13 - e3 * s12
+    half = np.divide(det, 2 * p**3, out=np.zeros_like(p), where=p > 0)
+    phi = np.arccos(np.clip(half, -1.0, 1.0)) / 3
+    largest = q + 2 * p * np.cos(phi)
+    smallest = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    # Next to a repeated pair, arccos leaves each of the two close
+    # eigenvalues an error near sqrt(eps) times p, of opposite sign: taking
+    # the middle one from the trace keeps their sum, so sum log1p(x lambda)
+    # moves only at second order, far below rounding.
+    return np.stack([largest, 3 * q - largest - smallest, smallest], axis=-1)
+
+
+def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """Nonzero eigenvalues of H H† for channels drawn as (..., 2, n, m)
+    standard normals, H = (z[..., 0, :, :] + i z[..., 1, :, :]) / sqrt(2).
+
+    Returns (..., min(n, m)), clipped at zero.  For m < n the Gram matrix
+    has rank m and the eigenvalues come from the m x m matrix H^T conj(H),
+    so none of them is rounding noise.
+    """
+    if z.shape[-1] < z.shape[-2]:
+        z = z.swapaxes(-1, -2)
+    r = z.shape[-2]
+    a, b = z[..., 0, :, :], z[..., 1, :, :]
+    # Diagonal of the Gram matrix: half the squared norm of each row.
+    diag = 0.5 * np.einsum("...kij,...kij->...i", z, z)
+    if r == 1:
+        return diag
+    if r == 2:
+        g11, g22 = diag[..., 0], diag[..., 1]
+        g12 = _gram_entry(a, b, 0, 1)
+        upper = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), np.hypot(*g12))
+        # det / upper keeps the small eigenvalue accurate where the
+        # difference tr/2 - hypot(...) would cancel.
+        lower = (g11 * g22 - _abs2(g12)) / upper
+        lam = np.stack([upper, lower], axis=-1)
+    elif r == 3:
+        entries = (_gram_entry(a, b, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
+        lam = _hermitian3_eigenvalues(diag, *entries)
+    else:
+        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+        gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
+        gram.real = 0.5 * (a @ at + b @ bt)
+        gram.imag = 0.5 * (b @ at - a @ bt)
+        lam = np.linalg.eigvalsh(gram)
+    return np.maximum(lam, 0.0, out=lam)
+
+
+def _log2det(eigenvalues: np.ndarray, m: int, rho: float) -> np.ndarray:
+    """log2 det(I + (rho/m) H H†) from the Gram eigenvalues (last axis)."""
+    return np.log1p((rho / m) * eigenvalues).sum(axis=-1) / _LN2
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _channel_eigenvalues(n: int, m: int, mc: McRun) -> np.ndarray:
+    """Gram eigenvalues of the single-user channel set, (samples, min(n, m))."""
+    parts = [
+        _gram_eigenvalues(rng.standard_normal((count, 2, n, m)))
+        for count, rng in chunk_generators(mc, 2 * n * m)
+    ]
+    eigenvalues = np.concatenate(parts)
+    eigenvalues.flags.writeable = False
+    return eigenvalues
 
 
 def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
-    parts = []
-    for count, rng in chunk_generators(mc, 2 * n * m):
-        z = rng.standard_normal((count, 2, n, m))
-        parts.append(_logdet_rates(z, n, m, rho))
-    return np.concatenate(parts)
+    """Rates of the single-user channel set at SINR rho."""
+    return _log2det(_channel_eigenvalues(n, m, mc), m, rho)
 
 
 def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
@@ -63,9 +163,18 @@ def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
     return CapacityResult(float(rates.mean()), Method.MONTE_CARLO, se)
 
 
-def _nearest_rank(sorted_rates: np.ndarray, p0: float) -> float:
-    k = math.ceil(p0 * sorted_rates.size) - 1
-    return float(sorted_rates[max(k, 0)])
+@lru_cache(maxsize=_CACHE_SIZE)
+def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
+    """For each bootstrap resample of ``size`` indices, its k-th smallest
+    index.  On sorted data that index holds the resample's k-th smallest
+    value, so the resample itself is never gathered or partitioned."""
+    boot_rng = substream(seed, _BOOTSTRAP_TAG)
+    ranks = np.empty(_BOOTSTRAP_RESAMPLES, dtype=np.intp)
+    for i in range(_BOOTSTRAP_RESAMPLES):
+        idx = boot_rng.integers(0, size, size)
+        ranks[i] = np.partition(idx, k)[k]
+    ranks.flags.writeable = False
+    return ranks
 
 
 def mimo_outage(
@@ -78,15 +187,10 @@ def mimo_outage(
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
     rates = np.sort(_rates(n, m, link.rho, mc))
-    value = _nearest_rank(rates, p0)
-
     k = max(math.ceil(p0 * rates.size) - 1, 0)
-    boot_rng = substream(mc.seed, _BOOTSTRAP_TAG)
-    resampled = np.empty(_BOOTSTRAP_RESAMPLES)
-    for i in range(_BOOTSTRAP_RESAMPLES):
-        idx = boot_rng.integers(0, rates.size, rates.size)
-        resampled[i] = np.partition(rates[idx], k)[k]
-    return CapacityResult(value, Method.MONTE_CARLO, float(resampled.std(ddof=1)))
+    resampled = rates[_bootstrap_ranks(mc.seed, rates.size, k)]
+    se = float(resampled.std(ddof=1))
+    return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
 
 
 def mimo_scheduled_ergodic(
@@ -102,7 +206,7 @@ def mimo_scheduled_ergodic(
     parts = []
     for count, rng in chunk_generators(mc, 2 * n * m * users):
         z = rng.standard_normal((count, users, 2, n, m))
-        parts.append(_logdet_rates(z, n, m, link.rho).max(axis=1))
+        parts.append(_log2det(_gram_eigenvalues(z), m, link.rho).max(axis=1))
     best = np.concatenate(parts)
     se = float(best.std(ddof=1) / math.sqrt(best.size))
     return CapacityResult(float(best.mean()), Method.MONTE_CARLO, se)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import CapacityResult, LinkParams, Method
+from .capacity import _LN2, CapacityResult, LinkParams, Method
 from .orderstats import SelectionConfig, max_cdf
 from .streams import McRun, chunk_generators
 
@@ -25,8 +25,6 @@ __all__ = [
     "ks_against",
     "empirical_ergodic",
 ]
-
-_LN2 = math.log(2.0)
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 

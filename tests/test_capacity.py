@@ -18,6 +18,8 @@ from antsel import (
     outage_capacity,
     outage_probability,
     selection_gain_variance,
+    capacity,
+    orderstats,
     tail_quantile,
 )
 
@@ -261,6 +263,33 @@ class TestErgodicBounds:
         m = 10_000
         gap = tail_quantile(1, 1.0 / (math.exp(EULER_GAMMA) * (m + 1))) - math.log(m)
         assert abs(gap - EULER_GAMMA) <= 0.02
+
+
+    def test_quantiles_solved_once_per_configuration(self, monkeypatch):
+        solves = []
+
+        def counted(fn):
+            def wrapper(*args):
+                solves.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("tail_quantile", "characteristic_largest"):
+            monkeypatch.setattr(capacity, name, counted(getattr(orderstats, name)))
+        capacity._bound_quantiles.cache_clear()
+        cfg = SelectionConfig(3, 17)
+        q_lo = orderstats.characteristic_largest(cfg)
+        q_hi = orderstats.tail_quantile(3, 1.0 / (math.exp(EULER_GAMMA) * 18))
+        ln2 = math.log(2.0)
+        for rho in (10.0**-1.5, 1.0, 10.0**0.5, 1e3, 1e4):
+            lower, upper = ergodic_bounds(cfg, LinkParams(rho))
+            approx = ergodic_approx(cfg, LinkParams(rho))
+            # bit-identical to solving afresh at every SINR
+            assert lower.value == math.log1p(rho * q_lo) / ln2
+            assert upper.value == math.log1p(rho * q_hi) / ln2
+            assert approx.value == math.log1p(rho * (q_lo + EULER_GAMMA)) / ln2
+        assert sorted(solves) == ["characteristic_largest", "tail_quantile"]
 
 
 class TestErgodicApprox:

@@ -1,6 +1,8 @@
 """Open-loop MIMO Monte Carlo baseline: determinism, oracles, and trends."""
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
@@ -11,11 +13,14 @@ from antsel import (
     Method,
     SelectionConfig,
     ergodic_capacity,
+    mimo,
     mimo_ergodic,
     mimo_outage,
     mimo_scheduled_ergodic,
     outage_capacity,
 )
+from antsel.cli import main
+from antsel.streams import chunk_generators, substream
 
 RHO_5DB = 10.0**0.5
 MC = McRun(100_000, 2024)
@@ -34,6 +39,39 @@ def siso_array_capacity(m: int, rho: float) -> float:
         limit=200,
     )
     return val
+
+
+def logdet_rates(z: np.ndarray, m: int, rho: float) -> np.ndarray:
+    """Rates by the complex log-determinant of I + (rho/m) H H†, for
+    channels drawn as (..., 2, n, m) standard normals."""
+    h = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * math.sqrt(0.5)
+    a = np.eye(z.shape[-2]) + (rho / m) * (h @ h.conj().swapaxes(-1, -2))
+    return np.linalg.slogdet(a)[1] / math.log(2.0)
+
+
+def slogdet_rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
+    """logdet_rates of the tag-0 channel set, drawn chunk by chunk as the
+    estimators draw it."""
+    return np.concatenate([
+        logdet_rates(rng.standard_normal((count, 2, n, m)), m, rho)
+        for count, rng in chunk_generators(mc, 2 * n * m)
+    ])
+
+
+def resample_loop(sorted_rates: np.ndarray, p0: float, seed: int) -> np.ndarray:
+    """Bootstrap quantiles by gathering and partitioning every resample."""
+    k = max(math.ceil(p0 * sorted_rates.size) - 1, 0)
+    boot_rng = substream(seed, 1)
+    resampled = np.empty(100)
+    for i in range(100):
+        idx = boot_rng.integers(0, sorted_rates.size, sorted_rates.size)
+        resampled[i] = np.partition(sorted_rates[idx], k)[k]
+    return resampled
+
+
+def clear_caches() -> None:
+    mimo._channel_eigenvalues.cache_clear()
+    mimo._bootstrap_ranks.cache_clear()
 
 
 class TestValidation:
@@ -161,3 +199,131 @@ class TestScheduled:
             pooled = ergodic_capacity(SelectionConfig(1, 32 * m), LinkParams(RHO_5DB))
             mimo = mimo_scheduled_ergodic(1, m, 32, LinkParams(RHO_5DB), mc)
             assert pooled.value > mimo.value + 3.0 * mimo.error_estimate
+
+
+class TestEigenvalueRoute:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_slogdet_reference(self, n):
+        # m < n leaves the Gram matrix rank-deficient
+        mc = McRun(10_000, 100 + n)
+        for m in sorted({1, max(n - 1, 1), n, n + 2}):
+            for db in (-30, -10, 10, 40):
+                rho = 10.0 ** (db / 10)
+                ref = slogdet_rates(n, m, rho, mc)
+                est = mimo_ergodic(n, m, LinkParams(rho), mc)
+                out = mimo_outage(n, m, LinkParams(rho), 0.1, mc)
+                ref_se = ref.std(ddof=1) / math.sqrt(ref.size)
+                assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
+                assert est.error_estimate == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+                assert out.value == pytest.approx(np.sort(ref)[999], rel=1e-12, abs=0.0)
+
+    def test_small_eigenvalue_keeps_relative_accuracy(self):
+        # rows of very different norm, nearly orthogonal: the difference
+        # tr/2 - hypot(...) would leave the small eigenvalue an absolute
+        # error of about eps * tr, here a relative error near 1e-4
+        z = np.array([[[1e3, 0.0], [1e-6, 1e-3]], [[0.0, 2.0], [3e-4, 0.0]]])
+        upper, lower = mimo._gram_eigenvalues(z)
+        # exact arithmetic: det(H H†) = |det H|^2 and tr(H H†) = |H|_F^2
+        (a11, a12), (a21, a22) = ([Fraction(x) for x in row] for row in z[0])
+        (b11, b12), (b21, b22) = ([Fraction(x) for x in row] for row in z[1])
+        det_re = a11 * a22 - b11 * b22 - (a12 * a21 - b12 * b21)
+        det_im = a11 * b22 + b11 * a22 - (a12 * b21 + b12 * a21)
+        det = (det_re**2 + det_im**2) / 4
+        trace = sum(Fraction(x) ** 2 for x in z.ravel()) / 2
+        assert upper * lower == pytest.approx(float(det), rel=1e-12, abs=0.0)
+        assert upper + lower == pytest.approx(float(trace), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "diagonal", [(1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.0, 1.0)]
+    )
+    def test_repeated_eigenvalues_keep_rates_accurate(self, diagonal):
+        # arccos in the 3 x 3 closed form is ill-conditioned next to a
+        # repeated eigenvalue; the rates must still match, and an exactly
+        # repeated one must not divide by zero
+        rng = np.random.default_rng(17)
+        for eps in (1e-3, 1e-8, 1e-13, 0.0):
+            z = np.zeros((200, 2, 3, 3))
+            z[:, 0] = np.diag(diagonal)
+            z += eps * rng.standard_normal(z.shape)
+            eigenvalues = mimo._gram_eigenvalues(z)
+            assert np.all(np.isfinite(eigenvalues))
+            for db in (-30, 10, 40):
+                rho = 10.0 ** (db / 10)
+                rates = mimo._log2det(eigenvalues, 3, rho)
+                ref = logdet_rates(z, 3, rho)
+                np.testing.assert_allclose(rates, ref, rtol=1e-12, atol=0)
+
+    def test_scheduled_matches_slogdet_reference(self):
+        mc = McRun(1_000, 5)
+        users = 4
+        for n, m in ((1, 3), (2, 1), (2, 4), (3, 2), (3, 5)):
+            ref = np.concatenate([
+                logdet_rates(rng.standard_normal((count, users, 2, n, m)), m, RHO_5DB)
+                .max(axis=1)
+                for count, rng in chunk_generators(mc, 2 * n * m * users)
+            ])
+            est = mimo_scheduled_ergodic(n, m, users, LinkParams(RHO_5DB), mc)
+            assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
+
+
+class TestRankBootstrap:
+    @pytest.mark.parametrize(
+        "seed,samples,p0",
+        [
+            (0, 10_000, 0.1),
+            (7, 12_345, 0.01),
+            (2**63 + 5, 20_000, 0.5),
+            (3, 10_001, 1e-6),
+        ],
+    )
+    def test_equals_resample_loop(self, seed, samples, p0):
+        k = max(math.ceil(p0 * samples) - 1, 0)
+        # coarse values give many ties between distinct indices
+        data = np.sort(np.random.default_rng(seed).integers(0, 50, samples) / 7.0)
+        ranks = mimo._bootstrap_ranks(seed, samples, k)
+        assert np.array_equal(data[ranks], resample_loop(data, p0, seed))
+
+        mc = McRun(samples, seed)
+        est = mimo_outage(2, 3, LinkParams(1.0), p0, mc)
+        rates = np.sort(mimo._rates(2, 3, 1.0, mc))
+        assert est.value == rates[k]
+        assert est.error_estimate == float(resample_loop(rates, p0, seed).std(ddof=1))
+
+
+class TestReuse:
+    RHOS = (10.0**-1.5, 1.0, 10.0**2)
+    MC = McRun(10_000, 61)
+
+    def point(self, n, m, rho):
+        link = LinkParams(rho)
+        erg = mimo_ergodic(n, m, link, self.MC)
+        out = mimo_outage(n, m, link, 0.05, self.MC)
+        return erg.value, erg.error_estimate, out.value, out.error_estimate
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (3, 5), (4, 2)])
+    def test_results_do_not_depend_on_call_order(self, n, m):
+        clear_caches()
+        ascending = [self.point(n, m, rho) for rho in self.RHOS]
+        clear_caches()
+        descending = [self.point(n, m, rho) for rho in reversed(self.RHOS)][::-1]
+        clear_caches()
+        self.point(n + 1, m, 1.0)
+        after_other = [self.point(n, m, rho) for rho in self.RHOS]
+        clear_caches()
+        mimo_scheduled_ergodic(n, m, 3, LinkParams(1.0), self.MC)
+        after_scheduled = [self.point(n, m, rho) for rho in self.RHOS]
+        assert ascending == descending == after_other == after_scheduled
+
+    def test_cli_draws_each_channel_set_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(mc, elems_per_draw, tag=0):
+            calls.append((elems_per_draw, tag))
+            return chunk_generators(mc, elems_per_draw, tag)
+
+        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        clear_caches()
+        argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,5,10", "--p0", "0.1",
+                "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 0
+        assert calls == [(6, 0), (12, 0)]
