@@ -15,7 +15,9 @@ import csv
 import io
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .capacity import (
@@ -43,7 +45,7 @@ from .orderstats import (
     quantile,
     tail_quantile,
 )
-from .scheduling import SchedulingScenario, gain_report, gain_table, scheduling_gain
+from .scheduling import SchedulingScenario, gain_report, scheduling_gain
 from .streams import DEFAULT_SEED, McRun
 
 SCHEMAS: dict[str, list[str]] = {
@@ -81,11 +83,20 @@ SCHEMAS: dict[str, list[str]] = {
     "verify": ["check", "status", "detail"],
 }
 
+# Cells printed with fixed decimals instead of 10 significant digits.
+_FORMATS: dict[str, dict[str, str]] = {
+    "table1": {"exact_gain": ".4f", "approx_gain": ".2f"},
+}
+
 _STRATEGIES = {s.value: s for s in FitStrategy}
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Power ratio of ``db`` decibels; ValueError where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SINR {db:g} dB is out of range") from None
 
 
 def parse_int_grid(text: str) -> list[int]:
@@ -115,11 +126,11 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _fmt(value: object) -> str:
+def _fmt(value: object, spec: str) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.10g}"
+        return f"{value:{spec}}"
     return str(value)
 
 
@@ -139,32 +150,51 @@ def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
     return {mode}
 
 
-def _emit(
-    command: str,
-    rows: list[list[object]],
-    params: dict[str, object],
-    out: str | None,
-    formats: dict[str, Callable[[object], str]] | None = None,
-) -> None:
+def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
+    """(n, m, cfg, rho_db, link) over the grid in output order: n, then m,
+    then SINR.  The one place where dB becomes linear.
+
+    Subcommands without ``--rho-db`` get one point per (n, m) with rho_db
+    and link None.  ``configs=False`` yields cfg None, for estimators that
+    validate (n, m) themselves.
+    """
+    for n in args.n:
+        for m in args.m:
+            cfg = SelectionConfig(n, m) if configs else None
+            for db in getattr(args, "rho_db", (None,)):
+                yield n, m, cfg, db, None if db is None else LinkParams(db_to_linear(db))
+
+
+def _row(command: str, **cells: object) -> dict[str, object]:
+    """A row of ``command``'s schema: the given cells filled, the rest empty."""
+    row: dict[str, object] = dict.fromkeys(SCHEMAS[command])
+    row.update(cells)
+    return row
+
+
+def _emit(args: argparse.Namespace, rows: list[dict[str, object]]) -> None:
+    """Write the rows as CSV after a ``# antsel`` line of the parsed options."""
+    command = args.command
     header = SCHEMAS[command]
+    formats = _FORMATS.get(command, {})
+    specs = [formats.get(name, ".10g") for name in header]
+    buf = io.StringIO()
+    # Every option of the subcommand but --mode and --out, in declaration
+    # order: argparse sets the defaults on the namespace in that order.
+    params = (f"{k}={v}" for k, v in vars(args).items()
+              if k not in ("command", "func", "mode", "out"))
+    buf.write(f"# antsel {command} {' '.join(params)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
         if len(row) != len(header):
             raise SolverError(f"internal schema mismatch for {command!r}")
-    buf = io.StringIO()
-    arg_text = " ".join(f"{k}={v}" for k, v in params.items())
-    buf.write(f"# antsel {command} {arg_text}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    fmts = formats or {}
-    for row in rows:
-        writer.writerow(
-            [fmts.get(name, _fmt)(val) for name, val in zip(header, row)]
-        )
+        writer.writerow([_fmt(val, spec) for val, spec in zip(row.values(), specs)])
     text = buf.getvalue()
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -180,125 +210,81 @@ def cmd_dist(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     strategy = _STRATEGIES[args.strategy]
     enabled = _mode_set(args, ("exact", "approx"))
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            cfg = SelectionConfig(n, m)
-            fit = normalizing_constants(cfg, strategy) if "approx" in enabled else None
-            for x in _dist_grid(cfg, args.points):
-                rows.append(
-                    [
-                        n,
-                        m,
-                        args.strategy,
-                        x,
-                        max_cdf(cfg, x) if "exact" in enabled else None,
-                        fit.cdf(x) if fit is not None else None,
-                    ]
-                )
-    _emit(
-        "dist",
-        rows,
-        {"n": args.n, "m": args.m, "strategy": args.strategy, "points": args.points},
-        args.out,
-    )
+    rows = []
+    for n, m, cfg, _, _ in _grid(args):
+        xs = _dist_grid(cfg, args.points)
+        exact = approx = [None] * len(xs)
+        if "approx" in enabled and m >= 2:
+            approx = list(map(normalizing_constants(cfg, strategy).cdf, xs))
+        if "exact" in enabled:
+            exact = max_cdf(cfg, np.array(xs)).tolist()
+        for x, exact_cdf, approx_cdf in zip(xs, exact, approx):
+            rows.append(_row("dist", n=n, m=m, strategy=args.strategy, x=x,
+                             exact_cdf=exact_cdf, approx_cdf=approx_cdf))
+    _emit(args, rows)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     strategy = _STRATEGIES[args.strategy]
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            fit = normalizing_constants(SelectionConfig(n, m), strategy)
-            mean, var = approx_moments(fit)
-            rows.append([n, m, args.strategy, fit.location, fit.scale, mean, var])
-    _emit(
-        "fit", rows, {"n": args.n, "m": args.m, "strategy": args.strategy}, args.out
-    )
+    rows = []
+    for n, m, cfg, _, _ in _grid(args):
+        fit = normalizing_constants(cfg, strategy)
+        mean, var = approx_moments(fit)
+        rows.append(_row("fit", n=n, m=m, strategy=args.strategy, location=fit.location,
+                         scale=fit.scale, mean=mean, variance=var))
+    _emit(args, rows)
     return 0
 
 
 def cmd_outage(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            cfg = SelectionConfig(n, m)
-            for db in args.rho_db:
-                link = LinkParams(db_to_linear(db))
-                exact_val = (
-                    outage_capacity(cfg, link, args.p0, "exact").value
-                    if "exact" in enabled
-                    else None
-                )
-                approx_val, clamped = None, None
-                if "approx" in enabled and m >= 2:
-                    approx = outage_capacity(cfg, link, args.p0, "gumbel")
-                    approx_val, clamped = approx.value, int(approx.degenerate)
-                rows.append([n, m, db, args.p0, exact_val, approx_val, clamped])
-    _emit(
-        "outage",
-        rows,
-        {"n": args.n, "m": args.m, "rho_db": args.rho_db, "p0": args.p0},
-        args.out,
-    )
+    rows = []
+    for n, m, cfg, db, link in _grid(args):
+        row = _row("outage", n=n, m=m, rho_db=db, p0=args.p0)
+        if "exact" in enabled:
+            row["exact"] = outage_capacity(cfg, link, args.p0, "exact").value
+        if "approx" in enabled and m >= 2:
+            approx = outage_capacity(cfg, link, args.p0, "gumbel")
+            row.update(approx=approx.value, approx_clamped=int(approx.degenerate))
+        rows.append(row)
+    _emit(args, rows)
     return 0
 
 
 def cmd_ergodic(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "bounds", "approx"))
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            cfg = SelectionConfig(n, m)
-            for db in args.rho_db:
-                link = LinkParams(db_to_linear(db))
-                exact_val = err_val = lower_val = upper_val = approx_val = None
-                if "exact" in enabled:
-                    exact = ergodic_capacity(cfg, link)
-                    exact_val, err_val = exact.value, exact.error_estimate
-                if "bounds" in enabled:
-                    lower, upper = ergodic_bounds(cfg, link)
-                    lower_val, upper_val = lower.value, upper.value
-                if "approx" in enabled:
-                    approx_val = ergodic_approx(cfg, link).value
-                rows.append(
-                    [n, m, db, exact_val, err_val, lower_val, upper_val, approx_val]
-                )
-    _emit(
-        "ergodic",
-        rows,
-        {"n": args.n, "m": args.m, "rho_db": args.rho_db},
-        args.out,
-    )
+    rows = []
+    for n, m, cfg, db, link in _grid(args):
+        row = _row("ergodic", n=n, m=m, rho_db=db)
+        if "exact" in enabled:
+            exact = ergodic_capacity(cfg, link)
+            row.update(exact=exact.value, quad_error=exact.error_estimate)
+        if "bounds" in enabled:
+            lower, upper = ergodic_bounds(cfg, link)
+            row.update(lower=lower.value, upper=upper.value)
+        if "approx" in enabled:
+            row["approx"] = ergodic_approx(cfg, link).value
+        rows.append(row)
+    _emit(args, rows)
     return 0
 
 
 def cmd_scheduling(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            for db in args.rho_db:
-                scen = SchedulingScenario(
-                    SelectionConfig(n, m), args.users, LinkParams(db_to_linear(db))
-                )
-                greedy = rr = exact = frac = approx = None
-                if "exact" in enabled:
-                    rep = gain_report(scen)
-                    greedy, rr = rep.greedy.value, rep.round_robin.value
-                    exact, frac = rep.exact_gain, rep.fractional
-                    approx = rep.approx_gain if "approx" in enabled else None
-                elif "approx" in enabled:
-                    approx = scheduling_gain(scen, "approx")
-                rows.append([n, m, args.users, db, greedy, rr, exact, approx, frac])
-    _emit(
-        "scheduling",
-        rows,
-        {"n": args.n, "m": args.m, "users": args.users, "rho_db": args.rho_db},
-        args.out,
-    )
+    rows = []
+    for n, m, cfg, db, link in _grid(args):
+        scen = SchedulingScenario(cfg, args.users, link)
+        row = _row("scheduling", n=n, m=m, users=args.users, rho_db=db)
+        if "exact" in enabled:
+            rep = gain_report(scen)
+            row.update(greedy=rep.greedy.value, round_robin=rep.round_robin.value,
+                       gain_exact=rep.exact_gain, fractional=rep.fractional,
+                       gain_approx=rep.approx_gain if "approx" in enabled else None)
+        elif "approx" in enabled:
+            row["gain_approx"] = scheduling_gain(scen, "approx")
+        rows.append(row)
+    _emit(args, rows)
     return 0
 
 
@@ -306,80 +292,36 @@ def cmd_table1(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
     if len(args.n) != 1:
         raise ValueError(f"table1 takes a single n, got {args.n}")
-    cells = gain_table(users=args.users, n=args.n[0], rho_db=args.rho_db, m_values=args.m)
-    rows: list[list[object]] = [
-        [
-            c.m,
-            c.rho_db,
-            c.exact if "exact" in enabled else None,
-            c.approx if "approx" in enabled else None,
-        ]
-        for c in cells
-    ]
-    formats = {
-        "exact_gain": lambda v: "" if v is None else f"{v:.4f}",
-        "approx_gain": lambda v: "" if v is None else f"{v:.2f}",
-    }
-    _emit(
-        "table1",
-        rows,
-        {"n": args.n, "m": args.m, "users": args.users, "rho_db": args.rho_db},
-        args.out,
-        formats=formats,
-    )
+    rows = []
+    for _, m, cfg, db, link in _grid(args):
+        scen = SchedulingScenario(cfg, args.users, link)
+        row = _row("table1", m=m, rho_db=db)
+        if "exact" in enabled:
+            row["exact_gain"] = scheduling_gain(scen, "exact")
+        if "approx" in enabled and m >= 2:
+            row["approx_gain"] = scheduling_gain(scen, "approx")
+        rows.append(row)
+    _emit(args, rows)
     return 0
 
 
 def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
-    rows: list[list[object]] = []
-    for n in args.n:
-        for m in args.m:
-            for db in args.rho_db:
-                link = LinkParams(db_to_linear(db))
-                erg = mimo_ergodic(n, m, link, mc)
-                if args.p0 is not None:
-                    out_res = mimo_outage(n, m, link, args.p0, mc)
-                    out_val, out_err = out_res.value, out_res.error_estimate
-                else:
-                    out_val, out_err = None, None
-                if args.users is not None:
-                    sched = mimo_scheduled_ergodic(n, m, args.users, link, mc)
-                    sched_val, sched_err = sched.value, sched.error_estimate
-                else:
-                    sched_val, sched_err = None, None
-                rows.append(
-                    [
-                        n,
-                        m,
-                        db,
-                        args.p0,
-                        args.users,
-                        args.samples,
-                        args.seed,
-                        erg.value,
-                        erg.error_estimate,
-                        out_val,
-                        out_err,
-                        sched_val,
-                        sched_err,
-                    ]
-                )
-    _emit(
-        "mimo",
-        rows,
-        {
-            "n": args.n,
-            "m": args.m,
-            "rho_db": args.rho_db,
-            "p0": args.p0,
-            "users": args.users,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        args.out,
-    )
+    rows = []
+    for n, m, _, db, link in _grid(args, configs=False):
+        erg = mimo_ergodic(n, m, link, mc)
+        row = _row("mimo", n=n, m=m, rho_db=db, p0=args.p0, users=args.users,
+                   samples=args.samples, seed=args.seed,
+                   ergodic=erg.value, ergodic_stderr=erg.error_estimate)
+        if args.p0 is not None:
+            out = mimo_outage(n, m, link, args.p0, mc)
+            row.update(outage=out.value, outage_stderr=out.error_estimate)
+        if args.users is not None:
+            sched = mimo_scheduled_ergodic(n, m, args.users, link, mc)
+            row.update(scheduled=sched.value, scheduled_stderr=sched.error_estimate)
+        rows.append(row)
+    _emit(args, rows)
     return 0
 
 
@@ -471,15 +413,14 @@ def _verify_checks(samples: int, seed: int) -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _verify_checks(args.samples, args.seed)
-    rows: list[list[object]] = []
-    failed = 0
+    rows = []
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name}: {detail}")
-        rows.append([name, status, detail])
-        failed += 0 if ok else 1
+        rows.append(_row("verify", check=name, status=status, detail=detail))
     if args.out is not None:
-        _emit("verify", rows, {"samples": args.samples, "seed": args.seed}, args.out)
+        _emit(args, rows)
+    failed = sum(not ok for _, ok, _ in results)
     if failed:
         print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
         return 3
@@ -576,7 +517,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

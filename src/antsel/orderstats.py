@@ -14,8 +14,9 @@ near-one cdf) and powers of F go through log1p of the survival, which keeps
 m up to 1e4 and deep tail levels exact to roundoff.
 
 All functions are pure and thread-safe.  They take and return floats,
-except ``max_pdf``, which also evaluates a numpy array of points at once
-for the ergodic quadrature.
+except ``max_cdf`` and ``max_pdf``, which also evaluate a numpy array of
+points at once (for ``dist`` curves, KS distances and the ergodic
+quadrature).
 """
 from __future__ import annotations
 
@@ -120,16 +121,6 @@ def cdf(n: int, x: float) -> float:
     return -math.expm1(_log_survival(n, x))
 
 
-def max_cdf(cfg: SelectionConfig, x: float) -> float:
-    """cdf of the selection gain, F^m(x), via m*log1p(-survival)."""
-    if x <= 0.0:
-        return 0.0
-    s = math.exp(_log_survival(cfg.n, x))
-    if s >= 1.0:
-        return 0.0
-    return math.exp(cfg.m * math.log1p(-s))
-
-
 def _log_tail_sums(n: int, log_x: np.ndarray) -> np.ndarray | float:
     """_log_tail_sum over an array of points, given their logs."""
     if n == 1:
@@ -138,6 +129,24 @@ def _log_tail_sums(n: int, log_x: np.ndarray) -> np.ndarray | float:
     terms = k * log_x - np.array([math.lgamma(j + 1) for j in range(n)])[:, None]
     hi = terms.max(axis=0)
     return hi + np.log(np.exp(terms - hi).sum(axis=0))
+
+
+def max_cdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:
+    """cdf of the selection gain, F^m(x), via m*log1p(-survival).
+
+    Accepts a float or an array of points; a float returns a float.  The
+    survival goes through the same log-domain tail sum as ``max_pdf``, and
+    the cdf is zero for x <= 0 and wherever that survival rounds to one.
+    """
+    shape = np.shape(x)
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    support = xs > 0.0
+    log_x = np.log(np.where(support, xs, 1.0))
+    s = np.exp(-np.where(support, xs, 0.0) + _log_tail_sums(cfg.n, log_x))
+    support &= s < 1.0
+    f = np.exp(cfg.m * np.log1p(-np.where(support, s, 0.0)))
+    out = np.where(support, f, 0.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def max_pdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import antsel
+from antsel import cli
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 
 
@@ -125,6 +127,28 @@ class TestDistAndFit:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_branch_leaves_approx_empty(self, tmp_path):
+        out = tmp_path / "dist1.csv"
+        assert main(["dist", "--n", "1", "--m", "1..5", "--points", "10",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 50
+        for r in rows:
+            assert 0.0 < float(r[4]) < 1.0  # exact cdf at every m
+            assert (r[5] == "") == (r[1] == "1")  # no Gumbel fit at m = 1
+
+    def test_one_kernel_call_per_curve(self, monkeypatch, tmp_path):
+        shapes, kernel = [], cli.max_cdf
+
+        def counting(cfg, x):
+            shapes.append(np.shape(x))
+            return kernel(cfg, x)
+
+        monkeypatch.setattr(cli, "max_cdf", counting)
+        assert main(["dist", "--n", "1,2", "--m", "3", "--points", "30",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        assert shapes == [(30,), (30,)]
+
     def test_fit_matches_library(self, tmp_path):
         out = tmp_path / "fit.csv"
         assert main(["fit", "--n", "1", "--m", "10", "--out", str(out)]) == 0
@@ -234,6 +258,29 @@ class TestArgHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert "antsel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["ergodic", "--rho-db", "4000"],
+        ["table1", "--m", "2", "--rho-db", "400,4000"],
+        ["mimo", "--samples", "1000", "--rho-db", "4000"],
+    ])
+    def test_out_of_range_db_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SINR 4000 dB is out of range\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", "1", "--m", "2", "--points", "5"],
+        ["verify", "--samples", "1000"],
+    ])
+    def test_unwritable_out_exits_two(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(target) in err[0]
+        assert not target.exists()
 
     def test_stdout_emission(self, capsys):
         assert main(["fit", "--n", "1", "--m", "4"]) == 0

@@ -150,9 +150,11 @@ def compare_csv(command: str, got: str, want: str) -> list[str]:
     header, problems = want_rows[0], []
     for i, (got_row, want_row) in enumerate(zip(got_rows[1:], want_rows[1:]), 1):
         for name, a, b in zip(header, got_row, want_row):
-            if name in QUAD_COLUMNS.get(command, ()):
-                unit = _FIXED_UNITS.get((command, name)) or _g10_unit(float(b or 0))
-                ok = _quad_close(a, b, unit)
+            if (command, name) in _FIXED_UNITS:
+                unit = _FIXED_UNITS[command, name]
+                ok = _quad_close(a, b, unit) and (a == "" or _decimal_unit(a) == unit)
+            elif name in QUAD_COLUMNS.get(command, ()):
+                ok = _quad_close(a, b, _g10_unit(float(b or 0)))
             else:
                 ok = a == b or (command == "verify" and name == "detail" and _text_close(a, b))
             if not ok:
@@ -187,6 +189,9 @@ def test_quadrature_tolerance_is_tight():
     assert compare_csv("ergodic", want.replace("891", "892"), want) == []
     assert compare_csv("ergodic", want.replace("891", "894"), want) != []
     assert compare_csv("ergodic", want.replace("0.5", "0.50"), want) != []
+    table = "# antsel table1 n=[1]\nm,rho_db,exact_gain\n1,0.0,1.4366\n"
+    assert compare_csv("table1", table.replace("4366", "4367"), table) == []
+    assert compare_csv("table1", table.replace("4366", "43660"), table) != []
 
 
 def regenerate(names: list[str]) -> None:

@@ -96,6 +96,19 @@ class TestKolmogorovSmirnov:
 
         assert ks_against(cfg, mc, empirical) <= 1.0 / mc.samples + 1e-12
 
+    def test_exact_reference_is_one_array_call(self):
+        cfg = SelectionConfig(1, 5)
+        mc = McRun(20_000, 7)
+        calls = []
+
+        def reference(x):
+            calls.append(np.shape(x))
+            return max_cdf(cfg, x)
+
+        scalar = ks_against(cfg, mc, lambda x: max_cdf(cfg, float(x)))
+        assert ks_against(cfg, mc, reference) == pytest.approx(scalar, rel=1e-9)
+        assert calls == [(mc.samples,)]
+
     def test_gumbel_fit_improves_with_branches(self):
         mc = McRun(100_000, 23)
         dists = []

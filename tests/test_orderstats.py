@@ -1,6 +1,7 @@
 """Distribution theory of the selection gain: closed forms vs independent oracles."""
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -23,6 +24,15 @@ from antsel import (
 
 P_GRID = (0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.999999)
 X_GRID = (0.05, 0.3, 0.7, 1.0, 2.0, 3.5, 5.0, 8.0, 12.0, 20.0)
+
+
+def loop_max_cdf(n: int, m: int, x: float) -> float:
+    """F^m(x) one point at a time with ``math``: the survival
+    e^{-x} sum_{k<n} x^k/k! by log-sum-exp over an fsum, then m*log1p(-s)."""
+    terms = [k * math.log(x) - math.lgamma(k + 1) for k in range(n)]
+    hi = max(terms)
+    s = math.exp(-x + hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
+    return 0.0 if s >= 1.0 else math.exp(m * math.log1p(-s))
 
 
 class TestConfig:
@@ -130,6 +140,32 @@ class TestMaxCdf:
         cfg = SelectionConfig(1, 10_000)
         x = 30.0
         assert max_cdf(cfg, x) == pytest.approx(cdf(1, x) ** 10_000, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (2, 10), (4, 50), (8, 1000)])
+    def test_array_matches_scalar_calls(self, n, m):
+        # From the 0.001 level of F^m, where the cdf is well conditioned,
+        # into the far upper tail.  Down there 1 - s is at least 0.001**(1/m),
+        # so a few ulps in the survival s cost at most ~1e-12 relative.
+        cfg = SelectionConfig(n, m)
+        lo = quantile(n, 0.001 ** (1.0 / m))
+        xs = np.linspace(lo, tail_quantile(n, 1e-12 / m), 400)
+        values = max_cdf(cfg, xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        for x, value in zip(xs, values):
+            scalar = max_cdf(cfg, float(x))
+            assert type(scalar) is float
+            assert scalar == pytest.approx(value, rel=1e-13)
+            assert value == pytest.approx(loop_max_cdf(n, m, float(x)), rel=1e-12)
+
+    def test_array_outside_support_and_shape(self):
+        cfg = SelectionConfig(3, 4)
+        xs = np.array([[-np.inf, -1.0, 0.0], [1e-300, 2.0, 1e3]])
+        values = max_cdf(cfg, xs)
+        assert values.shape == (2, 3)
+        assert values[0].tolist() == [0.0, 0.0, 0.0]
+        assert values[1, 0] == 0.0 and values[1, 2] == 1.0
+        assert values[1, 1] == pytest.approx(cdf(3, 2.0) ** 4, rel=1e-12)
+        assert max_cdf(cfg, np.array([])).shape == (0,)
 
 
 class TestMaxPdf:
