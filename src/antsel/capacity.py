@@ -1,7 +1,8 @@
 """Outage and ergodic capacity of the best-antenna selection link.
 
 Rates are in bits/s/Hz over a flat channel with average SINR ``rho``
-(linear; dB conversion is a CLI concern).  The exact routes invert or
+(linear; ``db_to_linear`` is the one conversion from dB, used by the CLI
+grid and the scheduling table).  The exact routes invert or
 integrate the selection-gain law from :mod:`antsel.orderstats`; the
 approximate routes use the Gumbel fit; the bounds sandwich the ergodic
 capacity between two closed-form quantile expressions.
@@ -42,6 +43,7 @@ from .orderstats import (
 __all__ = [
     "Method",
     "LinkParams",
+    "db_to_linear",
     "CapacityResult",
     "outage_probability",
     "outage_capacity",
@@ -93,6 +95,14 @@ class LinkParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
+
+
+def db_to_linear(db: float) -> float:
+    """Power ratio of ``db`` decibels; ValueError where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SINR {db:g} dB is out of range") from None
 
 
 @dataclass(frozen=True)

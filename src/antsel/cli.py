@@ -3,7 +3,9 @@
 Every data subcommand writes one CSV with a fixed, documented column
 schema, preceded by ``#`` comment lines recording the exact parameters, so
 outputs are byte-stable for identical invocations.  SINR is accepted in dB
-and converted to linear exactly once, here.
+and converted to linear exactly once, in ``_grid``.  The ``mimo``
+grid computes its (n, m) points on worker threads and writes the rows in
+grid order, so its output does not depend on the thread count.
 
 Exit codes: 0 success, 2 invalid arguments or parameter combinations,
 3 numerical diagnostic (solver or verification failure).
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from typing import Iterator, Sequence
 
@@ -22,6 +25,7 @@ import numpy as np
 from . import __version__
 from .capacity import (
     LinkParams,
+    db_to_linear,
     ergodic_approx,
     ergodic_bounds,
     ergodic_capacity,
@@ -90,13 +94,8 @@ _FORMATS: dict[str, dict[str, str]] = {
 
 _STRATEGIES = {s.value: s for s in FitStrategy}
 
-
-def db_to_linear(db: float) -> float:
-    """Power ratio of ``db`` decibels; ValueError where it overflows a float."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ValueError(f"SINR {db:g} dB is out of range") from None
+# Threads for the mimo grid's (n, m) points: the CPUs this process may use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def parse_int_grid(text: str) -> list[int]:
@@ -305,23 +304,50 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mimo_row(args: argparse.Namespace, mc: McRun, point: tuple) -> dict[str, object]:
+    n, m, _, db, link = point
+    erg = mimo_ergodic(n, m, link, mc)
+    row = _row("mimo", n=n, m=m, rho_db=db, p0=args.p0, users=args.users,
+               samples=args.samples, seed=args.seed,
+               ergodic=erg.value, ergodic_stderr=erg.error_estimate)
+    if args.p0 is not None:
+        out = mimo_outage(n, m, link, args.p0, mc)
+        row.update(outage=out.value, outage_stderr=out.error_estimate)
+    if args.users is not None:
+        sched = mimo_scheduled_ergodic(n, m, args.users, link, mc)
+        row.update(scheduled=sched.value, scheduled_stderr=sched.error_estimate)
+    return row
+
+
 def cmd_mimo(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
-    rows = []
-    for n, m, _, db, link in _grid(args, configs=False):
-        erg = mimo_ergodic(n, m, link, mc)
-        row = _row("mimo", n=n, m=m, rho_db=db, p0=args.p0, users=args.users,
-                   samples=args.samples, seed=args.seed,
-                   ergodic=erg.value, ergodic_stderr=erg.error_estimate)
-        if args.p0 is not None:
-            out = mimo_outage(n, m, link, args.p0, mc)
-            row.update(outage=out.value, outage_stderr=out.error_estimate)
-        if args.users is not None:
-            sched = mimo_scheduled_ergodic(n, m, args.users, link, mc)
-            row.update(scheduled=sched.value, scheduled_stderr=sched.error_estimate)
-        rows.append(row)
-    _emit(args, rows)
+    points, bad_sinr = [], None
+    try:
+        for point in _grid(args, configs=False):
+            points.append(point)
+    except ValueError as exc:
+        # A SINR that does not convert is raised after the points before
+        # it have run, so their errors come first, as point by point.
+        bad_sinr = exc
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    for point in points:
+        groups.setdefault(point[:2], []).append(point)
+
+    def group_rows(group: list[tuple]) -> Iterator[dict[str, object]]:
+        return iter([_mimo_row(args, mc, point) for point in group])
+
+    workers = min(len(groups), _WORKERS)
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            computed = dict(zip(groups, pool.map(group_rows, groups.values())))
+    else:
+        computed = dict(zip(groups, map(group_rows, groups.values())))
+    if bad_sinr is not None:
+        raise bad_sinr
+    _emit(args, [next(computed[point[:2]]) for point in points])
     return 0
 
 

@@ -22,16 +22,27 @@ larger r ``numpy.linalg.eigvalsh``.  The outage bootstrap resamples sorted
 rates, so a resample's quantile is the rate at a rank that depends only on
 (seed, sample count, quantile level); those ranks are drawn once and
 cached too.
+
+Each chunk of channels is drawn and reduced in slabs of about
+``streams.SLAB_ELEMENTS`` normals, so a call holds one slab of normals and
+its reductions, never a whole chunk: memory stays bounded when the CLI
+runs several (n, m) points on worker threads at once (numpy releases the
+GIL while it fills the normals).  The estimators are safe to call from
+several threads.  Each thread holds the last channel set it used, so a
+grid point that runs its SINRs on one thread draws its set once; the
+bootstrap ranks, which every (n, m) shares, are computed under a lock, so
+concurrent outage calls draw them once.
 """
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
 
 from .capacity import _LN2, CapacityResult, LinkParams, Method
-from .streams import McRun, chunk_generators, substream
+from .streams import McRun, chunk_generators, reduce_normal_slabs, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -40,8 +51,13 @@ MAX_RX_ANTENNAS = 8
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
 # Channel sets (samples x min(n, m) eigenvalues each) and bootstrap rank
-# sets kept at once; a CLI grid needs one of each at a time.
+# sets kept at once; a CLI grid needs one of each at a time per thread.
 _CACHE_SIZE = 4
+_RANKS_LOCK = threading.Lock()
+# The channel set each thread used last.  A CLI grid runs all SINRs of an
+# (n, m) point on one thread, so the point keeps its set even when other
+# threads' sets push it out of the bounded cache.
+_HELD = threading.local()
 
 
 def _validate(n: int, m: int) -> None:
@@ -140,8 +156,9 @@ def _log2det(eigenvalues: np.ndarray, m: int, rho: float) -> np.ndarray:
 def _channel_eigenvalues(n: int, m: int, mc: McRun) -> np.ndarray:
     """Gram eigenvalues of the single-user channel set, (samples, min(n, m))."""
     parts = [
-        _gram_eigenvalues(rng.standard_normal((count, 2, n, m)))
+        part
         for count, rng in chunk_generators(mc, 2 * n * m)
+        for part in reduce_normal_slabs(rng, count, (2, n, m), _gram_eigenvalues)
     ]
     eigenvalues = np.concatenate(parts)
     eigenvalues.flags.writeable = False
@@ -150,7 +167,11 @@ def _channel_eigenvalues(n: int, m: int, mc: McRun) -> np.ndarray:
 
 def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
     """Rates of the single-user channel set at SINR rho."""
-    return _log2det(_channel_eigenvalues(n, m, mc), m, rho)
+    key = (n, m, mc)
+    held = getattr(_HELD, "entry", None)
+    if held is None or held[0] != key:
+        held = _HELD.entry = (key, _channel_eigenvalues(n, m, mc))
+    return _log2det(held[1], m, rho)
 
 
 def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
@@ -188,7 +209,10 @@ def mimo_outage(
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
     rates = np.sort(_rates(n, m, link.rho, mc))
     k = max(math.ceil(p0 * rates.size) - 1, 0)
-    resampled = rates[_bootstrap_ranks(mc.seed, rates.size, k)]
+    # lru_cache alone would let two threads compute the same ranks at once.
+    with _RANKS_LOCK:
+        ranks = _bootstrap_ranks(mc.seed, rates.size, k)
+    resampled = rates[ranks]
     se = float(resampled.std(ddof=1))
     return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
 
@@ -203,10 +227,14 @@ def mimo_scheduled_ergodic(
         raise ValueError(f"users must be a positive integer, got {users!r}")
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    parts = []
-    for count, rng in chunk_generators(mc, 2 * n * m * users):
-        z = rng.standard_normal((count, users, 2, n, m))
-        parts.append(_log2det(_gram_eigenvalues(z), m, link.rho).max(axis=1))
-    best = np.concatenate(parts)
+
+    def best_rates(z: np.ndarray) -> np.ndarray:
+        return _log2det(_gram_eigenvalues(z), m, link.rho).max(axis=1)
+
+    best = np.concatenate([
+        part
+        for count, rng in chunk_generators(mc, 2 * n * m * users)
+        for part in reduce_normal_slabs(rng, count, (users, 2, n, m), best_rates)
+    ])
     se = float(best.std(ddof=1) / math.sqrt(best.size))
     return CapacityResult(float(best.mean()), Method.MONTE_CARLO, se)

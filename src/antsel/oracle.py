@@ -16,7 +16,7 @@ import numpy as np
 
 from .capacity import _LN2, CapacityResult, LinkParams, Method
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, chunk_generators
+from .streams import McRun, chunk_generators, reduce_normal_slabs
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -42,14 +42,18 @@ class EmpiricalSummary:
 
 
 def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
-    """Selection-gain sample via squared complex-Gaussian branch sums."""
+    """Selection-gain sample via squared complex-Gaussian branch sums, drawn
+    and reduced a slab at a time."""
     n, m = cfg.n, cfg.m
-    parts = []
-    for count, rng in chunk_generators(mc, 2 * n * m):
-        z = rng.standard_normal((count, m, 2 * n))
-        gains = 0.5 * np.einsum("ijk,ijk->ij", z, z)
-        parts.append(gains.max(axis=1))
-    return np.concatenate(parts)
+
+    def best_gains(z: np.ndarray) -> np.ndarray:
+        return (0.5 * np.einsum("ijk,ijk->ij", z, z)).max(axis=1)
+
+    return np.concatenate([
+        part
+        for count, rng in chunk_generators(mc, 2 * n * m)
+        for part in reduce_normal_slabs(rng, count, (m, 2 * n), best_gains)
+    ])
 
 
 def _reference_values(

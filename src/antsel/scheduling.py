@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .capacity import CapacityResult, LinkParams, ergodic_approx, ergodic_capacity
+from .capacity import (
+    CapacityResult,
+    LinkParams,
+    db_to_linear,
+    ergodic_approx,
+    ergodic_capacity,
+)
 from .orderstats import SelectionConfig
 
 __all__ = [
@@ -130,7 +136,7 @@ def gain_table(
     for m in m_values:
         for db in rho_db:
             scen = SchedulingScenario(
-                SelectionConfig(n, m), users, LinkParams(10.0 ** (db / 10.0))
+                SelectionConfig(n, m), users, LinkParams(db_to_linear(db))
             )
             exact = scheduling_gain(scen, "exact")
             approx = scheduling_gain(scen, "approx") if m >= 2 else None

@@ -4,18 +4,27 @@ Sample generation is split into fixed-size chunks, each driven by its own
 child stream derived from ``(seed, stream tag, chunk index)``.  The chunk
 layout depends only on the sample count, so results are bit-identical no
 matter how chunks are scheduled or parallelized.
+
+Within a chunk, the samplers draw and reduce consecutive slabs of about
+``SLAB_ELEMENTS`` normals (``reduce_normal_slabs``).  A generator's stream
+does not depend on how its draws are split, so the slabs hold the chunk's
+numbers bit for bit, while only one slab of normals, not a whole chunk, is
+alive at a time; that bound is what keeps concurrent samplers small.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 DEFAULT_SEED = 42
 
-# Normal draws generated per chunk; bounds peak memory, not the results.
+# Normal draws per chunk: fixes which generator draws which sample.
 CHUNK_ELEMENTS = 1 << 22
+# Normal draws per slab (8 MiB): bounds peak memory, not the results.
+SLAB_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,3 +67,21 @@ def chunk_generators(
         yield count, np.random.default_rng(seq)
         produced += count
         index += 1
+
+
+def reduce_normal_slabs(
+    rng: np.random.Generator,
+    count: int,
+    shape: tuple[int, ...],
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Yield ``reduce(slab)`` for consecutive slabs of the standard normals
+    ``rng.standard_normal((count, *shape))``, split along the first axis.
+
+    A slab holds at most ``SLAB_ELEMENTS`` normals (one draw, if a draw is
+    larger); concatenated, the slabs equal the whole draw bit for bit.  Each
+    slab is released once reduced, before the next is drawn.
+    """
+    per_slab = max(1, SLAB_ELEMENTS // max(1, math.prod(shape)))
+    for start in range(0, count, per_slab):
+        yield reduce(rng.standard_normal((min(per_slab, count - start), *shape)))

@@ -270,6 +270,27 @@ class TestArgHandling:
         assert captured.out == ""
         assert captured.err == "error: SINR 4000 dB is out of range\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        # The first failing point in grid order decides, as point by point.
+        (["--n", "9", "--rho-db=0,4000"], "n must be an integer in 1..8, got 9"),
+        (["--n", "9", "--rho-db=4000,0"], "SINR 4000 dB is out of range"),
+        (["--n", "1,9", "--rho-db=0,4000", "--samples", "1000"],
+         "SINR 4000 dB is out of range"),
+        (["--n", "2,9", "--samples", "500"],
+         "ergodic estimate needs >= 1000 samples, got 500"),
+        (["--n", "2,9", "--users", "0", "--samples", "1000"],
+         "users must be a positive integer, got 0"),
+        (["--n", "1,2", "--p0", "1.5", "--samples", "10000"],
+         "outage probability must lie in (0, 1), got 1.5"),
+    ])
+    def test_mimo_grid_errors_keep_their_order(self, argv, message, capsys):
+        assert main(["mimo", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_mimo_grid_writes_the_header(self, capsys):
+        assert main(["mimo", "--n", ",", "--samples", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == ",".join(SCHEMAS["mimo"])
+
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "1", "--m", "2", "--points", "5"],
         ["verify", "--samples", "1000"],

@@ -1,5 +1,7 @@
 """Open-loop MIMO Monte Carlo baseline: determinism, oracles, and trends."""
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from antsel import (
     mimo_scheduled_ergodic,
     outage_capacity,
 )
+from antsel import cli, streams
 from antsel.cli import main
 from antsel.streams import chunk_generators, substream
 
@@ -72,6 +75,7 @@ def resample_loop(sorted_rates: np.ndarray, p0: float, seed: int) -> np.ndarray:
 def clear_caches() -> None:
     mimo._channel_eigenvalues.cache_clear()
     mimo._bootstrap_ranks.cache_clear()
+    mimo._HELD.entry = None
 
 
 class TestValidation:
@@ -326,4 +330,100 @@ class TestReuse:
         argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,5,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
-        assert calls == [(6, 0), (12, 0)]
+        assert sorted(calls) == [(6, 0), (12, 0)]
+
+
+class TestThreadedGrid:
+    """cmd_mimo runs its (n, m) points on threads; the output must not tell."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # Many chunks and slabs per (n, m) at test-sized sample counts.
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 10)
+        yield
+        clear_caches()  # no set drawn with this layout outlives the test
+
+    @pytest.fixture
+    def fast_switching(self):
+        # Threads switch far more often than by default, so that a check
+        # and the update after it are more likely to interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def run(self, monkeypatch, tmp_path, workers, argv):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        clear_caches()
+        out = tmp_path / f"w{workers}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("argv,smallest_draw", [
+        (["mimo", "--n", "1,2,3", "--m", "2,4", "--rho-db=0,10", "--p0", "0.1",
+          "--samples", "10000", "--seed", "31"], 2 * 1 * 2),
+        (["mimo", "--n", "1,2", "--m", "3,1", "--rho-db=5", "--users", "4",
+          "--samples", "2000", "--seed", "32"], 2 * 1 * 1 * 4),
+    ])
+    def test_single_worker_matches_pool(
+        self, monkeypatch, tmp_path, small_chunks, argv, smallest_draw
+    ):
+        samples = int(argv[argv.index("--samples") + 1])
+        assert len(list(chunk_generators(McRun(samples), smallest_draw))) >= 2
+        threads = []
+        ergodic = cli.mimo_ergodic
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return ergodic(*args)
+
+        monkeypatch.setattr(cli, "mimo_ergodic", recording)
+        serial = self.run(monkeypatch, tmp_path, 1, argv)
+        assert set(threads) == {threading.get_ident()}
+        threads.clear()
+        pooled = self.run(monkeypatch, tmp_path, 2, argv)
+        assert threading.get_ident() not in threads
+        assert pooled == serial
+
+    def test_repeated_points_keep_grid_order(self, monkeypatch, tmp_path):
+        def data_rows(workers, n):
+            argv = ["mimo", "--n", n, "--m", "1", "--rho-db=0,5", "--p0", "0.1",
+                    "--samples", "10000", "--seed", "35"]
+            return self.run(monkeypatch, tmp_path, workers, argv).splitlines()[2:]
+
+        two, one = data_rows(1, "2"), data_rows(1, "1")
+        assert data_rows(2, "2,1,2") == two + one + two
+        assert data_rows(1, "2,1,2") == two + one + two
+
+    def test_bootstrap_ranks_drawn_once(self, monkeypatch, tmp_path, fast_switching):
+        tags = []
+
+        def counting(seed, tag):
+            tags.append(tag)
+            return substream(seed, tag)
+
+        monkeypatch.setattr(mimo, "substream", counting)
+        self.run(monkeypatch, tmp_path, 2, [
+            "mimo", "--n", "1,2", "--m", "2", "--rho-db=0,10", "--p0", "0.1",
+            "--samples", "10000", "--seed", "33"])
+        assert tags == [mimo._BOOTSTRAP_TAG]
+
+    def test_running_points_keep_their_channel_sets(
+        self, monkeypatch, tmp_path, fast_switching
+    ):
+        # More points at once than the channel-set cache holds.
+        workers = mimo._CACHE_SIZE + 2
+        calls = []
+
+        def counting(mc, elems_per_draw, tag=0):
+            calls.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw, tag)
+
+        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        self.run(monkeypatch, tmp_path, workers, [
+            "mimo", "--n", "1,2,3", "--m", "1,2", "--rho-db=0,5,10", "--p0", "0.1",
+            "--samples", "10000", "--seed", "34"])
+        assert sorted(calls) == sorted(2 * n * m for n in (1, 2, 3) for m in (1, 2))

@@ -173,6 +173,10 @@ class TestGainTable:
         if approx is not None:
             assert cell.approx == pytest.approx(approx, abs=5e-3)
 
+    def test_out_of_range_db_raises_value_error(self):
+        with pytest.raises(ValueError, match="SINR 4000 dB is out of range"):
+            gain_table(rho_db=[4000.0], m_values=[2])
+
     def test_custom_grid(self):
         cells = gain_table(users=4, n=2, rho_db=(0.0,), m_values=(2, 3))
         assert len(cells) == 2

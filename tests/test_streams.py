@@ -1,13 +1,21 @@
 """Deterministic chunked sampling and reported-error invariants."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from antsel import LinkParams, McRun, SelectionConfig
-from antsel.mimo import _rates, mimo_ergodic
+from antsel.mimo import _rates, mimo_ergodic, mimo_scheduled_ergodic
 from antsel.oracle import _draws, empirical_ergodic, sample_selection_gain
-from antsel.streams import CHUNK_ELEMENTS, chunk_generators, substream
+from antsel import streams
+from antsel.streams import (
+    CHUNK_ELEMENTS,
+    SLAB_ELEMENTS,
+    chunk_generators,
+    reduce_normal_slabs,
+    substream,
+)
 
 
 class TestChunkPlan:
@@ -38,6 +46,81 @@ class TestChunkPlan:
         a = substream(7, 1).standard_normal(4)
         b = next(iter(chunk_generators(McRun(10, 7), 1)))[1].standard_normal(4)
         assert not np.array_equal(a, b)
+
+
+class TestSlabs:
+    """Slab-wise draws are the chunk's draws, bit for bit."""
+
+    @staticmethod
+    def slabs(rng, count, shape):
+        return list(reduce_normal_slabs(rng, count, shape, lambda z: z))
+
+    @pytest.mark.parametrize("slab,shape,samples", [
+        (1 << 10, (2, 3, 4), 1_000),  # 24 per draw: 42 per slab, 1000 = 23 x 42 + 34
+        (1 << 10, (3, 2, 7), 500),    # 42 per draw: 24 per slab, 500 = 20 x 24 + 20
+        (1 << 4, (2, 3, 4), 400),     # a draw of 24 normals is larger than a slab
+    ])
+    def test_slabs_equal_whole_chunks(self, monkeypatch, slab, shape, samples):
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", slab)
+        mc = McRun(samples, 17)
+        elems = math.prod(shape)
+        chunks = list(chunk_generators(mc, elems))
+        assert len(chunks) > 1
+        whole = list(chunk_generators(mc, elems))
+        for (count, rng), (_, fresh) in zip(chunks, whole):
+            slabs = self.slabs(rng, count, shape)
+            assert all(z.size <= max(slab, elems) for z in slabs)
+            assert len(slabs) == math.ceil(count / max(1, slab // elems))
+            assert np.array_equal(np.concatenate(slabs),
+                                  fresh.standard_normal((count, *shape)))
+
+    def test_remainder_slab_at_full_size(self):
+        shape = (2, 3, 4)
+        per_slab = SLAB_ELEMENTS // 24
+        count = 2 * per_slab + 5
+        slabs = self.slabs(substream(5, 9), count, shape)
+        assert [len(z) for z in slabs] == [per_slab, per_slab, 5]
+        assert np.array_equal(np.concatenate(slabs),
+                              substream(5, 9).standard_normal((count, *shape)))
+
+    def test_draws_larger_than_a_slab_come_one_at_a_time(self):
+        shape = (SLAB_ELEMENTS + 1,)
+        heads = list(reduce_normal_slabs(substream(1, 2), 3, shape, lambda z: z[:, :4]))
+        assert [h.shape for h in heads] == [(1, 4)] * 3
+        whole = substream(1, 2).standard_normal((3, *shape))
+        assert np.array_equal(np.concatenate(heads), whole[:, :4])
+
+
+class TestSlabMemory:
+    """A sampler holds one slab of normals and its reductions, never two
+    slabs or a whole chunk: numpy reports its buffers to tracemalloc."""
+
+    BOUND = 2 * 8 * SLAB_ELEMENTS  # bytes: two slabs of float64 normals
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_scheduled_estimator(self):
+        # 384 normals per draw: two chunks of 32 MiB each at the full size.
+        mc = McRun(20_000, 3)
+        assert 20_000 * 384 > CHUNK_ELEMENTS
+        peak = self.traced_peak(lambda: mimo_scheduled_ergodic(2, 6, 16, LinkParams(3.0), mc))
+        assert peak < self.BOUND
+
+    def test_oracle(self):
+        # 20 normals per draw: two chunks of 32 MiB each at the full size.
+        mc = McRun(400_000, 3)
+        assert 400_000 * 20 > CHUNK_ELEMENTS
+        peak = self.traced_peak(
+            lambda: empirical_ergodic(SelectionConfig(2, 5), LinkParams(3.0), mc))
+        assert peak < self.BOUND
 
 
 class TestReportedErrors:
