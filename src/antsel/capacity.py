@@ -5,7 +5,10 @@ Rates are in bits/s/Hz over a flat channel with average SINR ``rho``
 grid and the scheduling table).  The exact routes invert or
 integrate the selection-gain law from :mod:`antsel.orderstats`; the
 approximate routes use the Gumbel fit; the bounds sandwich the ergodic
-capacity between two closed-form quantile expressions.
+capacity between two closed-form quantile expressions.  Every quantile
+here (outage rates, bounds, the Gumbel location, the quadrature panel
+edges) comes from :mod:`antsel.orderstats`, which caches its solves per
+``(n, tail level)``, so a grid solves each level once, not once per SINR.
 
 Expectations over the selection gain use a composite Gauss-Legendre rule
 built once per :class:`SelectionConfig` and kept in a bounded cache (Golub &
@@ -79,6 +82,7 @@ class Method(str, Enum):
     """How a capacity value was obtained."""
 
     EXACT_QUADRATURE = "exact-quadrature"
+    EXACT_INVERSION = "exact-inversion"
     BOUND_LOWER = "bound-lower"
     BOUND_UPPER = "bound-upper"
     GUMBEL_APPROX = "gumbel-approx"
@@ -238,7 +242,7 @@ def outage_capacity(
     if mode == "exact":
         branch_p = math.exp(math.log(p0) / cfg.m)
         value = _log2_1p(link.rho * quantile(cfg.n, branch_p))
-        return CapacityResult(value, Method.EXACT_QUADRATURE)
+        return CapacityResult(value, Method.EXACT_INVERSION)
     if mode == "gumbel":
         fit = normalizing_constants(cfg, FitStrategy.MRL)
         gain = fit.location - fit.scale * math.log(-math.log(p0))
@@ -264,16 +268,6 @@ def ergodic_capacity(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
     return CapacityResult(value, Method.EXACT_QUADRATURE, abserr)
 
 
-@lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _bound_quantiles(cfg: SelectionConfig) -> tuple[float, float]:
-    """The (1 - 1/m) quantile and the quantile at tail level 1/(e^γ (m+1)),
-    solved once per configuration for every SINR of a grid."""
-    return (
-        characteristic_largest(cfg),
-        tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1))),
-    )
-
-
 def ergodic_bounds(
     cfg: SelectionConfig, link: LinkParams
 ) -> tuple[CapacityResult, CapacityResult]:
@@ -283,9 +277,8 @@ def ergodic_bounds(
     expression at the quantile with tail level 1/(e^γ (m+1)).
     """
     rho = link.rho
-    q_lo, q_hi = _bound_quantiles(cfg)
-    lower = _log2_1p(rho * q_lo)
-    upper = _log2_1p(rho * q_hi)
+    lower = _log2_1p(rho * characteristic_largest(cfg))
+    upper = _log2_1p(rho * tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1))))
     return (
         CapacityResult(lower, Method.BOUND_LOWER),
         CapacityResult(upper, Method.BOUND_UPPER),
@@ -295,7 +288,7 @@ def ergodic_bounds(
 def ergodic_approx(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
     """Closed-form approximation log2(1 + rho (q + γ)) with q the
     (1 - 1/m) quantile; lies inside the sandwich bounds."""
-    value = _log2_1p(link.rho * (_bound_quantiles(cfg)[0] + EULER_GAMMA))
+    value = _log2_1p(link.rho * (characteristic_largest(cfg) + EULER_GAMMA))
     return CapacityResult(value, Method.QUANTILE_APPROX)
 
 

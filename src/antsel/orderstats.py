@@ -16,12 +16,16 @@ m up to 1e4 and deep tail levels exact to roundoff.
 All functions are pure and thread-safe.  They take and return floats,
 except ``max_cdf`` and ``max_pdf``, which also evaluate a numpy array of
 points at once (for ``dist`` curves, KS distances and the ergodic
-quadrature).
+quadrature).  The Newton solves behind ``tail_quantile``, ``quantile`` and
+``characteristic_largest`` are kept per ``(n, tail level)`` in one bounded
+cache, so a level is solved once however many SINRs, bounds, outage rates,
+Gumbel fits or quadrature panels ask for it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +48,9 @@ __all__ = [
 
 _MAX_ITER = 200
 _LOG_TAIL_TOL = 1e-12
+# Distinct (n, tail level) solves kept; the benchmark's largest grid,
+# ``fit --n 1,2,3 --m 3..200``, solves 396 levels.
+_SOLVE_CACHE_SIZE = 1024
 
 
 class SolverError(RuntimeError):
@@ -192,6 +199,12 @@ def tail_quantile(n: int, tail: float) -> float:
         return 0.0
     if n == 1:
         return -math.log(tail)
+    return _solve_tail(n, tail)
+
+
+@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve_tail(n: int, tail: float) -> float:
+    """tail_quantile's Newton solve for n >= 2 and 0 < tail < 1."""
     log_t = math.log(tail)
 
     lo = 0.0

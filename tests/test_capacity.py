@@ -18,7 +18,6 @@ from antsel import (
     outage_capacity,
     outage_probability,
     selection_gain_variance,
-    capacity,
     orderstats,
     tail_quantile,
 )
@@ -116,6 +115,26 @@ class TestOutageCapacity:
         res = outage_capacity(SelectionConfig(1, 1), LinkParams(1.0), 0.1)
         assert res.value == pytest.approx(log2(1.0 - math.log(0.9)), rel=1e-12)
         assert res.value == pytest.approx(0.14451698438985053, rel=1e-10)
+        assert res.method is Method.EXACT_INVERSION
+
+    @pytest.mark.parametrize("mode", ["exact", "gumbel"])
+    def test_each_level_solved_once_per_configuration(self, mode):
+        cfgs = (SelectionConfig(2, 5), SelectionConfig(3, 9))
+        rhos = (10.0**-1.5, 1.0, 10.0**0.5, 1e3, 1e4)
+        fresh = []
+        for cfg in cfgs:
+            for rho in rhos:
+                orderstats._solve_tail.cache_clear()
+                fresh.append(outage_capacity(cfg, LinkParams(rho), 0.05, mode).value)
+        orderstats._solve_tail.cache_clear()
+        cached = [
+            outage_capacity(cfg, LinkParams(rho), 0.05, mode).value
+            for cfg in cfgs
+            for rho in rhos
+        ]
+        assert orderstats._solve_tail.cache_info().misses == len(cfgs)
+        # bit-identical to solving afresh at every SINR
+        assert cached == fresh
 
     def test_diverges_toward_certain_coverage(self):
         cfg = SelectionConfig(1, 3)
@@ -265,22 +284,11 @@ class TestErgodicBounds:
         assert abs(gap - EULER_GAMMA) <= 0.02
 
 
-    def test_quantiles_solved_once_per_configuration(self, monkeypatch):
-        solves = []
-
-        def counted(fn):
-            def wrapper(*args):
-                solves.append(fn.__name__)
-                return fn(*args)
-
-            return wrapper
-
-        for name in ("tail_quantile", "characteristic_largest"):
-            monkeypatch.setattr(capacity, name, counted(getattr(orderstats, name)))
-        capacity._bound_quantiles.cache_clear()
+    def test_quantiles_solved_once_per_configuration(self):
         cfg = SelectionConfig(3, 17)
         q_lo = orderstats.characteristic_largest(cfg)
         q_hi = orderstats.tail_quantile(3, 1.0 / (math.exp(EULER_GAMMA) * 18))
+        orderstats._solve_tail.cache_clear()
         ln2 = math.log(2.0)
         for rho in (10.0**-1.5, 1.0, 10.0**0.5, 1e3, 1e4):
             lower, upper = ergodic_bounds(cfg, LinkParams(rho))
@@ -289,7 +297,7 @@ class TestErgodicBounds:
             assert lower.value == math.log1p(rho * q_lo) / ln2
             assert upper.value == math.log1p(rho * q_hi) / ln2
             assert approx.value == math.log1p(rho * (q_lo + EULER_GAMMA)) / ln2
-        assert sorted(solves) == ["characteristic_largest", "tail_quantile"]
+        assert orderstats._solve_tail.cache_info().misses == 2
 
 
 class TestErgodicApprox:

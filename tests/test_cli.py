@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import antsel
-from antsel import cli
+from antsel import cli, orderstats
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 
 
@@ -174,6 +174,13 @@ class TestOutage:
         assert by_m[1][5] == ""  # no Gumbel fit at m = 1
         assert float(by_m[10][4]) > float(by_m[1][4])
         assert by_m[10][6] in ("0", "1")
+
+    def test_grid_solves_each_level_once(self, tmp_path):
+        # two (n, m) points with n >= 2, exact and Gumbel: four levels
+        orderstats._solve_tail.cache_clear()
+        assert main(["outage", "--n", "2,3", "--m", "6", "--rho-db=-10:5:10",
+                     "--p0", "0.05", "--out", str(tmp_path / "out.csv")]) == 0
+        assert orderstats._solve_tail.cache_info().misses == 4
 
 
 class TestMimo:

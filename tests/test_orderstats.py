@@ -15,6 +15,7 @@ from antsel import (
     max_cdf,
     max_pdf,
     mean_residual_life,
+    orderstats,
     pdf,
     quantile,
     survival,
@@ -227,6 +228,24 @@ class TestQuantile:
             assert quantile(n, p) == pytest.approx(
                 float(gammainccinv(n, 1.0 - p)), rel=1e-9, abs=1e-12
             )
+
+
+class TestSolveCache:
+    def test_invalid_levels_raise_before_the_cache(self):
+        orderstats._solve_tail.cache_clear()
+        for tail in (0.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                tail_quantile(2, tail)
+        info = orderstats._solve_tail.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
+
+    def test_numpy_level_shares_the_float_entry(self):
+        orderstats._solve_tail.cache_clear()
+        x = tail_quantile(3, 0.1)
+        y = tail_quantile(3, np.float64(0.1))
+        assert y == x and type(y) is float
+        info = orderstats._solve_tail.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestCharacteristicLargest:
