@@ -18,10 +18,16 @@ arithmetic on the real and imaginary parts of H, on the smaller of the two
 Gram matrices (H H† or H^T conj(H), which share their nonzero eigenvalues).
 With r = min(n, m), the eigenvalue is a squared norm for r = 1; r = 2 and
 r = 3 use the closed forms of 2 x 2 and 3 x 3 Hermitian matrices, and
-larger r ``numpy.linalg.eigvalsh``.  The outage bootstrap resamples sorted
-rates, so a resample's quantile is the rate at a rank that depends only on
-(seed, sample count, quantile level); those ranks are drawn once and
-cached too.
+larger r ``numpy.linalg.eigvalsh``.  Up to r = 3 every sum is one dot
+product along a row: over all 2 max(n, m) numbers of a channel for
+r = 1, and over each row of the real and of the imaginary part for the
+Gram entries at r = 2 and 3; r >= 4 forms the Gram matrix by matmul and
+takes no separate diagonal, since ``eigvalsh`` does not use it.  The
+rates add one or two logarithms directly, because numpy's ``sum`` is slow
+over so short an axis; it adds them in the same order.  The outage
+bootstrap resamples sorted rates, so a resample's quantile is the rate at
+a rank that depends only on (seed, sample count, quantile level); those
+ranks are drawn once and cached too.
 
 Each chunk of channels is drawn and reduced in slabs of about
 ``streams.SLAB_ELEMENTS`` normals, so a call holds one slab of normals and
@@ -75,10 +81,16 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", x, y)
 
 
+def _gram_real(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Real part of entry (i, j) of H H†, H = (a + i b)/sqrt(2); for i = j,
+    the (real) diagonal entry."""
+    return 0.5 * (_dot(a[..., i, :], a[..., j, :]) + _dot(b[..., i, :], b[..., j, :]))
+
+
 def _gram_entry(a: np.ndarray, b: np.ndarray, i: int, j: int) -> _Entry:
-    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2)."""
+    """Real and imaginary parts of entry (i, j) of H H†."""
     ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
-    return 0.5 * (_dot(ai, aj) + _dot(bi, bj)), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
+    return _gram_real(a, b, i, j), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
 
 
 def _abs2(entry: _Entry) -> np.ndarray:
@@ -119,16 +131,22 @@ def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
     has rank m and the eigenvalues come from the m x m matrix H^T conj(H),
     so none of them is rounding noise.
     """
-    if z.shape[-1] < z.shape[-2]:
+    n, m = z.shape[-2:]
+    if n == 1 or m == 1:
+        # Half the squared norm of the channel's 2 max(n, m) numbers, one
+        # contiguous run.  A pair is multiplied out: faster than einsum,
+        # which adds a pair in the same order.
+        if n == m:
+            re, im = z[..., 0, :, 0], z[..., 1, :, 0]
+            return 0.5 * (re * re + im * im)
+        flat = z.reshape(z.shape[:-3] + (-1,))
+        return 0.5 * _dot(flat, flat)[..., None]
+    if m < n:
         z = z.swapaxes(-1, -2)
     r = z.shape[-2]
     a, b = z[..., 0, :, :], z[..., 1, :, :]
-    # Diagonal of the Gram matrix: half the squared norm of each row.
-    diag = 0.5 * np.einsum("...kij,...kij->...i", z, z)
-    if r == 1:
-        return diag
     if r == 2:
-        g11, g22 = diag[..., 0], diag[..., 1]
+        g11, g22 = _gram_real(a, b, 0, 0), _gram_real(a, b, 1, 1)
         g12 = _gram_entry(a, b, 0, 1)
         upper = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), np.hypot(*g12))
         # det / upper keeps the small eigenvalue accurate where the
@@ -136,6 +154,8 @@ def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
         lower = (g11 * g22 - _abs2(g12)) / upper
         lam = np.stack([upper, lower], axis=-1)
     elif r == 3:
+        # Half the squared norm of each row, summed over a and b.
+        diag = 0.5 * (_dot(a, a) + _dot(b, b))
         entries = (_gram_entry(a, b, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
         lam = _hermitian3_eigenvalues(diag, *entries)
     else:
@@ -149,7 +169,18 @@ def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
 
 def _log2det(eigenvalues: np.ndarray, m: int, rho: float) -> np.ndarray:
     """log2 det(I + (rho/m) H H†) from the Gram eigenvalues (last axis)."""
-    return np.log1p((rho / m) * eigenvalues).sum(axis=-1) / _LN2
+    terms = (rho / m) * eigenvalues
+    np.log1p(terms, out=terms)
+    # sum() is slow over so short an axis; one term, or a pair added in
+    # the order sum() adds it, gives the same bits.
+    r = terms.shape[-1]
+    if r == 1:
+        total = terms[..., 0]
+    elif r == 2:
+        total = terms[..., 0] + terms[..., 1]
+    else:
+        total = terms.sum(axis=-1)
+    return total / _LN2
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

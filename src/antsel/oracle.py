@@ -47,7 +47,8 @@ def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
     n, m = cfg.n, cfg.m
 
     def best_gains(z: np.ndarray) -> np.ndarray:
-        return (0.5 * np.einsum("ijk,ijk->ij", z, z)).max(axis=1)
+        # Halving is exact and keeps the order, so halve the maxima only.
+        return 0.5 * np.einsum("ijk,ijk->ij", z, z).max(axis=1)
 
     return np.concatenate([
         part

@@ -72,6 +72,42 @@ def resample_loop(sorted_rates: np.ndarray, p0: float, seed: int) -> np.ndarray:
     return resampled
 
 
+def reference_gram_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """The Gram reduction as it stood before the per-row dots: one einsum
+    over both real components for the diagonal, at every rank.  Kept as a
+    test-only reference for the bits of mimo._gram_eigenvalues."""
+    if z.shape[-1] < z.shape[-2]:
+        z = z.swapaxes(-1, -2)
+    r = z.shape[-2]
+    a, b = z[..., 0, :, :], z[..., 1, :, :]
+
+    def dot(x, y):
+        return np.einsum("...j,...j->...", x, y)
+
+    def entry(i, j):
+        ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
+        return 0.5 * (dot(ai, aj) + dot(bi, bj)), 0.5 * (dot(bi, aj) - dot(ai, bj))
+
+    diag = 0.5 * np.einsum("...kij,...kij->...i", z, z)
+    if r == 1:
+        return diag
+    if r == 2:
+        g11, g22 = diag[..., 0], diag[..., 1]
+        re, im = entry(0, 1)
+        upper = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), np.hypot(re, im))
+        lower = (g11 * g22 - (re * re + im * im)) / upper
+        lam = np.stack([upper, lower], axis=-1)
+    elif r == 3:
+        lam = mimo._hermitian3_eigenvalues(diag, entry(0, 1), entry(0, 2), entry(1, 2))
+    else:
+        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+        gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
+        gram.real = 0.5 * (a @ at + b @ bt)
+        gram.imag = 0.5 * (b @ at - a @ bt)
+        lam = np.linalg.eigvalsh(gram)
+    return np.maximum(lam, 0.0, out=lam)
+
+
 def clear_caches() -> None:
     mimo._channel_eigenvalues.cache_clear()
     mimo._bootstrap_ranks.cache_clear()
@@ -270,6 +306,46 @@ class TestEigenvalueRoute:
             assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
 
 
+class TestReductionReference:
+    """The reduction keeps the bits of reference_gram_eigenvalues wherever
+    it sums in the same order: every rank-1 shape and every m >= n.  For
+    m < n the rows it sums are strided and einsum may add them in another
+    order, which moves the Gram entries by rounding only.  Eigenvalues move
+    by at most the change of the matrix (Weyl), so they are compared
+    relative to each channel's largest eigenvalue."""
+
+    M = [*range(1, 11), 16, 33]
+
+    def assert_matches(self, new, ref, n, m):
+        assert new.shape == ref.shape
+        if m >= n or min(n, m) == 1:
+            assert np.array_equal(new, ref), (n, m)
+        else:
+            scale = ref.max(axis=-1, keepdims=True)
+            assert np.all(np.abs(new - ref) <= 1e-13 * scale), (n, m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lead", [(), (40,), (8, 5)])
+    def test_matches_reference(self, n, lead):
+        rng = np.random.default_rng(700 + n)
+        for m in self.M:
+            z = rng.standard_normal((*lead, 2, n, m))
+            self.assert_matches(mimo._gram_eigenvalues(z), reference_gram_eigenvalues(z), n, m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_slab_split_matches_reference(self, monkeypatch, n):
+        # Several slabs per draw, with and without a users axis, as the
+        # estimators reduce them.
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 12)
+        for m in self.M:
+            for shape in ((2, n, m), (3, 2, n, m)):
+                count = 3 * streams.SLAB_ELEMENTS // math.prod(shape) + 7
+                new = np.concatenate(list(streams.reduce_normal_slabs(
+                    substream(n, m), count, shape, mimo._gram_eigenvalues)))
+                whole = substream(n, m).standard_normal((count, *shape))
+                self.assert_matches(new, reference_gram_eigenvalues(whole), n, m)
+
+
 class TestRankBootstrap:
     @pytest.mark.parametrize(
         "seed,samples,p0",
@@ -410,6 +486,35 @@ class TestThreadedGrid:
             "mimo", "--n", "1,2", "--m", "2", "--rho-db=0,10", "--p0", "0.1",
             "--samples", "10000", "--seed", "33"])
         assert tags == [mimo._BOOTSTRAP_TAG]
+
+    def test_largest_group_starts_first(self, monkeypatch, tmp_path):
+        # Groups go to the pool largest first (n m times the SINR count):
+        # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first group
+        # taken from the pool is the first one its thread runs; in grid
+        # order that would be (1, 1).
+        argv = ["mimo", "--n", "1,3", "--m", "1,4", "--rho-db=0,10", "--p0", "0.1",
+                "--samples", "10000", "--seed", "36"]
+        started: dict[int, tuple[int, int]] = {}
+        calls = []
+        mimo_row = cli._mimo_row
+
+        def recording(args, mc, point):
+            started.setdefault(threading.get_ident(), point[:2])
+            return mimo_row(args, mc, point)
+
+        def counting(mc, elems_per_draw, tag=0):
+            calls.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw, tag)
+
+        monkeypatch.setattr(cli, "_mimo_row", recording)
+        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        pooled = self.run(monkeypatch, tmp_path, 2, argv)
+        assert (3, 4) in started.values()
+        assert threading.get_ident() not in started
+        assert sorted(calls) == sorted(2 * n * m for n in (1, 3) for m in (1, 4))
+        started.clear()
+        assert self.run(monkeypatch, tmp_path, 1, argv) == pooled
+        assert list(started.values()) == [(1, 1)]
 
     def test_running_points_keep_their_channel_sets(
         self, monkeypatch, tmp_path, fast_switching
