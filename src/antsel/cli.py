@@ -4,11 +4,11 @@ Every data subcommand writes one CSV with a fixed, documented column
 schema, preceded by ``#`` comment lines recording the exact parameters, so
 outputs are byte-stable for identical invocations.  SINR is accepted in dB
 and converted to linear exactly once, in ``_grid``.  The ``mimo``
-grid computes its (n, m) points on worker threads, submitted largest first
-(n m times the point's SINR count) so that no long point starts last while
-a thread idles.  It reads the results and writes the rows in grid order,
-so its output, and which error it reports, do not depend on the thread
-count.
+grid always computes its (n, m) points on a pool of worker threads, one
+per usable CPU (at least one), submitted largest first (n m times the
+point's SINR count) so that no long point starts last while a thread
+idles.  It reads the results and writes the rows in grid order, so its
+output, and which error it reports, do not depend on the thread count.
 
 Exit codes: 0 success, 2 invalid arguments or parameter combinations,
 3 numerical diagnostic (solver or verification failure).
@@ -342,20 +342,16 @@ def cmd_mimo(args: argparse.Namespace) -> int:
     def group_rows(group: list[tuple]) -> Iterator[dict[str, object]]:
         return iter([_mimo_row(args, mc, point) for point in group])
 
-    workers = min(len(groups), _WORKERS)
-    if workers > 1:
-        # Largest groups first, so that none of them starts last and leaves
-        # the other threads idle.  The results are read in grid order, so
-        # the first failing point in grid order still decides the error.
-        largest_first = sorted(groups, key=lambda key: -key[0] * key[1] * len(groups[key]))
-        pool = ThreadPoolExecutor(workers)
-        try:
-            futures = {key: pool.submit(group_rows, groups[key]) for key in largest_first}
-            computed = {key: futures[key].result() for key in groups}
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        computed = dict(zip(groups, map(group_rows, groups.values())))
+    # Largest groups first, so that none of them starts last and leaves the
+    # other threads idle.  The results are read in grid order, so the first
+    # failing point in grid order still decides the error.
+    largest_first = sorted(groups, key=lambda key: -key[0] * key[1] * len(groups[key]))
+    pool = ThreadPoolExecutor(max(1, min(len(groups), _WORKERS)))
+    try:
+        futures = {key: pool.submit(group_rows, groups[key]) for key in largest_first}
+        computed = {key: futures[key].result() for key in groups}
+    finally:
+        pool.shutdown(cancel_futures=True)
     if bad_sinr is not None:
         raise bad_sinr
     _emit(args, [next(computed[point[:2]]) for point in points])

@@ -11,9 +11,9 @@ outage capacity, and the greedy-scheduled multiuser variant are estimated
 by seeded, chunk-deterministic simulation.  Receive arrays up to n = 8 are
 supported.
 
-The eigenvalues do not depend on rho, so each (n, m, McRun) channel set is
-drawn and reduced once and kept in a small bounded cache: the ergodic and
-outage estimators at every SINR share it.  The reduction works in real
+The eigenvalues do not depend on rho, so each thread keeps the last
+(n, m, McRun) channel set it drew and reduced: the ergodic and outage
+estimators at every SINR of a point share it.  The reduction works in real
 arithmetic on the real and imaginary parts of H, on the smaller of the two
 Gram matrices (H H† or H^T conj(H), which share their nonzero eigenvalues).
 With r = min(n, m), the eigenvalue is a squared norm for r = 1; r = 2 and
@@ -27,17 +27,17 @@ rates add one or two logarithms directly, because numpy's ``sum`` is slow
 over so short an axis; it adds them in the same order.  The outage
 bootstrap resamples sorted rates, so a resample's quantile is the rate at
 a rank that depends only on (seed, sample count, quantile level); those
-ranks are drawn once and cached too.
+ranks are drawn once and kept in a small cache.
 
-Each chunk of channels is drawn and reduced in slabs of about
-``streams.SLAB_ELEMENTS`` normals, so a call holds one slab of normals and
-its reductions, never a whole chunk: memory stays bounded when the CLI
-runs several (n, m) points on worker threads at once (numpy releases the
-GIL while it fills the normals).  The estimators are safe to call from
-several threads.  Each thread holds the last channel set it used, so a
-grid point that runs its SINRs on one thread draws its set once; the
-bootstrap ranks, which every (n, m) shares, are computed under a lock, so
-concurrent outage calls draw them once.
+Channels are drawn through ``streams.draw_reduced``, which reduces each
+chunk in slabs of about ``streams.SLAB_ELEMENTS`` normals, so a call holds
+one slab of normals and its reductions, never a whole chunk: memory stays
+bounded when the CLI runs several (n, m) points on worker threads at once
+(numpy releases the GIL while it fills the normals).  The estimators are
+safe to call from several threads.  A grid point that runs its SINRs on
+one thread draws its set once; the bootstrap ranks, which every (n, m)
+shares, are computed under a lock, so concurrent outage calls draw them
+once.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .capacity import _LN2, CapacityResult, LinkParams, Method
-from .streams import McRun, chunk_generators, reduce_normal_slabs, substream
+from .streams import McRun, _sample_mean, draw_reduced, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -56,13 +56,10 @@ MAX_RX_ANTENNAS = 8
 
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
-# Channel sets (samples x min(n, m) eigenvalues each) and bootstrap rank
-# sets kept at once; a CLI grid needs one of each at a time per thread.
-_CACHE_SIZE = 4
 _RANKS_LOCK = threading.Lock()
-# The channel set each thread used last.  A CLI grid runs all SINRs of an
-# (n, m) point on one thread, so the point keeps its set even when other
-# threads' sets push it out of the bounded cache.
+# The channel set (samples x min(n, m) eigenvalues) each thread used last.
+# A CLI grid runs all SINRs of an (n, m) point on one thread, so the point
+# draws its set once.
 _HELD = threading.local()
 
 
@@ -183,25 +180,14 @@ def _log2det(eigenvalues: np.ndarray, m: int, rho: float) -> np.ndarray:
     return total / _LN2
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _channel_eigenvalues(n: int, m: int, mc: McRun) -> np.ndarray:
-    """Gram eigenvalues of the single-user channel set, (samples, min(n, m))."""
-    parts = [
-        part
-        for count, rng in chunk_generators(mc, 2 * n * m)
-        for part in reduce_normal_slabs(rng, count, (2, n, m), _gram_eigenvalues)
-    ]
-    eigenvalues = np.concatenate(parts)
-    eigenvalues.flags.writeable = False
-    return eigenvalues
-
-
 def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
     """Rates of the single-user channel set at SINR rho."""
     key = (n, m, mc)
     held = getattr(_HELD, "entry", None)
     if held is None or held[0] != key:
-        held = _HELD.entry = (key, _channel_eigenvalues(n, m, mc))
+        eigenvalues = draw_reduced(mc, (2, n, m), _gram_eigenvalues)
+        eigenvalues.flags.writeable = False
+        held = _HELD.entry = (key, eigenvalues)
     return _log2det(held[1], m, rho)
 
 
@@ -210,12 +196,11 @@ def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
     _validate(n, m)
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    rates = _rates(n, m, link.rho, mc)
-    se = float(rates.std(ddof=1) / math.sqrt(rates.size))
-    return CapacityResult(float(rates.mean()), Method.MONTE_CARLO, se)
+    return _sample_mean(_rates(n, m, link.rho, mc))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# A CLI grid needs one rank set at a time.
+@lru_cache(maxsize=4)
 def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
     """For each bootstrap resample of ``size`` indices, its k-th smallest
     index.  On sorted data that index holds the resample's k-th smallest
@@ -262,10 +247,4 @@ def mimo_scheduled_ergodic(
     def best_rates(z: np.ndarray) -> np.ndarray:
         return _log2det(_gram_eigenvalues(z), m, link.rho).max(axis=1)
 
-    best = np.concatenate([
-        part
-        for count, rng in chunk_generators(mc, 2 * n * m * users)
-        for part in reduce_normal_slabs(rng, count, (users, 2, n, m), best_rates)
-    ])
-    se = float(best.std(ddof=1) / math.sqrt(best.size))
-    return CapacityResult(float(best.mean()), Method.MONTE_CARLO, se)
+    return _sample_mean(draw_reduced(mc, (users, 2, n, m), best_rates))

@@ -2,9 +2,11 @@
 
 Draws go through the physical channel model end to end: each branch gain is
 a sum of squared magnitudes of unit-variance complex Gaussians, and the
-selection gain is the maximum over m branches.  Nothing here reuses the
-closed-form distribution theory, so agreement between this module and the
-analytic modules is a genuine two-route check.
+selection gain is the maximum over m branches.  Each draw is one channel's
+2nm normals, drawn and reduced by ``streams.draw_reduced`` as the MIMO
+sampler draws its channels.  Nothing here reuses the closed-form
+distribution theory, so agreement between this module and the analytic
+modules is a genuine two-route check.
 """
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import _LN2, CapacityResult, LinkParams, Method
+from .capacity import _LN2, CapacityResult, LinkParams
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, chunk_generators, reduce_normal_slabs
+from .streams import McRun, _sample_mean, draw_reduced
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -50,11 +52,7 @@ def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
         # Halving is exact and keeps the order, so halve the maxima only.
         return 0.5 * np.einsum("ijk,ijk->ij", z, z).max(axis=1)
 
-    return np.concatenate([
-        part
-        for count, rng in chunk_generators(mc, 2 * n * m)
-        for part in reduce_normal_slabs(rng, count, (m, 2 * n), best_gains)
-    ])
+    return draw_reduced(mc, (m, 2 * n), best_gains)
 
 
 def _reference_values(
@@ -129,6 +127,4 @@ def empirical_ergodic(
     """Sample-mean estimate of E[log2(1 + rho X)] with its standard error."""
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    rates = np.log1p(link.rho * _draws(cfg, mc)) / _LN2
-    se = float(rates.std(ddof=1) / math.sqrt(rates.size))
-    return CapacityResult(float(rates.mean()), Method.MONTE_CARLO, se)
+    return _sample_mean(np.log1p(link.rho * _draws(cfg, mc)) / _LN2)

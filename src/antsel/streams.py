@@ -5,8 +5,9 @@ child stream derived from ``(seed, stream tag, chunk index)``.  The chunk
 layout depends only on the sample count, so results are bit-identical no
 matter how chunks are scheduled or parallelized.
 
-Within a chunk, the samplers draw and reduce consecutive slabs of about
-``SLAB_ELEMENTS`` normals (``reduce_normal_slabs``).  A generator's stream
+Every sampler draws through ``draw_reduced``, the one chunk -> slab ->
+reduce -> concatenate pipeline: within a chunk it draws and reduces
+consecutive slabs of about ``SLAB_ELEMENTS`` normals.  A generator's stream
 does not depend on how its draws are split, so the slabs hold the chunk's
 numbers bit for bit, while only one slab of normals, not a whole chunk, is
 alive at a time; that bound is what keeps concurrent samplers small.
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+
+from .capacity import CapacityResult, Method
 
 DEFAULT_SEED = 42
 
@@ -69,19 +72,29 @@ def chunk_generators(
         index += 1
 
 
-def reduce_normal_slabs(
-    rng: np.random.Generator,
-    count: int,
-    shape: tuple[int, ...],
-    reduce: Callable[[np.ndarray], np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Yield ``reduce(slab)`` for consecutive slabs of the standard normals
-    ``rng.standard_normal((count, *shape))``, split along the first axis.
+def draw_reduced(
+    mc: McRun, shape: tuple[int, ...], reduce: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``reduce`` applied to ``mc.samples`` draws of ``shape`` standard
+    normals each, concatenated along the first axis.
 
-    A slab holds at most ``SLAB_ELEMENTS`` normals (one draw, if a draw is
-    larger); concatenated, the slabs equal the whole draw bit for bit.  Each
-    slab is released once reduced, before the next is drawn.
+    The draws come chunk by chunk from ``chunk_generators`` and are reduced
+    in consecutive slabs of at most ``SLAB_ELEMENTS`` normals (one draw, if a
+    draw is larger), so the result equals ``reduce`` of the whole draw bit
+    for bit wherever ``reduce`` treats draws independently.  Each slab is
+    released once reduced, before the next is drawn, unless ``reduce``
+    returns a view of it.
     """
-    per_slab = max(1, SLAB_ELEMENTS // max(1, math.prod(shape)))
-    for start in range(0, count, per_slab):
-        yield reduce(rng.standard_normal((min(per_slab, count - start), *shape)))
+    elems = math.prod(shape)
+    per_slab = max(1, SLAB_ELEMENTS // max(1, elems))
+    return np.concatenate([
+        reduce(rng.standard_normal((min(per_slab, count - start), *shape)))
+        for count, rng in chunk_generators(mc, elems)
+        for start in range(0, count, per_slab)
+    ])
+
+
+def _sample_mean(values: np.ndarray) -> CapacityResult:
+    """Monte Carlo mean of ``values``; error_estimate is the standard error."""
+    se = float(values.std(ddof=1) / math.sqrt(values.size))
+    return CapacityResult(float(values.mean()), Method.MONTE_CARLO, se)

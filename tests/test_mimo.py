@@ -14,6 +14,7 @@ from antsel import (
     McRun,
     Method,
     SelectionConfig,
+    empirical_ergodic,
     ergodic_capacity,
     mimo,
     mimo_ergodic,
@@ -108,8 +109,19 @@ def reference_gram_eigenvalues(z: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0, out=lam)
 
 
+def record_draws(monkeypatch) -> list[int]:
+    """Per-draw element counts handed to chunk_generators, call by call."""
+    calls = []
+
+    def counting(mc, elems_per_draw, tag=0):
+        calls.append(elems_per_draw)
+        return chunk_generators(mc, elems_per_draw, tag)
+
+    monkeypatch.setattr(streams, "chunk_generators", counting)
+    return calls
+
+
 def clear_caches() -> None:
-    mimo._channel_eigenvalues.cache_clear()
     mimo._bootstrap_ranks.cache_clear()
     mimo._HELD.entry = None
 
@@ -339,10 +351,11 @@ class TestReductionReference:
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 12)
         for m in self.M:
             for shape in ((2, n, m), (3, 2, n, m)):
-                count = 3 * streams.SLAB_ELEMENTS // math.prod(shape) + 7
-                new = np.concatenate(list(streams.reduce_normal_slabs(
-                    substream(n, m), count, shape, mimo._gram_eigenvalues)))
-                whole = substream(n, m).standard_normal((count, *shape))
+                elems = math.prod(shape)
+                mc = McRun(3 * streams.SLAB_ELEMENTS // elems + 7, 100 * n + m)
+                new = streams.draw_reduced(mc, shape, mimo._gram_eigenvalues)
+                whole = np.concatenate([rng.standard_normal((count, *shape))
+                                        for count, rng in chunk_generators(mc, elems)])
                 self.assert_matches(new, reference_gram_eigenvalues(whole), n, m)
 
 
@@ -394,6 +407,24 @@ class TestReuse:
         after_scheduled = [self.point(n, m, rho) for rho in self.RHOS]
         assert ascending == descending == after_other == after_scheduled
 
+    def test_one_thread_draws_a_point_once(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        clear_caches()
+        for rho in self.RHOS:
+            self.point(2, 3, rho)
+        assert calls == [2 * 2 * 3]
+
+    def test_samplers_draw_whole_channels(self, monkeypatch):
+        # Each draw is one channel set: 2nm normals for a single user and
+        # the oracle's m branches of 2n, 2nmK for K scheduled users.
+        calls = record_draws(monkeypatch)
+        clear_caches()
+        n, m, users, link, mc = 2, 3, 4, LinkParams(1.0), McRun(2_000, 62)
+        mimo_ergodic(n, m, link, mc)
+        mimo_scheduled_ergodic(n, m, users, link, mc)
+        empirical_ergodic(SelectionConfig(n, m), link, mc)
+        assert calls == [2 * n * m, 2 * n * m * users, 2 * n * m]
+
     def test_cli_draws_each_channel_set_once(self, monkeypatch, tmp_path):
         calls = []
 
@@ -401,7 +432,7 @@ class TestReuse:
             calls.append((elems_per_draw, tag))
             return chunk_generators(mc, elems_per_draw, tag)
 
-        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        monkeypatch.setattr(streams, "chunk_generators", counting)
         clear_caches()
         argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,5,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
@@ -458,7 +489,9 @@ class TestThreadedGrid:
 
         monkeypatch.setattr(cli, "mimo_ergodic", recording)
         serial = self.run(monkeypatch, tmp_path, 1, argv)
-        assert set(threads) == {threading.get_ident()}
+        # One worker is still a pool of one thread, not the caller.
+        assert len(set(threads)) == 1
+        assert threading.get_ident() not in threads
         threads.clear()
         pooled = self.run(monkeypatch, tmp_path, 2, argv)
         assert threading.get_ident() not in threads
@@ -491,43 +524,32 @@ class TestThreadedGrid:
         # Groups go to the pool largest first (n m times the SINR count):
         # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first group
         # taken from the pool is the first one its thread runs; in grid
-        # order that would be (1, 1).
+        # order that would be (1, 1).  One worker runs (3, 4) first, too.
         argv = ["mimo", "--n", "1,3", "--m", "1,4", "--rho-db=0,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "36"]
         started: dict[int, tuple[int, int]] = {}
-        calls = []
         mimo_row = cli._mimo_row
 
         def recording(args, mc, point):
             started.setdefault(threading.get_ident(), point[:2])
             return mimo_row(args, mc, point)
 
-        def counting(mc, elems_per_draw, tag=0):
-            calls.append(elems_per_draw)
-            return chunk_generators(mc, elems_per_draw, tag)
-
         monkeypatch.setattr(cli, "_mimo_row", recording)
-        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        calls = record_draws(monkeypatch)
         pooled = self.run(monkeypatch, tmp_path, 2, argv)
         assert (3, 4) in started.values()
         assert threading.get_ident() not in started
         assert sorted(calls) == sorted(2 * n * m for n in (1, 3) for m in (1, 4))
         started.clear()
         assert self.run(monkeypatch, tmp_path, 1, argv) == pooled
-        assert list(started.values()) == [(1, 1)]
+        assert list(started.values()) == [(3, 4)]
 
     def test_running_points_keep_their_channel_sets(
         self, monkeypatch, tmp_path, fast_switching
     ):
-        # More points at once than the channel-set cache holds.
-        workers = mimo._CACHE_SIZE + 2
-        calls = []
-
-        def counting(mc, elems_per_draw, tag=0):
-            calls.append(elems_per_draw)
-            return chunk_generators(mc, elems_per_draw, tag)
-
-        monkeypatch.setattr(mimo, "chunk_generators", counting)
+        # Six points at once, each holding its own channel set.
+        workers = 6
+        calls = record_draws(monkeypatch)
         self.run(monkeypatch, tmp_path, workers, [
             "mimo", "--n", "1,2,3", "--m", "1,2", "--rho-db=0,5,10", "--p0", "0.1",
             "--samples", "10000", "--seed", "34"])

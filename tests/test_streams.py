@@ -13,7 +13,7 @@ from antsel.streams import (
     CHUNK_ELEMENTS,
     SLAB_ELEMENTS,
     chunk_generators,
-    reduce_normal_slabs,
+    draw_reduced,
     substream,
 )
 
@@ -49,11 +49,22 @@ class TestChunkPlan:
 
 
 class TestSlabs:
-    """Slab-wise draws are the chunk's draws, bit for bit."""
+    """draw_reduced's slabs are the chunks' draws, bit for bit."""
 
     @staticmethod
-    def slabs(rng, count, shape):
-        return list(reduce_normal_slabs(rng, count, shape, lambda z: z))
+    def slabs(mc, shape, reduce=lambda z: z):
+        slabs = []
+
+        def keep(z):
+            slabs.append(z)
+            return reduce(z)
+
+        return slabs, draw_reduced(mc, shape, keep)
+
+    @staticmethod
+    def chunk_draws(mc, shape):
+        return np.concatenate([rng.standard_normal((count, *shape))
+                               for count, rng in chunk_generators(mc, math.prod(shape))])
 
     @pytest.mark.parametrize("slab,shape,samples", [
         (1 << 10, (2, 3, 4), 1_000),  # 24 per draw: 42 per slab, 1000 = 23 x 42 + 34
@@ -65,31 +76,32 @@ class TestSlabs:
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", slab)
         mc = McRun(samples, 17)
         elems = math.prod(shape)
-        chunks = list(chunk_generators(mc, elems))
-        assert len(chunks) > 1
-        whole = list(chunk_generators(mc, elems))
-        for (count, rng), (_, fresh) in zip(chunks, whole):
-            slabs = self.slabs(rng, count, shape)
-            assert all(z.size <= max(slab, elems) for z in slabs)
-            assert len(slabs) == math.ceil(count / max(1, slab // elems))
-            assert np.array_equal(np.concatenate(slabs),
-                                  fresh.standard_normal((count, *shape)))
+        counts = [count for count, _ in chunk_generators(mc, elems)]
+        assert len(counts) > 1
+        per_slab = max(1, slab // elems)
+        # Slabs never straddle a chunk: each chunk ends in its own remainder.
+        expected = [min(per_slab, count - start)
+                    for count in counts for start in range(0, count, per_slab)]
+        slabs, whole = self.slabs(mc, shape)
+        assert all(z.size <= max(slab, elems) for z in slabs)
+        assert [len(z) for z in slabs] == expected
+        assert np.array_equal(whole, self.chunk_draws(mc, shape))
 
     def test_remainder_slab_at_full_size(self):
         shape = (2, 3, 4)
         per_slab = SLAB_ELEMENTS // 24
-        count = 2 * per_slab + 5
-        slabs = self.slabs(substream(5, 9), count, shape)
+        mc = McRun(2 * per_slab + 5, 9)
+        assert len(list(chunk_generators(mc, 24))) == 1
+        slabs, whole = self.slabs(mc, shape)
         assert [len(z) for z in slabs] == [per_slab, per_slab, 5]
-        assert np.array_equal(np.concatenate(slabs),
-                              substream(5, 9).standard_normal((count, *shape)))
+        assert np.array_equal(whole, self.chunk_draws(mc, shape))
 
     def test_draws_larger_than_a_slab_come_one_at_a_time(self):
         shape = (SLAB_ELEMENTS + 1,)
-        heads = list(reduce_normal_slabs(substream(1, 2), 3, shape, lambda z: z[:, :4]))
-        assert [h.shape for h in heads] == [(1, 4)] * 3
-        whole = substream(1, 2).standard_normal((3, *shape))
-        assert np.array_equal(np.concatenate(heads), whole[:, :4])
+        mc = McRun(3, 2)
+        slabs, heads = self.slabs(mc, shape, lambda z: z[:, :4])
+        assert [z.shape for z in slabs] == [(1, *shape)] * 3
+        assert np.array_equal(heads, self.chunk_draws(mc, shape)[:, :4])
 
 
 class TestSlabMemory:
@@ -120,6 +132,12 @@ class TestSlabMemory:
         assert 400_000 * 20 > CHUNK_ELEMENTS
         peak = self.traced_peak(
             lambda: empirical_ergodic(SelectionConfig(2, 5), LinkParams(3.0), mc))
+        assert peak < self.BOUND
+
+    def test_draw_reduced(self):
+        # 384 normals per draw, reduced to one number each: two chunks.
+        mc = McRun(20_000, 4)
+        peak = self.traced_peak(lambda: draw_reduced(mc, (384,), lambda z: z.sum(axis=1)))
         assert peak < self.BOUND
 
 
