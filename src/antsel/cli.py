@@ -217,7 +217,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         xs = _dist_grid(cfg, args.points)
         exact = approx = [None] * len(xs)
         if "approx" in enabled and m >= 2:
-            approx = list(map(normalizing_constants(cfg, strategy).cdf, xs))
+            approx = normalizing_constants(cfg, strategy).cdf(np.array(xs)).tolist()
         if "exact" in enabled:
             exact = max_cdf(cfg, np.array(xs)).tolist()
         for x, exact_cdf, approx_cdf in zip(xs, exact, approx):

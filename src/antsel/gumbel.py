@@ -3,15 +3,17 @@
 The branch gain has an exponential-type upper tail, so the normalized best
 of m converges to the Gumbel law G(x) = exp(-e^{-x}).  What matters in
 practice is the choice of location/scale sequences (a_m, b_m): this module
-implements the four constructions the analysis singles out, plus the
-approximate cdf/moments they induce and a pointwise convergence-error
-probe.
+implements the four constructions the analysis singles out, the approximate
+cdf they induce (one numpy expression for a float or an array of points),
+its moments and a pointwise convergence-error probe.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .orderstats import (
     SelectionConfig,
@@ -74,15 +76,15 @@ class GumbelFit:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale!r}")
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         return gumbel_cdf((x - self.location) / self.scale)
 
 
-def gumbel_cdf(x: float) -> float:
-    """Standard Gumbel cdf exp(-e^{-x})."""
-    if x < -700.0:  # inner exp would overflow; the cdf is flat zero out here
-        return 0.0
-    return math.exp(-math.exp(-x))
+def gumbel_cdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Standard Gumbel cdf exp(-e^{-x}) of a float (as a float) or an array."""
+    # Below -700 the inner exp would overflow; the cdf is flat zero there.
+    g = np.exp(-np.exp(-np.maximum(x, -700.0)))
+    return float(g) if np.ndim(x) == 0 else g
 
 
 def normalizing_constants(cfg: SelectionConfig, strategy: FitStrategy) -> GumbelFit:
@@ -114,7 +116,7 @@ def normalizing_constants(cfg: SelectionConfig, strategy: FitStrategy) -> Gumbel
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def approx_max_cdf(fit: GumbelFit, x: float) -> float:
+def approx_max_cdf(fit: GumbelFit, x: float | np.ndarray) -> float | np.ndarray:
     """Gumbel approximation to the selection-gain cdf at x."""
     return fit.cdf(x)
 

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+# A KS reference: maps the sorted sample to one cdf value per point.
+_ArrayCdf = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,27 +57,17 @@ def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
     return draw_reduced(mc, (m, 2 * n), best_gains)
 
 
-def _reference_values(
-    sorted_draws: np.ndarray, reference_cdf: Callable[[float], float]
-) -> np.ndarray:
-    try:
-        vals = np.asarray(reference_cdf(sorted_draws), dtype=float)
-        if vals.shape == sorted_draws.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([reference_cdf(float(x)) for x in sorted_draws])
-
-
-def _ks_statistic(
-    sorted_draws: np.ndarray, reference_cdf: Callable[[float], float]
-) -> float:
+def _ks_statistic(sorted_draws: np.ndarray, reference_cdf: _ArrayCdf) -> float:
     """One-sample Kolmogorov-Smirnov sup-distance against a cdf.
 
-    Compares the reference from both sides of each jump of the empirical
-    cdf, which handles ties correctly.
+    ``reference_cdf`` is called once, on the whole sorted sample, and must
+    return one value per point.  Compares the reference from both sides of
+    each jump of the empirical cdf, which handles ties correctly.
     """
-    ref = _reference_values(sorted_draws, reference_cdf)
+    ref = np.asarray(reference_cdf(sorted_draws), dtype=float)
+    if ref.shape != sorted_draws.shape:
+        raise ValueError(f"reference_cdf must return one value per point, "
+                         f"got shape {ref.shape} for {sorted_draws.size} points")
     size = sorted_draws.size
     steps = np.arange(1, size + 1) / size
     d_plus = float(np.max(steps - ref))
@@ -86,12 +78,13 @@ def _ks_statistic(
 def sample_selection_gain(
     cfg: SelectionConfig,
     mc: McRun,
-    reference_cdf: Callable[[float], float] | None = None,
+    reference_cdf: _ArrayCdf | None = None,
 ) -> EmpiricalSummary:
     """Simulate the selection gain and summarize it.
 
-    ``reference_cdf`` sets the target of the KS distance; by default the
-    exact selection-gain cdf is used.
+    ``reference_cdf`` sets the target of the KS distance: it maps the sorted
+    sample, an array, to one cdf value per point (``ValueError`` otherwise);
+    by default the exact selection-gain cdf is used.
     """
     if mc.samples < 1_000:
         raise ValueError(f"summary needs >= 1000 samples, got {mc.samples}")
@@ -112,10 +105,9 @@ def sample_selection_gain(
     )
 
 
-def ks_against(
-    cfg: SelectionConfig, mc: McRun, reference_cdf: Callable[[float], float]
-) -> float:
-    """KS distance between a fresh selection-gain sample and ``reference_cdf``."""
+def ks_against(cfg: SelectionConfig, mc: McRun, reference_cdf: _ArrayCdf) -> float:
+    """KS distance between a fresh selection-gain sample and ``reference_cdf``,
+    which maps the sorted sample, an array, to one cdf value per point."""
     if mc.samples < 1_000:
         raise ValueError(f"KS estimate needs >= 1000 samples, got {mc.samples}")
     return _ks_statistic(np.sort(_draws(cfg, mc)), reference_cdf)

@@ -13,20 +13,24 @@ tail-first: the survival sum is computed directly (never as one minus a
 near-one cdf) and powers of F go through log1p of the survival, which keeps
 m up to 1e4 and deep tail levels exact to roundoff.
 
-All functions are pure and thread-safe.  They take and return floats,
-except ``max_cdf`` and ``max_pdf``, which also evaluate a numpy array of
-points at once (for ``dist`` curves, KS distances and the ergodic
-quadrature).  The Newton solves behind ``tail_quantile``, ``quantile`` and
-``characteristic_largest`` are kept per ``(n, tail level)`` in one bounded
-cache, so a level is solved once however many SINRs, bounds, outage rates,
-Gumbel fits or quadrature panels ask for it.
+All functions are pure and thread-safe.  ``max_cdf`` and ``max_pdf`` take
+a float or a numpy array through one numpy path (a float returns a float,
+with the bits it has inside an array), so ``dist`` curves, KS distances and
+the ergodic quadrature make one call per grid.  ``pdf``, ``survival``,
+``cdf`` and the solvers stay scalar ``math`` code: a Newton solve evaluates
+one point per step, and routed through the numpy kernel the solves of the
+benchmark's curves workload took 0.180 s instead of 0.037 s, with a median
+11% fewer rows per second (5 alternating pairs, 2-core x86-64, numpy 2.4).
+``tail_quantile`` and ``upper_density_root`` share one Newton loop, and the
+tail solves are cached per ``(n, tail level)``, so every SINR, bound, fit
+or quadrature panel that asks for a level shares one solve.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,6 +89,8 @@ class TailValue(NamedTuple):
     log_survival: float
 
 
+# The Newton solves' scalar evaluators: about 4 us per point in ``math``
+# against 20 us for the numpy kernel (see the module docstring).
 def _log_tail_sum(n: int, x: float) -> float:
     """log(sum_{k=0}^{n-1} x^k / k!) for x > 0, stable for any n."""
     if n == 1:
@@ -101,6 +107,11 @@ def _log_survival(n: int, x: float) -> float:
     return -x + _log_tail_sum(n, x)
 
 
+def _log_pdf(n: int, x: float) -> float:
+    """Log of the branch pdf, -x + (n-1) log x - log (n-1)!, for x > 0."""
+    return -x + (n - 1) * math.log(x) - math.lgamma(n)
+
+
 def pdf(n: int, x: float) -> float:
     """Branch-gain density e^{-x} x^{n-1}/(n-1)!; zero for x < 0."""
     if x < 0.0:
@@ -109,7 +120,7 @@ def pdf(n: int, x: float) -> float:
         return math.exp(-x)
     if x == 0.0:
         return 0.0
-    return math.exp(-x + (n - 1) * math.log(x) - math.lgamma(n))
+    return math.exp(_log_pdf(n, x))
 
 
 def survival(n: int, x: float) -> TailValue:
@@ -135,7 +146,9 @@ def _log_tail_sums(n: int, log_x: np.ndarray) -> np.ndarray | float:
     k = np.arange(n)[:, None]
     terms = k * log_x - np.array([math.lgamma(j + 1) for j in range(n)])[:, None]
     hi = terms.max(axis=0)
-    return hi + np.log(np.exp(terms - hi).sum(axis=0))
+    # Add the n terms in order of k at every point count, so a float call
+    # (one point, which sum() would add pairwise) matches an array call.
+    return hi + np.log(np.exp(terms - hi).cumsum(axis=0)[-1])
 
 
 def max_cdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:
@@ -160,8 +173,8 @@ def max_pdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:
     """Density of the selection gain, m F^{m-1}(x) f(x).
 
     Accepts a float or an array of points; a float returns a float.  The
-    survival goes through the same log-domain tail sum as the scalar
-    functions, and the density is zero wherever that survival rounds to one.
+    survival goes through the same log-domain tail sum as ``max_cdf``, and
+    the density is zero wherever that survival rounds to one.
     """
     n, m = cfg.n, cfg.m
     shape = np.shape(x)
@@ -207,8 +220,7 @@ def _solve_tail(n: int, tail: float) -> float:
     """tail_quantile's Newton solve for n >= 2 and 0 < tail < 1."""
     log_t = math.log(tail)
 
-    lo = 0.0
-    hi = max(_tail_seed(n, log_t), 1.0)
+    lo, hi = 0.0, max(_tail_seed(n, log_t), 1.0)
     for _ in range(_MAX_ITER):
         if _log_survival(n, hi) <= log_t:
             break
@@ -216,25 +228,35 @@ def _solve_tail(n: int, tail: float) -> float:
     else:
         raise SolverError(f"tail bracket failed for n={n}, tail={tail!r}")
 
-    x = 0.5 * (lo + hi)
+    def residual_step(x: float) -> tuple[float, float]:
+        ls, f = _log_survival(n, x), pdf(n, x)
+        r = ls - log_t
+        return r, r * math.exp(ls) / f if f > 0.0 else math.inf
+
+    return _newton(residual_step, 0.5 * (lo + hi), lo, hi, _LOG_TAIL_TOL,
+                   f"tail quantile stalled for n={n}, tail={tail!r}")
+
+
+def _newton(residual_step: Callable[[float], tuple[float, float]], x: float,
+            lo: float, hi: float, tol: float, stalled: str) -> float:
+    """Safeguarded Newton iteration from x for the root in [lo, hi]:
+    ``residual_step(x)`` gives the residual, positive left of the root, and the
+    step; a step leaving the bracket (an infinite one) bisects it instead."""
     for _ in range(_MAX_ITER):
-        ls = _log_survival(n, x)
-        if abs(ls - log_t) <= _LOG_TAIL_TOL:
+        residual, step = residual_step(x)
+        if abs(residual) <= tol:
             return x
-        if ls > log_t:
+        if residual > 0.0:
             lo = x
         else:
             hi = x
-        f = pdf(n, x)
-        s = math.exp(ls)
-        step = (ls - log_t) * s / f if f > 0.0 else math.inf
         nxt = x + step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 1e-16 * (1.0 + x):
             return nxt
         x = nxt
-    raise SolverError(f"tail quantile stalled for n={n}, tail={tail!r}")
+    raise SolverError(stalled)
 
 
 def quantile(n: int, p: float) -> float:
@@ -276,12 +298,6 @@ def mean_residual_life(n: int, t: float) -> float:
     return num / den
 
 
-def _log_peak_density(n: int) -> float:
-    """Log of the branch pdf at its mode x = n - 1 (n >= 2)."""
-    mode = float(n - 1)
-    return -mode + (n - 1) * math.log(mode) - math.lgamma(n)
-
-
 def upper_density_root(cfg: SelectionConfig) -> float:
     """Largest x at which the branch pdf equals 1/m.
 
@@ -293,20 +309,19 @@ def upper_density_root(cfg: SelectionConfig) -> float:
     if n == 1:
         return math.log(m)
     log_level = -math.log(m)
-    if log_level >= _log_peak_density(n):
+    mode = float(n - 1)
+    if log_level >= _log_pdf(n, mode):
         raise ValueError(
             f"density level 1/m is not below the pdf peak for n={n}, m={m}; "
             "no upper crossing exists (fall back to quantile-based constants)"
         )
-    mode = float(n - 1)
 
     # phi(x) = log pdf(x) - log(1/m), strictly decreasing right of the mode.
     def phi(x: float) -> float:
-        return -x + (n - 1) * math.log(x) - math.lgamma(n) - log_level
+        return _log_pdf(n, x) - log_level
 
-    lo = mode
-    step = max(_tail_seed(n, log_level) - mode, 1.0)
-    hi = mode + step
+    seed = _tail_seed(n, log_level)
+    lo, hi = mode, mode + max(seed - mode, 1.0)
     for _ in range(_MAX_ITER):
         if phi(hi) <= 0.0:
             break
@@ -314,20 +329,9 @@ def upper_density_root(cfg: SelectionConfig) -> float:
     else:
         raise SolverError(f"density-root bracket failed for n={n}, m={m}")
 
-    x = min(max(_tail_seed(n, log_level), lo + 1e-12), hi)
-    for _ in range(_MAX_ITER):
-        val = phi(x)
-        if abs(val) <= 1e-13:
-            return x
-        if val > 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = (n - 1) / x - 1.0
-        nxt = x - val / slope if slope < 0.0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-16 * (1.0 + x):
-            return nxt
-        x = nxt
-    raise SolverError(f"density root stalled for n={n}, m={m}")
+    def residual_step(x: float) -> tuple[float, float]:
+        val, slope = phi(x), (n - 1) / x - 1.0
+        return val, -(val / slope) if slope < 0.0 else math.inf
+
+    return _newton(residual_step, min(max(seed, lo + 1e-12), hi), lo, hi, 1e-13,
+                   f"density root stalled for n={n}, m={m}")

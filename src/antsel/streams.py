@@ -1,9 +1,9 @@
 """Deterministic Monte Carlo plumbing shared by the sampling modules.
 
 Sample generation is split into fixed-size chunks, each driven by its own
-child stream derived from ``(seed, stream tag, chunk index)``.  The chunk
-layout depends only on the sample count, so results are bit-identical no
-matter how chunks are scheduled or parallelized.
+child stream derived from ``(seed, chunk index)``.  The chunk layout depends
+only on the sample count, so results are bit-identical no matter how chunks
+are scheduled or parallelized.
 
 Every sampler draws through ``draw_reduced``, the one chunk -> slab ->
 reduce -> concatenate pipeline: within a chunk it draws and reduces
@@ -54,11 +54,11 @@ def substream(seed: int, tag: int) -> np.random.Generator:
 
 
 def chunk_generators(
-    mc: McRun, elems_per_draw: int, tag: int = 0
+    mc: McRun, elems_per_draw: int
 ) -> Iterator[tuple[int, np.random.Generator]]:
     """Yield (draw count, generator) pairs covering ``mc.samples`` draws.
 
-    Each chunk's generator is keyed by (seed, tag, chunk index) alone, so a
+    Each chunk's generator is keyed by (seed, chunk index) alone, so a
     chunk's output never depends on how many chunks ran before it.
     """
     per_chunk = max(1, CHUNK_ELEMENTS // max(1, elems_per_draw))
@@ -66,7 +66,7 @@ def chunk_generators(
     index = 0
     while produced < mc.samples:
         count = min(per_chunk, mc.samples - produced)
-        seq = np.random.SeedSequence(entropy=mc.seed, spawn_key=(tag, index))
+        seq = np.random.SeedSequence(entropy=mc.seed, spawn_key=(0, index))
         yield count, np.random.default_rng(seq)
         produced += count
         index += 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import antsel
-from antsel import cli, orderstats
+from antsel import GumbelFit, cli, orderstats
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 
 
@@ -148,6 +148,18 @@ class TestDistAndFit:
         assert main(["dist", "--n", "1,2", "--m", "3", "--points", "30",
                      "--out", str(tmp_path / "d.csv")]) == 0
         assert shapes == [(30,), (30,)]
+
+    def test_one_gumbel_call_per_curve(self, monkeypatch, tmp_path):
+        shapes, fit_cdf = [], GumbelFit.cdf
+
+        def counting(fit, x):
+            shapes.append(np.shape(x))
+            return fit_cdf(fit, x)
+
+        monkeypatch.setattr(GumbelFit, "cdf", counting)
+        assert main(["dist", "--n", "1,2", "--m", "2,5", "--points", "50",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        assert shapes == [(50,)] * 4
 
     def test_fit_matches_library(self, tmp_path):
         out = tmp_path / "fit.csv"

@@ -1,5 +1,6 @@
 """Gumbel fits of the selection gain: constructions, moments, convergence."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ class TestGumbelCdf:
         xs = np.linspace(-6.0, 8.0, 100)
         vals = [gumbel_cdf(x) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_array_matches_float_calls_without_warning(self):
+        xs = np.array([-1e4, -50.0, 0.0, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gumbel_cdf(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        floats = [gumbel_cdf(float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert values.tolist() == floats
 
 
 class TestNormalizingConstants:

@@ -54,7 +54,7 @@ def logdet_rates(z: np.ndarray, m: int, rho: float) -> np.ndarray:
 
 
 def slogdet_rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
-    """logdet_rates of the tag-0 channel set, drawn chunk by chunk as the
+    """logdet_rates of the channel set, drawn chunk by chunk as the
     estimators draw it."""
     return np.concatenate([
         logdet_rates(rng.standard_normal((count, 2, n, m)), m, rho)
@@ -113,9 +113,9 @@ def record_draws(monkeypatch) -> list[int]:
     """Per-draw element counts handed to chunk_generators, call by call."""
     calls = []
 
-    def counting(mc, elems_per_draw, tag=0):
+    def counting(mc, elems_per_draw):
         calls.append(elems_per_draw)
-        return chunk_generators(mc, elems_per_draw, tag)
+        return chunk_generators(mc, elems_per_draw)
 
     monkeypatch.setattr(streams, "chunk_generators", counting)
     return calls
@@ -426,18 +426,12 @@ class TestReuse:
         assert calls == [2 * n * m, 2 * n * m * users, 2 * n * m]
 
     def test_cli_draws_each_channel_set_once(self, monkeypatch, tmp_path):
-        calls = []
-
-        def counting(mc, elems_per_draw, tag=0):
-            calls.append((elems_per_draw, tag))
-            return chunk_generators(mc, elems_per_draw, tag)
-
-        monkeypatch.setattr(streams, "chunk_generators", counting)
+        calls = record_draws(monkeypatch)
         clear_caches()
         argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,5,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
-        assert sorted(calls) == [(6, 0), (12, 0)]
+        assert sorted(calls) == [6, 12]
 
 
 class TestThreadedGrid:

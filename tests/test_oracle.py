@@ -101,13 +101,26 @@ class TestKolmogorovSmirnov:
         mc = McRun(20_000, 7)
         calls = []
 
-        def reference(x):
-            calls.append(np.shape(x))
-            return max_cdf(cfg, x)
+        def counted(reference_cdf):
+            def reference(x):
+                calls.append(np.shape(x))
+                return reference_cdf(x)
+            return reference
 
-        scalar = ks_against(cfg, mc, lambda x: max_cdf(cfg, float(x)))
-        assert ks_against(cfg, mc, reference) == pytest.approx(scalar, rel=1e-9)
-        assert calls == [(mc.samples,)]
+        ks_against(cfg, mc, counted(lambda x: max_cdf(cfg, x)))
+        ks_against(cfg, mc, counted(normalizing_constants(cfg, FitStrategy.MRL).cdf))
+        assert calls == [(mc.samples,)] * 2
+
+    def test_reference_must_return_one_value_per_point(self):
+        cfg = SelectionConfig(1, 5)
+        mc = McRun(2_000, 7)
+        with pytest.raises(ValueError, match="one value per point"):
+            ks_against(cfg, mc, lambda x: 0.5)
+        with pytest.raises(ValueError, match="one value per point"):
+            ks_against(cfg, mc, lambda x: max_cdf(cfg, x)[1:])
+        # A scalar-only reference fails on its own error; nothing retries it.
+        with pytest.raises(TypeError):
+            ks_against(cfg, mc, lambda x: math.exp(-x))
 
     def test_gumbel_fit_improves_with_branches(self):
         mc = McRun(100_000, 23)

@@ -9,12 +9,14 @@ from scipy.special import gammainc, gammaincc, gammainccinv
 from scipy.stats import gamma as gamma_dist
 
 from antsel import (
+    FitStrategy,
     SelectionConfig,
     cdf,
     characteristic_largest,
     max_cdf,
     max_pdf,
     mean_residual_life,
+    normalizing_constants,
     orderstats,
     pdf,
     quantile,
@@ -389,3 +391,22 @@ class TestExtremeTails:
                 assert survival(n, x).log_survival == pytest.approx(
                     math.log(tail), abs=1e-12
                 )
+
+
+class TestFloatArrayAgreement:
+    """A point gives the same bits as a float call and inside an array."""
+
+    XS = np.concatenate([np.geomspace(1e-6, 1.0, 100, endpoint=False),
+                         np.linspace(1.0, 80.0, 400)])
+
+    @pytest.mark.parametrize("m", [1, 4, 40])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_float_and_array_calls_agree(self, n, m):
+        cfg = SelectionConfig(n, m)
+        evaluators = [lambda x: max_cdf(cfg, x), lambda x: max_pdf(cfg, x)]
+        if m >= 2:
+            evaluators.append(normalizing_constants(cfg, FitStrategy.MRL).cdf)
+        for evaluate in evaluators:
+            floats = [evaluate(float(x)) for x in self.XS]
+            assert all(type(v) is float for v in floats)
+            assert evaluate(self.XS).tolist() == floats
