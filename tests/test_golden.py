@@ -68,6 +68,9 @@ CASES: dict[str, str] = {
     **{f"table1_mode_{mode}": f"table1 --m 1..4 --rho-db=0,10 --mode {mode}"
        for mode in ("exact", "approx")},
     "mimo_mode_mc": "mimo --n 2 --m 1,3 --rho-db=0,10 --samples 2000 --mode mc",
+    # Every optional mimo column filled at once.
+    "mimo_all_columns": "mimo --n 1,2 --m 1,3 --rho-db=0,10 --p0 0.1 --users 4 "
+    "--samples 10000",
     "verify": "verify --samples 20000 --seed 3 --out {out}",
     # Error exits.
     "err_mode_unavailable": "ergodic --n 1 --m 2 --mode mc",
