@@ -3,12 +3,16 @@
 Every data subcommand writes one CSV with a fixed, documented column
 schema, preceded by ``#`` comment lines recording the exact parameters, so
 outputs are byte-stable for identical invocations.  SINR is accepted in dB
-and converted to linear exactly once, in ``_grid``.  The ``mimo``
-grid always computes its (n, m) points on a pool of worker threads, one
-per usable CPU (at least one), submitted largest first (n m times the
-point's SINR count) so that no long point starts last while a thread
-idles.  It reads the results and writes the rows in grid order, so its
-output, and which error it reports, do not depend on the thread count.
+and converted to linear exactly once, in ``_grid``, which hands out the
+grid one (n, m) curve at a time.  A subcommand computes each curve as one
+block of columns; ``_emit`` formats a block a column at a time and writes
+its rows in grid order, with the same bytes as formatting cell by cell
+(``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).  The ``mimo`` grid
+always computes its curves on a pool of worker threads, one per usable
+CPU (at least one), submitted largest first (n m times the curve's SINR
+count) so that no long curve starts last while a thread idles.  It reads
+the results in grid order, so its output, and which error it reports, do
+not depend on the thread count.
 
 Exit codes: 0 success, 2 invalid arguments or parameter combinations,
 3 numerical diagnostic (solver or verification failure).
@@ -21,7 +25,7 @@ import io
 import math
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,40 +64,17 @@ SCHEMAS: dict[str, list[str]] = {
     "fit": ["n", "m", "strategy", "location", "scale", "mean", "variance"],
     "outage": ["n", "m", "rho_db", "p0", "exact", "approx", "approx_clamped"],
     "ergodic": ["n", "m", "rho_db", "exact", "quad_error", "lower", "upper", "approx"],
-    "scheduling": [
-        "n",
-        "m",
-        "users",
-        "rho_db",
-        "greedy",
-        "round_robin",
-        "gain_exact",
-        "gain_approx",
-        "fractional",
-    ],
+    "scheduling": ["n", "m", "users", "rho_db", "greedy", "round_robin", "gain_exact",
+                   "gain_approx", "fractional"],
     "table1": ["m", "rho_db", "exact_gain", "approx_gain"],
-    "mimo": [
-        "n",
-        "m",
-        "rho_db",
-        "p0",
-        "users",
-        "samples",
-        "seed",
-        "ergodic",
-        "ergodic_stderr",
-        "outage",
-        "outage_stderr",
-        "scheduled",
-        "scheduled_stderr",
-    ],
+    "mimo": ["n", "m", "rho_db", "p0", "users", "samples", "seed", "ergodic",
+             "ergodic_stderr", "outage", "outage_stderr", "scheduled",
+             "scheduled_stderr"],
     "verify": ["check", "status", "detail"],
 }
 
 # Cells printed with fixed decimals instead of 10 significant digits.
-_FORMATS: dict[str, dict[str, str]] = {
-    "table1": {"exact_gain": ".4f", "approx_gain": ".2f"},
-}
+_FORMATS = {"table1": {"exact_gain": ".4f", "approx_gain": ".2f"}}
 
 _STRATEGIES = {s.value: s for s in FitStrategy}
 
@@ -128,14 +109,6 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _fmt(value: object, spec: str) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:{spec}}"
-    return str(value)
-
-
 def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
     """Estimator selection for subcommands with alternatives.
 
@@ -153,33 +126,50 @@ def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
 
 
 def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
-    """(n, m, cfg, rho_db, link) over the grid in output order: n, then m,
-    then SINR.  The one place where dB becomes linear.
+    """(n, m, cfg, rho_dbs, links), one (n, m) curve at a time in output
+    order: n, then m, each curve with the SINRs in order.  The one place
+    where dB becomes linear.
 
-    Subcommands without ``--rho-db`` get one point per (n, m) with rho_db
+    Subcommands without ``--rho-db`` get curves of one point with rho_db
     and link None.  ``configs=False`` yields cfg None, for estimators that
-    validate (n, m) themselves.
+    validate (n, m) themselves.  A SINR that does not convert cuts the
+    first curve short before it, and its error is raised once that curve
+    has been computed, so the errors of the points before it come first,
+    as point by point.
     """
+    dbs, links, bad_sinr = getattr(args, "rho_db", [None]), [], None
+    try:
+        for db in dbs:
+            links.append(None if db is None else LinkParams(db_to_linear(db)))
+    except ValueError as exc:
+        bad_sinr = exc
+    dbs = dbs[:len(links)]
     for n in args.n:
         for m in args.m:
-            cfg = SelectionConfig(n, m) if configs else None
-            for db in getattr(args, "rho_db", (None,)):
-                yield n, m, cfg, db, None if db is None else LinkParams(db_to_linear(db))
+            yield n, m, SelectionConfig(n, m) if configs else None, dbs, links
+            if bad_sinr is not None:
+                raise bad_sinr
 
 
-def _row(command: str, **cells: object) -> dict[str, object]:
-    """A row of ``command``'s schema: the given cells filled, the rest empty."""
-    row: dict[str, object] = dict.fromkeys(SCHEMAS[command])
-    row.update(cells)
-    return row
+def _column(value: object, spec: str, rows: int) -> list[str]:
+    """Cells of one column: None as "", a float as ``spec % value``, anything
+    else with str.  A value that is not a list fills all ``rows`` cells."""
+    if not isinstance(value, list):
+        return _column([value], spec, 1) * rows
+    return ["" if v is None else spec % v if isinstance(v, float) else str(v)
+            for v in value]
 
 
-def _emit(args: argparse.Namespace, rows: list[dict[str, object]]) -> None:
-    """Write the rows as CSV after a ``# antsel`` line of the parsed options."""
+def _emit(args: argparse.Namespace, blocks: Iterable[dict[str, object]]) -> None:
+    """Write the blocks as CSV after a ``# antsel`` line of the parsed options.
+
+    A block holds the rows of one curve (of the whole grid for ``fit``):
+    each column maps to a list with one value per row or to one value for
+    every row, and a column the block leaves out is empty.
+    """
     command = args.command
-    header = SCHEMAS[command]
     formats = _FORMATS.get(command, {})
-    specs = [formats.get(name, ".10g") for name in header]
+    specs = {name: "%" + formats.get(name, ".10g") for name in SCHEMAS[command]}
     buf = io.StringIO()
     # Every option of the subcommand but --mode and --out, in declaration
     # order: argparse sets the defaults on the namespace in that order.
@@ -187,11 +177,14 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, object]]) -> None:
               if k not in ("command", "func", "mode", "out"))
     buf.write(f"# antsel {command} {' '.join(params)}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if len(row) != len(header):
+    writer.writerow(SCHEMAS[command])
+    for block in blocks:
+        lengths = {len(v) for v in block.values() if isinstance(v, list)}
+        if len(lengths) != 1 or not block.keys() <= specs.keys():
             raise SolverError(f"internal schema mismatch for {command!r}")
-        writer.writerow([_fmt(val, spec) for val, spec in zip(row.values(), specs)])
+        rows = lengths.pop()
+        writer.writerows(zip(*(_column(block.get(name), spec, rows)
+                               for name, spec in specs.items())))
     text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
@@ -212,81 +205,90 @@ def cmd_dist(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     strategy = _STRATEGIES[args.strategy]
     enabled = _mode_set(args, ("exact", "approx"))
-    rows = []
+    blocks = []
     for n, m, cfg, _, _ in _grid(args):
         xs = _dist_grid(cfg, args.points)
-        exact = approx = [None] * len(xs)
+        block = {"n": n, "m": m, "strategy": args.strategy, "x": xs}
         if "approx" in enabled and m >= 2:
-            approx = normalizing_constants(cfg, strategy).cdf(np.array(xs)).tolist()
+            fit = normalizing_constants(cfg, strategy)
+            block["approx_cdf"] = fit.cdf(np.array(xs)).tolist()
         if "exact" in enabled:
-            exact = max_cdf(cfg, np.array(xs)).tolist()
-        for x, exact_cdf, approx_cdf in zip(xs, exact, approx):
-            rows.append(_row("dist", n=n, m=m, strategy=args.strategy, x=x,
-                             exact_cdf=exact_cdf, approx_cdf=approx_cdf))
-    _emit(args, rows)
+            block["exact_cdf"] = max_cdf(cfg, np.array(xs)).tolist()
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    # One row per (n, m), so the whole grid is one block.
     strategy = _STRATEGIES[args.strategy]
-    rows = []
-    for n, m, cfg, _, _ in _grid(args):
-        fit = normalizing_constants(cfg, strategy)
-        mean, var = approx_moments(fit)
-        rows.append(_row("fit", n=n, m=m, strategy=args.strategy, location=fit.location,
-                         scale=fit.scale, mean=mean, variance=var))
-    _emit(args, rows)
+    points = [(n, m, normalizing_constants(cfg, strategy))
+              for n, m, cfg, _, _ in _grid(args)]
+    moments = [approx_moments(fit) for _, _, fit in points]
+    _emit(args, [{"n": [n for n, _, _ in points], "m": [m for _, m, _ in points],
+                  "strategy": args.strategy,
+                  "location": [fit.location for *_, fit in points],
+                  "scale": [fit.scale for *_, fit in points],
+                  "mean": [mean for mean, _ in moments],
+                  "variance": [var for _, var in moments]}])
     return 0
 
 
 def cmd_outage(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
-    rows = []
-    for n, m, cfg, db, link in _grid(args):
-        row = _row("outage", n=n, m=m, rho_db=db, p0=args.p0)
+    blocks = []
+    for n, m, cfg, dbs, links in _grid(args):
+        block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0}
         if "exact" in enabled:
-            row["exact"] = outage_capacity(cfg, link, args.p0, "exact").value
+            block["exact"] = [outage_capacity(cfg, link, args.p0, "exact").value
+                              for link in links]
         if "approx" in enabled and m >= 2:
-            approx = outage_capacity(cfg, link, args.p0, "gumbel")
-            row.update(approx=approx.value, approx_clamped=int(approx.degenerate))
-        rows.append(row)
-    _emit(args, rows)
+            approx = [outage_capacity(cfg, link, args.p0, "gumbel") for link in links]
+            block.update(approx=[a.value for a in approx],
+                         approx_clamped=[int(a.degenerate) for a in approx])
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 
 def cmd_ergodic(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "bounds", "approx"))
-    rows = []
-    for n, m, cfg, db, link in _grid(args):
-        row = _row("ergodic", n=n, m=m, rho_db=db)
+    blocks = []
+    for n, m, cfg, dbs, links in _grid(args):
+        block = {"n": n, "m": m, "rho_db": dbs}
         if "exact" in enabled:
-            exact = ergodic_capacity(cfg, link)
-            row.update(exact=exact.value, quad_error=exact.error_estimate)
+            exact = [ergodic_capacity(cfg, link) for link in links]
+            block.update(exact=[e.value for e in exact],
+                         quad_error=[e.error_estimate for e in exact])
         if "bounds" in enabled:
-            lower, upper = ergodic_bounds(cfg, link)
-            row.update(lower=lower.value, upper=upper.value)
+            bounds = [ergodic_bounds(cfg, link) for link in links]
+            block.update(lower=[lower.value for lower, _ in bounds],
+                         upper=[upper.value for _, upper in bounds])
         if "approx" in enabled:
-            row["approx"] = ergodic_approx(cfg, link).value
-        rows.append(row)
-    _emit(args, rows)
+            block["approx"] = [ergodic_approx(cfg, link).value for link in links]
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 
 def cmd_scheduling(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
-    rows = []
-    for n, m, cfg, db, link in _grid(args):
-        scen = SchedulingScenario(cfg, args.users, link)
-        row = _row("scheduling", n=n, m=m, users=args.users, rho_db=db)
+    blocks = []
+    for n, m, cfg, dbs, links in _grid(args):
+        scens = [SchedulingScenario(cfg, args.users, link) for link in links]
+        block = {"n": n, "m": m, "users": args.users, "rho_db": dbs}
         if "exact" in enabled:
-            rep = gain_report(scen)
-            row.update(greedy=rep.greedy.value, round_robin=rep.round_robin.value,
-                       gain_exact=rep.exact_gain, fractional=rep.fractional,
-                       gain_approx=rep.approx_gain if "approx" in enabled else None)
+            reps = [gain_report(scen) for scen in scens]
+            block.update(greedy=[r.greedy.value for r in reps],
+                         round_robin=[r.round_robin.value for r in reps],
+                         gain_exact=[r.exact_gain for r in reps],
+                         fractional=[r.fractional for r in reps])
+            if "approx" in enabled:
+                block["gain_approx"] = [r.approx_gain for r in reps]
         elif "approx" in enabled:
-            row["gain_approx"] = scheduling_gain(scen, "approx")
-        rows.append(row)
-    _emit(args, rows)
+            block["gain_approx"] = [scheduling_gain(scen, "approx") for scen in scens]
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 
@@ -294,32 +296,33 @@ def cmd_table1(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
     if len(args.n) != 1:
         raise ValueError(f"table1 takes a single n, got {args.n}")
-    rows = []
-    for _, m, cfg, db, link in _grid(args):
-        scen = SchedulingScenario(cfg, args.users, link)
-        row = _row("table1", m=m, rho_db=db)
+    blocks = []
+    for _, m, cfg, dbs, links in _grid(args):
+        scens = [SchedulingScenario(cfg, args.users, link) for link in links]
+        block = {"m": m, "rho_db": dbs}
         if "exact" in enabled:
-            row["exact_gain"] = scheduling_gain(scen, "exact")
+            block["exact_gain"] = [scheduling_gain(scen, "exact") for scen in scens]
         if "approx" in enabled and m >= 2:
-            row["approx_gain"] = scheduling_gain(scen, "approx")
-        rows.append(row)
-    _emit(args, rows)
+            block["approx_gain"] = [scheduling_gain(scen, "approx") for scen in scens]
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 
-def _mimo_row(args: argparse.Namespace, mc: McRun, point: tuple) -> dict[str, object]:
-    n, m, _, db, link = point
-    erg = mimo_ergodic(n, m, link, mc)
-    row = _row("mimo", n=n, m=m, rho_db=db, p0=args.p0, users=args.users,
-               samples=args.samples, seed=args.seed,
-               ergodic=erg.value, ergodic_stderr=erg.error_estimate)
+def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, object]:
+    n, m, _, dbs, links = curve
+    block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
+             "samples": args.samples, "seed": args.seed}
+    estimates = {"ergodic": [mimo_ergodic(n, m, link, mc) for link in links]}
     if args.p0 is not None:
-        out = mimo_outage(n, m, link, args.p0, mc)
-        row.update(outage=out.value, outage_stderr=out.error_estimate)
+        estimates["outage"] = [mimo_outage(n, m, link, args.p0, mc) for link in links]
     if args.users is not None:
-        sched = mimo_scheduled_ergodic(n, m, args.users, link, mc)
-        row.update(scheduled=sched.value, scheduled_stderr=sched.error_estimate)
-    return row
+        estimates["scheduled"] = [mimo_scheduled_ergodic(n, m, args.users, link, mc)
+                                  for link in links]
+    for name, results in estimates.items():
+        block[name] = [r.value for r in results]
+        block[f"{name}_stderr"] = [r.error_estimate for r in results]
+    return block
 
 
 def cmd_mimo(args: argparse.Namespace) -> int:
@@ -327,34 +330,28 @@ def cmd_mimo(args: argparse.Namespace) -> int:
 
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
-    points, bad_sinr = [], None
+    curves, bad_sinr = [], None
     try:
-        for point in _grid(args, configs=False):
-            points.append(point)
-    except ValueError as exc:
-        # A SINR that does not convert is raised after the points before
-        # it have run, so their errors come first, as point by point.
+        for curve in _grid(args, configs=False):
+            curves.append(curve)
+    except ValueError as exc:  # a bad SINR, raised once the first curve has run
         bad_sinr = exc
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    for point in points:
-        groups.setdefault(point[:2], []).append(point)
-
-    def group_rows(group: list[tuple]) -> Iterator[dict[str, object]]:
-        return iter([_mimo_row(args, mc, point) for point in group])
-
-    # Largest groups first, so that none of them starts last and leaves the
-    # other threads idle.  The results are read in grid order, so the first
-    # failing point in grid order still decides the error.
-    largest_first = sorted(groups, key=lambda key: -key[0] * key[1] * len(groups[key]))
-    pool = ThreadPoolExecutor(max(1, min(len(groups), _WORKERS)))
+    # Largest curves first (n m times the SINR count), so that none of them
+    # starts last and leaves the other threads idle.  The results are read
+    # in grid order, so the first failing curve in grid order still decides
+    # the error.
+    largest_first = sorted(range(len(curves)),
+                           key=lambda i: -curves[i][0] * curves[i][1] * len(curves[i][4]))
+    pool = ThreadPoolExecutor(max(1, min(len(curves), _WORKERS)))
     try:
-        futures = {key: pool.submit(group_rows, groups[key]) for key in largest_first}
-        computed = {key: futures[key].result() for key in groups}
+        futures = {i: pool.submit(_mimo_curve, args, mc, curves[i])
+                   for i in largest_first}
+        blocks = [futures[i].result() for i in range(len(curves))]
     finally:
         pool.shutdown(cancel_futures=True)
     if bad_sinr is not None:
         raise bad_sinr
-    _emit(args, [next(computed[point[:2]]) for point in points])
+    _emit(args, blocks)
     return 0
 
 
@@ -446,14 +443,13 @@ def _verify_checks(samples: int, seed: int) -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _verify_checks(args.samples, args.seed)
-    rows = []
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
+    statuses = ["PASS" if ok else "FAIL" for _, ok, _ in results]
+    for (name, _, detail), status in zip(results, statuses):
         print(f"{status}  {name}: {detail}")
-        rows.append(_row("verify", check=name, status=status, detail=detail))
     if args.out is not None:
-        _emit(args, rows)
-    failed = sum(not ok for _, ok, _ in results)
+        _emit(args, [{"check": [name for name, _, _ in results], "status": statuses,
+                      "detail": [detail for _, _, detail in results]}])
+    failed = statuses.count("FAIL")
     if failed:
         print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
         return 3

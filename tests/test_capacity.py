@@ -15,6 +15,7 @@ from antsel import (
     ergodic_bounds,
     ergodic_capacity,
     mean_selection_gain,
+    normalizing_constants,
     outage_capacity,
     outage_probability,
     selection_gain_variance,
@@ -125,8 +126,10 @@ class TestOutageCapacity:
         for cfg in cfgs:
             for rho in rhos:
                 orderstats._solve_tail.cache_clear()
+                normalizing_constants.cache_clear()
                 fresh.append(outage_capacity(cfg, LinkParams(rho), 0.05, mode).value)
         orderstats._solve_tail.cache_clear()
+        normalizing_constants.cache_clear()
         cached = [
             outage_capacity(cfg, LinkParams(rho), 0.05, mode).value
             for cfg in cfgs

@@ -1,5 +1,7 @@
 """CLI behavior: schemas, formatting, determinism, exit codes."""
+import argparse
 import csv
+import io
 import math
 import os
 import subprocess
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 import antsel
-from antsel import GumbelFit, cli, orderstats
+from antsel import GumbelFit, cli, normalizing_constants, orderstats
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
+from antsel.orderstats import SolverError
 
 
 def read_csv(path):
@@ -190,9 +193,23 @@ class TestOutage:
     def test_grid_solves_each_level_once(self, tmp_path):
         # two (n, m) points with n >= 2, exact and Gumbel: four levels
         orderstats._solve_tail.cache_clear()
+        normalizing_constants.cache_clear()
         assert main(["outage", "--n", "2,3", "--m", "6", "--rho-db=-10:5:10",
                      "--p0", "0.05", "--out", str(tmp_path / "out.csv")]) == 0
         assert orderstats._solve_tail.cache_info().misses == 4
+
+    def test_one_gumbel_fit_per_curve(self, monkeypatch, tmp_path):
+        built, post_init = [], GumbelFit.__post_init__
+
+        def counting(fit):
+            built.append(fit)
+            post_init(fit)
+
+        normalizing_constants.cache_clear()
+        monkeypatch.setattr(GumbelFit, "__post_init__", counting)
+        assert main(["outage", "--n", "1,2", "--m", "2,3", "--rho-db=0:1:10",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(built) == 4  # one per (n, m), not one per SINR
 
 
 class TestMimo:
@@ -327,3 +344,73 @@ class TestArgHandling:
         out = capsys.readouterr().out
         assert out.startswith("# antsel fit")
         assert "location" in out.splitlines()[1]
+
+
+def rowwise_csv(command, rows):
+    """The rows formatted cell by cell with f-strings and written one at a time."""
+    specs = {name: cli._FORMATS.get(command, {}).get(name, ".10g") for name in SCHEMAS[command]}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SCHEMAS[command])
+    for row in rows:
+        cells = (row.get(name) for name in specs)
+        writer.writerow(["" if v is None else f"{v:{spec}}" if isinstance(v, float) else str(v)
+                         for v, spec in zip(cells, specs.values())])
+    return buf.getvalue()
+
+
+class TestEmitter:
+    FLOATS = [0.1, -0.0, 1e-320, 1e300, 123456789012.0, 2.5e-7, math.inf, -math.inf,
+              math.nan, 1 / 3, np.float64(2.0) / 3]
+
+    def emit(self, capsys, command, blocks):
+        cli._emit(argparse.Namespace(command=command, out=None), blocks)
+        line, _, text = capsys.readouterr().out.partition("\n")
+        assert line == f"# antsel {command} "
+        return text
+
+    def test_curve_blocks_match_rowwise_output(self, capsys):
+        xs = [1, 2.5, np.float64(0.25), None, *self.FLOATS]
+        cdf = [None if i % 3 == 0 else x for i, x in enumerate(self.FLOATS)]
+        blocks = [
+            {"n": 2, "m": 5, "strategy": "lemma", "x": xs, "exact_cdf": xs[::-1]},
+            {"n": 1, "m": 1, "strategy": "alpha", "x": self.FLOATS, "approx_cdf": cdf},
+        ]
+        rows = [{"n": 2, "m": 5, "strategy": "lemma", "x": x, "exact_cdf": y}
+                for x, y in zip(xs, xs[::-1])]
+        rows += [{"n": 1, "m": 1, "strategy": "alpha", "x": x, "approx_cdf": c}
+                 for x, c in zip(self.FLOATS, cdf)]
+        assert self.emit(capsys, "dist", blocks) == rowwise_csv("dist", rows)
+
+    def test_table1_fixed_decimals(self, capsys):
+        gains = [1.23456789, np.float64(2.0), 0.00005, 1e6, 7, *self.FLOATS]
+        block = {"m": 3, "rho_db": -5.0, "exact_gain": gains, "approx_gain": gains[::-1]}
+        rows = [{"m": 3, "rho_db": -5.0, "exact_gain": a, "approx_gain": b}
+                for a, b in zip(gains, gains[::-1])]
+        text = self.emit(capsys, "table1", [block])
+        assert text == rowwise_csv("table1", rows)
+        assert text.splitlines()[1] == "3,-5,1.2346,0.67"
+
+    def test_text_cells_are_quoted(self, capsys):
+        details = ['say "hi", twice', "a,b", "plain", ""]
+        block = {"check": ["x,y", "q", "r", "s"], "status": "PASS", "detail": details}
+        rows = [{"check": c, "status": "PASS", "detail": d}
+                for c, d in zip(block["check"], details)]
+        text = self.emit(capsys, "verify", [block])
+        assert text == rowwise_csv("verify", rows)
+        assert text.splitlines()[1] == '"x,y",PASS,"say ""hi"", twice"'
+
+    def test_no_blocks_writes_the_header(self, capsys):
+        assert self.emit(capsys, "mimo", []) == ",".join(SCHEMAS["mimo"]) + "\n"
+        empty = {"n": 1, "m": 2, "rho_db": [], "p0": 0.1, "ergodic": []}
+        assert self.emit(capsys, "mimo", [empty]) == ",".join(SCHEMAS["mimo"]) + "\n"
+
+    @pytest.mark.parametrize("block", [
+        {"n": 1, "m": 2, "rho_db": [0.0, 1.0], "exact": [1.0]},  # unequal lengths
+        {"n": 1, "m": 2, "rho_db": [0.0], "bogus": [1.0]},  # not in the schema
+        {"n": 1, "m": 2, "p0": 0.1},  # no list, so no row count
+    ])
+    def test_malformed_block_raises(self, block, capsys):
+        with pytest.raises(SolverError):
+            cli._emit(argparse.Namespace(command="outage", out=None), [block])
+        assert capsys.readouterr().out == ""

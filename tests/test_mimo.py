@@ -515,20 +515,20 @@ class TestThreadedGrid:
         assert tags == [mimo._BOOTSTRAP_TAG]
 
     def test_largest_group_starts_first(self, monkeypatch, tmp_path):
-        # Groups go to the pool largest first (n m times the SINR count):
-        # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first group
+        # Curves go to the pool largest first (n m times the SINR count):
+        # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first curve
         # taken from the pool is the first one its thread runs; in grid
         # order that would be (1, 1).  One worker runs (3, 4) first, too.
         argv = ["mimo", "--n", "1,3", "--m", "1,4", "--rho-db=0,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "36"]
         started: dict[int, tuple[int, int]] = {}
-        mimo_row = cli._mimo_row
+        mimo_curve = cli._mimo_curve
 
-        def recording(args, mc, point):
-            started.setdefault(threading.get_ident(), point[:2])
-            return mimo_row(args, mc, point)
+        def recording(args, mc, curve):
+            started.setdefault(threading.get_ident(), curve[:2])
+            return mimo_curve(args, mc, curve)
 
-        monkeypatch.setattr(cli, "_mimo_row", recording)
+        monkeypatch.setattr(cli, "_mimo_curve", recording)
         calls = record_draws(monkeypatch)
         pooled = self.run(monkeypatch, tmp_path, 2, argv)
         assert (3, 4) in started.values()
