@@ -336,22 +336,22 @@ def cmd_mimo(args: argparse.Namespace) -> int:
             curves.append(curve)
     except ValueError as exc:  # a bad SINR, raised once the first curve has run
         bad_sinr = exc
-    # Largest curves first (n m times the SINR count), so that none of them
-    # starts last and leaves the other threads idle.  The results are read
-    # in grid order, so the first failing curve in grid order still decides
-    # the error.
-    largest_first = sorted(range(len(curves)),
-                           key=lambda i: -curves[i][0] * curves[i][1] * len(curves[i][4]))
-    pool = ThreadPoolExecutor(max(1, min(len(curves), _WORKERS)))
+    # A repeated (n, m) is one curve, computed once.  Largest curves first
+    # (n m times the SINR count), so that none of them starts last and
+    # leaves the other threads idle.  The results are read in grid order,
+    # so the first failing curve in grid order still decides the error.
+    unique = {curve[:2]: curve for curve in curves}
+    largest_first = sorted(unique, key=lambda key: -key[0] * key[1] * len(unique[key][4]))
+    pool = ThreadPoolExecutor(max(1, min(len(unique), _WORKERS)))
     try:
-        futures = {i: pool.submit(_mimo_curve, args, mc, curves[i])
-                   for i in largest_first}
-        blocks = [futures[i].result() for i in range(len(curves))]
+        futures = {key: pool.submit(_mimo_curve, args, mc, unique[key])
+                   for key in largest_first}
+        computed = {key: futures[key].result() for key in unique}
     finally:
         pool.shutdown(cancel_futures=True)
     if bad_sinr is not None:
         raise bad_sinr
-    _emit(args, blocks)
+    _emit(args, [computed[curve[:2]] for curve in curves])
     return 0
 
 

@@ -498,8 +498,11 @@ class TestThreadedGrid:
             return self.run(monkeypatch, tmp_path, workers, argv).splitlines()[2:]
 
         two, one = data_rows(1, "2"), data_rows(1, "1")
+        calls = record_draws(monkeypatch)
         assert data_rows(2, "2,1,2") == two + one + two
         assert data_rows(1, "2,1,2") == two + one + two
+        # The repeated (2, 1) curve is computed, and its channel set drawn, once.
+        assert sorted(calls) == [2, 2, 4, 4]
 
     def test_bootstrap_ranks_drawn_once(self, monkeypatch, tmp_path, fast_switching):
         tags = []
