@@ -348,14 +348,15 @@ class TestArgHandling:
 
 def rowwise_csv(command, rows):
     """The rows formatted cell by cell with f-strings and written one at a time."""
-    specs = {name: cli._FORMATS.get(command, {}).get(name, ".10g") for name in SCHEMAS[command]}
+    formats = cli._FORMATS.get(command, {})
+    specs = {name: formats.get(name, ".10g") for name in SCHEMAS[command]}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEMAS[command])
     for row in rows:
         cells = (row.get(name) for name in specs)
-        writer.writerow(["" if v is None else f"{v:{spec}}" if isinstance(v, float) else str(v)
-                         for v, spec in zip(cells, specs.values())])
+        writer.writerow(["" if v is None else f"{v:{spec}}" if isinstance(v, float)
+                         else str(v) for v, spec in zip(cells, specs.values())])
     return buf.getvalue()
 
 
