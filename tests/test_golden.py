@@ -85,6 +85,9 @@ CASES: dict[str, str] = {
     "err_mimo_n0": "mimo --n 0 --m 0",
     "err_mimo_samples": "mimo --p0 0.1 --samples 2000",
     "err_mimo_users": "mimo --users 0 --samples 2000",
+    # Quadrature that does not converge: the first failing SINR is named.
+    "err_ergodic_quad": "ergodic --n 5000 --m 1 --rho-db=-10,5,20",
+    "err_scheduling_quad": "scheduling --n 5000 --m 1 --rho-db=-10,5",
 }
 
 # Quadrature columns by command; table1 prints exact_gain with 4 decimals.
