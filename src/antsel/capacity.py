@@ -17,9 +17,19 @@ Welsch nodes from ``numpy.polynomial.legendre.leggauss``).  Above the
 of tail mass.  Below it, panels halve in width toward x = 0, next to the
 singularity of ``log1p(rho x)`` at x = -1/rho, so one rule serves every
 SINR; none of them is wider than an upper panel.  The weights carry the
-density, so each expectation is one dot product.  The value is the 2N-point
-rule on every panel; its difference from the N-point rule is the error
-estimate.
+density, so an expectation is a weighted sum over the nodes.  The value is
+the 2N-point rule on every panel; its difference from the N-point rule is
+the error estimate.
+
+The estimators take a whole SINR curve: a tuple of ``LinkParams`` gives a
+tuple of results, one per SINR, and a single ``LinkParams`` a single result,
+through the same code (as ``max_cdf`` takes a float or an array).  A curve
+costs one pass over the rule: the integrand is evaluated on a (SINR x node)
+block, in blocks of at most ``QUAD_BLOCK_ELEMENTS`` values, and each row is
+summed as a point's 1-D sum would be, so a curve's values equal its points'
+bit for bit.  The closed forms validate their arguments and solve their
+quantile or Gumbel fit once per curve, then map each SINR through
+``math.log1p``: numpy's ``log1p`` may differ from it in the last bit.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -76,6 +86,13 @@ _GRADED_PANELS = 30
 _GRADING = 0.5
 _RULE_CACHE_SIZE = 256
 _UNIT_RULES = tuple(leggauss(p) for p in (_GAUSS_POINTS, 2 * _GAUSS_POINTS))
+
+# Values per (SINR x node) block of a curve's quadrature.  A curve is
+# evaluated a block of SINRs at a time, with at most two arrays of this size
+# alive at once: 1 MiB of temporaries, whatever the curve's length.
+QUAD_BLOCK_ELEMENTS = 1 << 16
+# Ergodic curves kept for reuse; an entry holds one result per SINR.
+_CURVE_CACHE_SIZE = 32
 
 
 class Method(str, Enum):
@@ -129,8 +146,22 @@ class CapacityResult:
             raise ValueError(f"capacity must be nonnegative, got {self.value!r}")
 
 
+Links = LinkParams | tuple[LinkParams, ...]
+_T = TypeVar("_T")
+
+
 def _log2_1p(y: float) -> float:
     return math.log1p(y) / _LN2
+
+
+def _points(link: Links) -> tuple[LinkParams, ...]:
+    """The SINRs of a curve: a single ``LinkParams`` is a curve of one."""
+    return (link,) if isinstance(link, LinkParams) else tuple(link)
+
+
+def _shaped(link: Links, results: tuple[_T, ...]) -> _T | tuple[_T, ...]:
+    """One result for a single ``LinkParams``, the tuple for a curve."""
+    return results[0] if isinstance(link, LinkParams) else results
 
 
 def _upper_cutoff(cfg: SelectionConfig) -> float:
@@ -187,25 +218,44 @@ def _density_rule(cfg: SelectionConfig) -> _Rule:
 
 
 def _expect(
-    cfg: SelectionConfig, fn: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float]:
-    """E[fn(X)] over the selection gain; returns (value, error estimate).
+    cfg: SelectionConfig,
+    fn: Callable[[np.ndarray], np.ndarray],
+    scales: Sequence[float] = (1.0,),
+) -> tuple[list[float], list[float]]:
+    """E[fn(s X)] over the selection gain for each scale s; returns the
+    values and their error estimates, one per scale.
 
-    ``fn`` maps an array of gains to an array of values.  The estimate is
-    |Q_N - Q_2N|, floored at the rounding error of the dot product so that
-    it is never exactly zero.
+    ``fn`` maps an array to an array elementwise; it is called on (scale x
+    node) blocks of at most ``QUAD_BLOCK_ELEMENTS`` values.  The estimate is
+    |Q_N - Q_2N|, floored at the rounding error of the sum so that it is
+    never exactly zero.  Each row is summed, and dotted with the coarse
+    weights, on its own, so a scale's results do not depend on the others.
+    Above ``QUAD_ABS_TOL`` a ``SolverError`` names the first failing scale.
     """
     rule = _density_rule(cfg)
-    terms = rule.w * fn(rule.x)
-    value = float(terms.sum())
-    coarse = float(rule.coarse_w @ fn(rule.coarse_x))
-    error = max(abs(coarse - value), np.finfo(float).eps * float(np.abs(terms).sum()))
-    if not error <= QUAD_ABS_TOL:
-        raise SolverError(
-            f"quadrature did not converge for n={cfg.n}, m={cfg.m} "
-            f"(estimate {value!r}, error {error!r})"
-        )
-    return value, error
+    column = np.asarray(scales, dtype=float)[:, None]
+    rows = max(1, QUAD_BLOCK_ELEMENTS // rule.x.size)
+    values: list[float] = []
+    errors: list[float] = []
+    for start in range(0, len(column), rows):
+        block = column[start:start + rows]
+        terms = fn(block * rule.x)
+        terms *= rule.w
+        value = terms.sum(axis=1)
+        floor = np.finfo(float).eps * np.abs(terms, out=terms).sum(axis=1)
+        del terms
+        coarse = np.array([rule.coarse_w @ row for row in fn(block * rule.coarse_x)])
+        error = np.maximum(np.abs(coarse - value), floor)
+        values += value.tolist()
+        errors += error.tolist()
+        failed = np.flatnonzero(~(error <= QUAD_ABS_TOL))
+        if failed.size:
+            first = failed[0]
+            raise SolverError(
+                f"quadrature did not converge for n={cfg.n}, m={cfg.m} "
+                f"(estimate {values[start + first]!r}, error {errors[start + first]!r})"
+            )
+    return values, errors
 
 
 def outage_probability(
@@ -229,9 +279,10 @@ def outage_probability(
 
 
 def outage_capacity(
-    cfg: SelectionConfig, link: LinkParams, p0: float, mode: str = "exact"
-) -> CapacityResult:
-    """Largest rate whose outage probability is ``p0``.
+    cfg: SelectionConfig, link: Links, p0: float, mode: str = "exact"
+) -> CapacityResult | tuple[CapacityResult, ...]:
+    """Largest rate whose outage probability is ``p0``, at one SINR or along
+    a curve (see the module docstring).
 
     Exact: log2(1 + rho F^{-1}(p0^{1/m})).  Gumbel: the fitted quantile
     a - b ln(-ln p0); if that strays below zero the result is clamped to a
@@ -240,67 +291,91 @@ def outage_capacity(
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
     if mode == "exact":
-        branch_p = math.exp(math.log(p0) / cfg.m)
-        value = _log2_1p(link.rho * quantile(cfg.n, branch_p))
-        return CapacityResult(value, Method.EXACT_INVERSION)
-    if mode == "gumbel":
+        gain = quantile(cfg.n, math.exp(math.log(p0) / cfg.m))
+        method = Method.EXACT_INVERSION
+    elif mode == "gumbel":
         fit = normalizing_constants(cfg, FitStrategy.MRL)
         gain = fit.location - fit.scale * math.log(-math.log(p0))
-        if gain < 0.0:
-            return CapacityResult(0.0, Method.GUMBEL_APPROX, degenerate=True)
-        return CapacityResult(_log2_1p(link.rho * gain), Method.GUMBEL_APPROX)
-    raise ValueError(f"mode must be 'exact' or 'gumbel', got {mode!r}")
+        method = Method.GUMBEL_APPROX
+    else:
+        raise ValueError(f"mode must be 'exact' or 'gumbel', got {mode!r}")
+    links = _points(link)
+    if gain < 0.0:
+        return _shaped(link, (CapacityResult(0.0, method, degenerate=True),) * len(links))
+    return _shaped(link, tuple(
+        CapacityResult(_log2_1p(point.rho * gain), method) for point in links
+    ))
 
 
-@lru_cache(maxsize=None)
-def ergodic_capacity(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
-    """E[log2(1 + rho X)] over the selection gain.
+def _log2_1p_inplace(y: np.ndarray) -> np.ndarray:
+    np.log1p(y, out=y)
+    y /= _LN2
+    return y
+
+
+@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def ergodic_capacity(
+    cfg: SelectionConfig, link: Links
+) -> CapacityResult | tuple[CapacityResult, ...]:
+    """E[log2(1 + rho X)] over the selection gain, at one SINR or along a
+    curve (see the module docstring).
 
     Composite Gauss-Legendre quadrature against the selection-gain density,
-    with the rule cached per configuration (see the module docstring), so
-    further SINR values cost one dot product each.  ``error_estimate`` is
-    the difference between the N- and 2N-point rules, at least the dot
-    product's rounding error; above ``QUAD_ABS_TOL`` a ``SolverError`` is
-    raised.
+    with the rule cached per configuration, so a curve costs one pass over
+    the rule.  ``error_estimate`` is the difference between the N- and
+    2N-point rules, at least the sum's rounding error; above
+    ``QUAD_ABS_TOL`` a ``SolverError`` names the first failing SINR.
     """
-    rho = link.rho
-    value, abserr = _expect(cfg, lambda x: np.log1p(rho * x) / _LN2)
-    return CapacityResult(value, Method.EXACT_QUADRATURE, abserr)
+    links = _points(link)
+    values, errors = _expect(cfg, _log2_1p_inplace, [point.rho for point in links])
+    return _shaped(link, tuple(
+        CapacityResult(value, Method.EXACT_QUADRATURE, error)
+        for value, error in zip(values, errors)
+    ))
 
 
 def ergodic_bounds(
-    cfg: SelectionConfig, link: LinkParams
-) -> tuple[CapacityResult, CapacityResult]:
-    """Closed-form sandwich around the ergodic capacity.
+    cfg: SelectionConfig, link: Links
+) -> tuple[CapacityResult, CapacityResult] | tuple[tuple[CapacityResult, CapacityResult], ...]:
+    """Closed-form sandwich around the ergodic capacity: a (lower, upper)
+    pair at one SINR, or a tuple of pairs along a curve.
 
     Lower: log2(1 + rho q) at the (1 - 1/m) quantile q.  Upper: the same
     expression at the quantile with tail level 1/(e^γ (m+1)).
     """
-    rho = link.rho
-    lower = _log2_1p(rho * characteristic_largest(cfg))
-    upper = _log2_1p(rho * tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1))))
-    return (
-        CapacityResult(lower, Method.BOUND_LOWER),
-        CapacityResult(upper, Method.BOUND_UPPER),
-    )
+    q_lower = characteristic_largest(cfg)
+    q_upper = tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1)))
+    return _shaped(link, tuple(
+        (
+            CapacityResult(_log2_1p(point.rho * q_lower), Method.BOUND_LOWER),
+            CapacityResult(_log2_1p(point.rho * q_upper), Method.BOUND_UPPER),
+        )
+        for point in _points(link)
+    ))
 
 
-def ergodic_approx(cfg: SelectionConfig, link: LinkParams) -> CapacityResult:
+def ergodic_approx(
+    cfg: SelectionConfig, link: Links
+) -> CapacityResult | tuple[CapacityResult, ...]:
     """Closed-form approximation log2(1 + rho (q + γ)) with q the
-    (1 - 1/m) quantile; lies inside the sandwich bounds."""
-    value = _log2_1p(link.rho * (characteristic_largest(cfg) + EULER_GAMMA))
-    return CapacityResult(value, Method.QUANTILE_APPROX)
+    (1 - 1/m) quantile, at one SINR or along a curve; lies inside the
+    sandwich bounds."""
+    gain = characteristic_largest(cfg) + EULER_GAMMA
+    return _shaped(link, tuple(
+        CapacityResult(_log2_1p(point.rho * gain), Method.QUANTILE_APPROX)
+        for point in _points(link)
+    ))
 
 
 @lru_cache(maxsize=None)
 def mean_selection_gain(cfg: SelectionConfig) -> float:
     """E[X] of the selection gain by quadrature (harmonic sum for n = 1)."""
-    return _expect(cfg, lambda x: x)[0]
+    return _expect(cfg, lambda x: x)[0][0]
 
 
 @lru_cache(maxsize=None)
 def selection_gain_variance(cfg: SelectionConfig) -> float:
     """Var[X] of the selection gain by quadrature."""
-    second = _expect(cfg, lambda x: x * x)[0]
+    second = _expect(cfg, lambda x: x * x)[0][0]
     mean = mean_selection_gain(cfg)
     return second - mean * mean

@@ -127,15 +127,16 @@ def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
 
 def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
     """(n, m, cfg, rho_dbs, links), one (n, m) curve at a time in output
-    order: n, then m, each curve with the SINRs in order.  The one place
-    where dB becomes linear.
+    order: n, then m, each curve with the SINRs in order, ``links`` a tuple
+    of ``LinkParams`` that the estimators take whole.  The one place where
+    dB becomes linear.
 
     Subcommands without ``--rho-db`` get curves of one point with rho_db
     and link None.  ``configs=False`` yields cfg None, for estimators that
     validate (n, m) themselves.  A SINR that does not convert cuts the
     first curve short before it, and its error is raised once that curve
     has been computed, so the errors of the points before it come first,
-    as point by point.
+    as point by point; a curve cut down to no point is not yielded.
     """
     dbs, links, bad_sinr = getattr(args, "rho_db", [None]), [], None
     try:
@@ -143,10 +144,12 @@ def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
             links.append(None if db is None else LinkParams(db_to_linear(db)))
     except ValueError as exc:
         bad_sinr = exc
-    dbs = dbs[:len(links)]
+    dbs, links = dbs[:len(links)], tuple(links)
     for n in args.n:
         for m in args.m:
-            yield n, m, SelectionConfig(n, m) if configs else None, dbs, links
+            cfg = SelectionConfig(n, m) if configs else None
+            if links:
+                yield n, m, cfg, dbs, links
             if bad_sinr is not None:
                 raise bad_sinr
 
@@ -240,10 +243,10 @@ def cmd_outage(args: argparse.Namespace) -> int:
     for n, m, cfg, dbs, links in _grid(args):
         block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0}
         if "exact" in enabled:
-            block["exact"] = [outage_capacity(cfg, link, args.p0, "exact").value
-                              for link in links]
+            exact = outage_capacity(cfg, links, args.p0, "exact")
+            block["exact"] = [e.value for e in exact]
         if "approx" in enabled and m >= 2:
-            approx = [outage_capacity(cfg, link, args.p0, "gumbel") for link in links]
+            approx = outage_capacity(cfg, links, args.p0, "gumbel")
             block.update(approx=[a.value for a in approx],
                          approx_clamped=[int(a.degenerate) for a in approx])
         blocks.append(block)
@@ -257,15 +260,15 @@ def cmd_ergodic(args: argparse.Namespace) -> int:
     for n, m, cfg, dbs, links in _grid(args):
         block = {"n": n, "m": m, "rho_db": dbs}
         if "exact" in enabled:
-            exact = [ergodic_capacity(cfg, link) for link in links]
+            exact = ergodic_capacity(cfg, links)
             block.update(exact=[e.value for e in exact],
                          quad_error=[e.error_estimate for e in exact])
         if "bounds" in enabled:
-            bounds = [ergodic_bounds(cfg, link) for link in links]
+            bounds = ergodic_bounds(cfg, links)
             block.update(lower=[lower.value for lower, _ in bounds],
                          upper=[upper.value for _, upper in bounds])
         if "approx" in enabled:
-            block["approx"] = [ergodic_approx(cfg, link).value for link in links]
+            block["approx"] = [a.value for a in ergodic_approx(cfg, links)]
         blocks.append(block)
     _emit(args, blocks)
     return 0
@@ -275,10 +278,10 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
     blocks = []
     for n, m, cfg, dbs, links in _grid(args):
-        scens = [SchedulingScenario(cfg, args.users, link) for link in links]
+        scens = tuple(SchedulingScenario(cfg, args.users, link) for link in links)
         block = {"n": n, "m": m, "users": args.users, "rho_db": dbs}
         if "exact" in enabled:
-            reps = [gain_report(scen) for scen in scens]
+            reps = gain_report(scens)
             block.update(greedy=[r.greedy.value for r in reps],
                          round_robin=[r.round_robin.value for r in reps],
                          gain_exact=[r.exact_gain for r in reps],
@@ -286,7 +289,7 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
             if "approx" in enabled:
                 block["gain_approx"] = [r.approx_gain for r in reps]
         elif "approx" in enabled:
-            block["gain_approx"] = [scheduling_gain(scen, "approx") for scen in scens]
+            block["gain_approx"] = list(scheduling_gain(scens, "approx"))
         blocks.append(block)
     _emit(args, blocks)
     return 0
@@ -298,12 +301,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         raise ValueError(f"table1 takes a single n, got {args.n}")
     blocks = []
     for _, m, cfg, dbs, links in _grid(args):
-        scens = [SchedulingScenario(cfg, args.users, link) for link in links]
+        scens = tuple(SchedulingScenario(cfg, args.users, link) for link in links)
         block = {"m": m, "rho_db": dbs}
         if "exact" in enabled:
-            block["exact_gain"] = [scheduling_gain(scen, "exact") for scen in scens]
+            block["exact_gain"] = list(scheduling_gain(scens, "exact"))
         if "approx" in enabled and m >= 2:
-            block["approx_gain"] = [scheduling_gain(scen, "approx") for scen in scens]
+            block["approx_gain"] = list(scheduling_gain(scens, "approx"))
         blocks.append(block)
     _emit(args, blocks)
     return 0
@@ -317,8 +320,7 @@ def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, 
     if args.p0 is not None:
         estimates["outage"] = [mimo_outage(n, m, link, args.p0, mc) for link in links]
     if args.users is not None:
-        estimates["scheduled"] = [mimo_scheduled_ergodic(n, m, args.users, link, mc)
-                                  for link in links]
+        estimates["scheduled"] = mimo_scheduled_ergodic(n, m, args.users, links, mc)
     for name, results in estimates.items():
         block[name] = [r.value for r in results]
         block[f"{name}_stderr"] = [r.error_estimate for r in results]

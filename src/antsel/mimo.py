@@ -13,7 +13,10 @@ supported.
 
 The eigenvalues do not depend on rho, so each thread keeps the last
 (n, m, McRun) channel set it drew and reduced: the ergodic and outage
-estimators at every SINR of a point share it.  The reduction works in real
+estimators at every SINR of a point share it.  The greedy-scheduled
+estimator takes a whole SINR curve instead and draws its K-user set once
+per call, taking every SINR's best rate per slot from the same Gram
+eigenvalues of each slab.  The reduction works in real
 arithmetic on the real and imaginary parts of H, on the smaller of the two
 Gram matrices (H H† or H^T conj(H), which share their nonzero eigenvalues).
 With r = min(n, m), the eigenvalue is a squared norm for r = 1; r = 2 and
@@ -47,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import _LN2, CapacityResult, LinkParams, Method
+from .capacity import _LN2, CapacityResult, LinkParams, Links, Method, _points, _shaped
 from .streams import McRun, _sample_mean, draw_reduced, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
@@ -234,17 +237,30 @@ def mimo_outage(
 
 
 def mimo_scheduled_ergodic(
-    n: int, m: int, users: int, link: LinkParams, mc: McRun
-) -> CapacityResult:
+    n: int, m: int, users: int, link: Links, mc: McRun
+) -> CapacityResult | tuple[CapacityResult, ...]:
     """Greedy-scheduled MIMO system capacity: mean of the best rate among
-    ``users`` independent channels per slot."""
+    ``users`` independent channels per slot, at one SINR or along a curve
+    (a tuple of ``LinkParams`` gives a tuple of results).
+
+    The K-user channels are drawn and reduced to Gram eigenvalues once per
+    call; every SINR's best rate per slot comes from those eigenvalues.
+    """
     _validate(n, m)
     if not isinstance(users, int) or users < 1:
         raise ValueError(f"users must be a positive integer, got {users!r}")
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
+    rhos = [point.rho for point in _points(link)]
+    if not rhos:
+        return ()
 
     def best_rates(z: np.ndarray) -> np.ndarray:
-        return _log2det(_gram_eigenvalues(z), m, link.rho).max(axis=1)
+        eigenvalues = _gram_eigenvalues(z)
+        return np.stack(
+            [_log2det(eigenvalues, m, rho).max(axis=1) for rho in rhos], axis=1
+        )
 
-    return _sample_mean(draw_reduced(mc, (users, 2, n, m), best_rates))
+    # One row per SINR, each contiguous, as a single SINR's rates would be.
+    rates = draw_reduced(mc, (users, 2, n, m), best_rates).T.copy()
+    return _shaped(link, tuple(_sample_mean(row) for row in rates))

@@ -6,15 +6,21 @@ average system capacity is the point-to-point ergodic capacity with m*K
 branches.  Round robin keeps the single-user capacity.  The gain is their
 difference; a closed-form approximation replaces each capacity with the
 quantile form log2(1 + rho (q + γ)).
+
+The capacity and gain functions take one scenario or a curve of them, as
+the capacity estimators take one ``LinkParams`` or a tuple: a tuple of
+scenarios that share the antenna configuration and user count, one SINR
+each, gives a tuple of results and costs one capacity call per estimator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .capacity import (
     CapacityResult,
     LinkParams,
+    Links,
     db_to_linear,
     ergodic_approx,
     ergodic_capacity,
@@ -69,55 +75,90 @@ class GainCell(NamedTuple):
     approx: float | None
 
 
-def greedy_capacity(scen: SchedulingScenario) -> CapacityResult:
+Scenarios = SchedulingScenario | tuple[SchedulingScenario, ...]
+_T = TypeVar("_T")
+
+
+def _curve(scen: Scenarios) -> tuple[SelectionConfig, SelectionConfig, Links]:
+    """Per-user and pooled configurations of a scenario or of a curve of
+    scenarios, with the link argument for the capacity estimators: the
+    scenario's link, or the tuple of the curve's links."""
+    if isinstance(scen, SchedulingScenario):
+        return scen.cfg, scen.pooled_cfg, scen.link
+    scens = tuple(scen)
+    if len({(s.cfg, s.users) for s in scens}) != 1:
+        raise ValueError(
+            "a curve needs at least one scenario, all with the same cfg and users"
+        )
+    return scens[0].cfg, scens[0].pooled_cfg, tuple(s.link for s in scens)
+
+
+def _pointwise(link: Links, fn: Callable[..., _T], *results) -> _T | tuple[_T, ...]:
+    """``fn`` of the estimators' results at each SINR: one value for a
+    single link, a tuple along a curve."""
+    if isinstance(link, LinkParams):
+        return fn(*results)
+    return tuple(map(fn, *results))
+
+
+def _difference(greedy: CapacityResult, rr: CapacityResult) -> float:
+    return greedy.value - rr.value
+
+
+def _fraction(greedy: CapacityResult, rr: CapacityResult) -> float:
+    if not rr.value > 0.0:
+        raise ValueError(
+            f"round-robin capacity {rr.value!r} is not positive; "
+            "fractional gain undefined for this scenario"
+        )
+    return _difference(greedy, rr) / rr.value
+
+
+def greedy_capacity(scen: Scenarios) -> CapacityResult | tuple[CapacityResult, ...]:
     """Average system capacity when the best user is always served."""
-    return ergodic_capacity(scen.pooled_cfg, scen.link)
+    _, pooled, link = _curve(scen)
+    return ergodic_capacity(pooled, link)
 
 
-def round_robin_capacity(scen: SchedulingScenario) -> CapacityResult:
+def round_robin_capacity(scen: Scenarios) -> CapacityResult | tuple[CapacityResult, ...]:
     """Average system capacity under equal time sharing (K-independent)."""
-    return ergodic_capacity(scen.cfg, scen.link)
+    cfg, _, link = _curve(scen)
+    return ergodic_capacity(cfg, link)
 
 
-def scheduling_gain(scen: SchedulingScenario, mode: str = "exact") -> float:
+def scheduling_gain(scen: Scenarios, mode: str = "exact") -> float | tuple[float, ...]:
     """Capacity increase of greedy over round-robin scheduling, in bits.
 
     "exact" differences the two quadrature capacities; "approx" uses the
     closed-form quantile capacities for both terms.
     """
+    cfg, pooled, link = _curve(scen)
     if mode == "exact":
-        return greedy_capacity(scen).value - round_robin_capacity(scen).value
-    if mode == "approx":
-        return (
-            ergodic_approx(scen.pooled_cfg, scen.link).value
-            - ergodic_approx(scen.cfg, scen.link).value
-        )
-    raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+        estimator = ergodic_capacity
+    elif mode == "approx":
+        estimator = ergodic_approx
+    else:
+        raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    return _pointwise(link, _difference, estimator(pooled, link), estimator(cfg, link))
 
 
-def fractional_gain(scen: SchedulingScenario) -> float:
+def fractional_gain(scen: Scenarios) -> float | tuple[float, ...]:
     """Exact scheduling gain as a fraction of the round-robin capacity."""
-    base = round_robin_capacity(scen)
-    if not base.value > 0.0:
-        raise ValueError(
-            f"round-robin capacity {base.value!r} is not positive; "
-            "fractional gain undefined for this scenario"
-        )
-    return scheduling_gain(scen, "exact") / base.value
+    cfg, pooled, link = _curve(scen)
+    rr = ergodic_capacity(cfg, link)
+    return _pointwise(link, _fraction, ergodic_capacity(pooled, link), rr)
 
 
-def gain_report(scen: SchedulingScenario) -> GainReport:
-    """All scheduling figures of merit for one scenario."""
-    greedy = greedy_capacity(scen)
-    rr = round_robin_capacity(scen)
-    exact = greedy.value - rr.value
-    return GainReport(
-        greedy=greedy,
-        round_robin=rr,
-        exact_gain=exact,
-        approx_gain=scheduling_gain(scen, "approx"),
-        fractional=exact / rr.value,
-    )
+def gain_report(scen: Scenarios) -> GainReport | tuple[GainReport, ...]:
+    """All scheduling figures of merit for one scenario or along a curve."""
+    cfg, pooled, link = _curve(scen)
+    greedy = ergodic_capacity(pooled, link)
+    rr = ergodic_capacity(cfg, link)
+
+    def report(greedy: CapacityResult, rr: CapacityResult, approx: float) -> GainReport:
+        return GainReport(greedy, rr, _difference(greedy, rr), approx, _fraction(greedy, rr))
+
+    return _pointwise(link, report, greedy, rr, scheduling_gain(scen, "approx"))
 
 
 def gain_table(

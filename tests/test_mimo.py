@@ -433,6 +433,22 @@ class TestReuse:
         assert main(argv) == 0
         assert sorted(calls) == [6, 12]
 
+    def test_scheduled_curve_draws_the_user_set_once(self, monkeypatch, tmp_path):
+        calls = record_draws(monkeypatch)
+        clear_caches()
+        argv = ["mimo", "--n", "2", "--m", "4", "--users", "16", "--samples", "2000",
+                "--seed", "405"]
+        curve = tmp_path / "curve.csv"
+        assert main([*argv, "--rho-db=0,5,10,15", "--out", str(curve)]) == 0
+        assert calls.count(2 * 2 * 4 * 16) == 1
+        rows = []
+        for db in ("0", "5", "10", "15"):
+            point = tmp_path / f"{db}.csv"
+            assert main([*argv, "--rho-db", db, "--out", str(point)]) == 0
+            rows += point.read_text().splitlines()[2:]
+        # Past the parameter line and the header, byte for byte.
+        assert curve.read_text().splitlines()[2:] == rows
+
 
 class TestThreadedGrid:
     """cmd_mimo runs its (n, m) points on threads; the output must not tell."""
