@@ -208,13 +208,13 @@ def _gauss_legendre(
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _density_rule(cfg: SelectionConfig) -> _Rule:
     edges = _panel_edges(cfg)
-    arrays = []
-    for unit in _UNIT_RULES:
-        x, w = _gauss_legendre(edges, unit)
-        arrays += [x, w * max_pdf(cfg, x)]
-    for a in arrays:
+    (coarse_x, coarse_w), (x, w) = (_gauss_legendre(edges, unit) for unit in _UNIT_RULES)
+    # One kernel call for the nodes of both rules.
+    density = max_pdf(cfg, np.concatenate([coarse_x, x]))
+    rule = _Rule(coarse_x, coarse_w * density[:coarse_x.size], x, w * density[coarse_x.size:])
+    for a in rule:
         a.flags.writeable = False
-    return _Rule(*arrays)
+    return rule
 
 
 def _expect(
