@@ -147,6 +147,7 @@ class CapacityResult:
 
 
 Links = LinkParams | tuple[LinkParams, ...]
+Bounds = tuple[CapacityResult, CapacityResult]
 _T = TypeVar("_T")
 
 
@@ -211,7 +212,8 @@ def _density_rule(cfg: SelectionConfig) -> _Rule:
     (coarse_x, coarse_w), (x, w) = (_gauss_legendre(edges, unit) for unit in _UNIT_RULES)
     # One kernel call for the nodes of both rules.
     density = max_pdf(cfg, np.concatenate([coarse_x, x]))
-    rule = _Rule(coarse_x, coarse_w * density[:coarse_x.size], x, w * density[coarse_x.size:])
+    split = coarse_x.size
+    rule = _Rule(coarse_x, coarse_w * density[:split], x, w * density[split:])
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -334,9 +336,7 @@ def ergodic_capacity(
     ))
 
 
-def ergodic_bounds(
-    cfg: SelectionConfig, link: Links
-) -> tuple[CapacityResult, CapacityResult] | tuple[tuple[CapacityResult, CapacityResult], ...]:
+def ergodic_bounds(cfg: SelectionConfig, link: Links) -> Bounds | tuple[Bounds, ...]:
     """Closed-form sandwich around the ergodic capacity: a (lower, upper)
     pair at one SINR, or a tuple of pairs along a curve.
 

@@ -156,7 +156,8 @@ def gain_report(scen: Scenarios) -> GainReport | tuple[GainReport, ...]:
     rr = ergodic_capacity(cfg, link)
 
     def report(greedy: CapacityResult, rr: CapacityResult, approx: float) -> GainReport:
-        return GainReport(greedy, rr, _difference(greedy, rr), approx, _fraction(greedy, rr))
+        exact, fraction = _difference(greedy, rr), _fraction(greedy, rr)
+        return GainReport(greedy, rr, exact, approx, fraction)
 
     return _pointwise(link, report, greedy, rr, scheduling_gain(scen, "approx"))
 

@@ -84,7 +84,8 @@ class TestCurveEqualsPoints:
         assert_curve_matches_points(lambda link: ergodic_approx(cfg, link), links)
 
     @CURVE_SETTINGS
-    @given(configs, curves, st.floats(1e-9, 1.0 - 1e-9), st.sampled_from(["exact", "gumbel"]))
+    @given(configs, curves, st.floats(1e-9, 1.0 - 1e-9),
+           st.sampled_from(["exact", "gumbel"]))
     # p0 = 1e-6 puts the m = 2 Gumbel quantile below zero: a clamped curve.
     @example(SelectionConfig(1, 2), (LinkParams(1.0), LinkParams(10.0)), 1e-6, "gumbel")
     def test_outage_capacity(self, cfg, links, p0, mode):
