@@ -49,7 +49,6 @@ from .orderstats import (
     characteristic_largest,
     max_cdf,
     max_pdf,
-    quantile,
     tail_quantile,
 )
 
@@ -293,7 +292,9 @@ def outage_capacity(
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
     if mode == "exact":
-        gain = quantile(cfg.n, math.exp(math.log(p0) / cfg.m))
+        # F(x)^m = p0 as a tail level: 1 - p0^{1/m} without rounding p0^{1/m}
+        # to 1 when p0 is near 1 or m is large.
+        gain = tail_quantile(cfg.n, -math.expm1(math.log(p0) / cfg.m))
         method = Method.EXACT_INVERSION
     elif mode == "gumbel":
         fit = normalizing_constants(cfg, FitStrategy.MRL)

@@ -100,6 +100,8 @@ def parse_float_grid(text: str) -> list[float]:
     if ":" in text:
         start_s, step_s, stop_s = text.split(":", 2)
         start, step, stop = float(start_s), float(step_s), float(stop_s)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise argparse.ArgumentTypeError(f"range bounds must be finite in {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError(f"step must be positive in {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -4,33 +4,34 @@ With no transmitter channel knowledge the power splits equally across the
 m transmit antennas, and the instantaneous rate of an n x m channel H with
 i.i.d. unit-variance complex Gaussian entries is
 
-    log2 det(I_n + (rho/m) H H†) = sum_i log2(1 + (rho/m) lambda_i),
+    log2 det(I_n + t H H†) = log2(1 + e_1 t + e_2 t^2 + ... + e_r t^r),
 
-with lambda_i the eigenvalues of the Gram matrix H H†.  Ergodic capacity,
-outage capacity, and the greedy-scheduled multiuser variant are estimated
-by seeded, chunk-deterministic simulation.  Receive arrays up to n = 8 are
-supported.
+with t = rho/m, r = min(n, m) and e_k the sum of the k x k principal
+minors of the Gram matrix H H† (the k-th elementary symmetric polynomial
+of its eigenvalues).  Ergodic capacity, outage capacity, and the
+greedy-scheduled multiuser variant are estimated by seeded,
+chunk-deterministic simulation.  Receive arrays up to n = 8 are supported.
 
-The eigenvalues do not depend on rho, so each thread keeps the last
+The coefficients e_k do not depend on rho, so each thread keeps the last
 (n, m, McRun) channel set it drew and reduced: the ergodic and outage
 estimators at every SINR of a point share it.  The greedy-scheduled
 estimator takes a whole SINR curve instead and draws its K-user set once
-per call, taking every SINR's best rate per slot from the same Gram
-eigenvalues of each slab.  The reduction works in real
-arithmetic on the real and imaginary parts of H, on the smaller of the two
-Gram matrices (H H† or H^T conj(H), which share their nonzero eigenvalues).
-With r = min(n, m), the eigenvalue is a squared norm for r = 1; r = 2 and
-r = 3 use the closed forms of 2 x 2 and 3 x 3 Hermitian matrices, and
-larger r ``numpy.linalg.eigvalsh``.  Up to r = 3 every sum is one dot
-product along a row: over all 2 max(n, m) numbers of a channel for
-r = 1, and over each row of the real and of the imaginary part for the
-Gram entries at r = 2 and 3; r >= 4 forms the Gram matrix by matmul and
-takes no separate diagonal, since ``eigvalsh`` does not use it.  The
-rates add one or two logarithms directly, because numpy's ``sum`` is slow
-over so short an axis; it adds them in the same order.  The outage
-bootstrap resamples sorted rates, so a resample's quantile is the rate at
-a rank that depends only on (seed, sample count, quantile level); those
-ranks are drawn once and kept in a small cache.
+per call, taking every SINR's best rate per slot from the same
+coefficients of each slab.  The reduction works in real arithmetic on the
+real and imaginary parts of H, on the smaller of the two Gram matrices
+(H H† or H^T conj(H), which share their nonzero eigenvalues and so their
+e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
+which is one dot product along a row: e_1 is the trace (at r = 1 a
+squared norm over all 2 max(n, m) numbers of a channel), e_2 the sum of
+the 2 x 2 minors and e_3 the determinant.  Larger r forms the Gram matrix
+by matmul, takes its eigenvalues from ``numpy.linalg.eigvalsh`` and the
+e_k from them by Vieta's recurrence.  A rate is then one Horner pass and
+one ``log1p`` per channel.  Past about 3080/r dB the polynomial overflows
+a float; there a channel's rate is r log t + log(e_r + u(e_{r-1} + ... +
+u)) with u = 1/t, which stays finite at every SINR a float holds.  The
+outage bootstrap resamples sorted rates, so a resample's quantile is the
+rate at a rank that depends only on (seed, sample count, quantile level);
+those ranks are drawn once and kept in a small cache.
 
 Channels are drawn through ``streams.draw_reduced``, which reduces each
 chunk in slabs of about ``streams.SLAB_ELEMENTS`` normals, so a call holds
@@ -60,9 +61,9 @@ MAX_RX_ANTENNAS = 8
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
 _RANKS_LOCK = threading.Lock()
-# The channel set (samples x min(n, m) eigenvalues) each thread used last.
-# A CLI grid runs all SINRs of an (n, m) point on one thread, so the point
-# draws its set once.
+# The channel set (samples x min(n, m) coefficients e_k) each thread used
+# last.  A CLI grid runs all SINRs of an (n, m) point on one thread, so the
+# point draws its set once.
 _HELD = threading.local()
 
 
@@ -81,55 +82,19 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", x, y)
 
 
-def _gram_real(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Real part of entry (i, j) of H H†, H = (a + i b)/sqrt(2); for i = j,
-    the (real) diagonal entry."""
-    return 0.5 * (_dot(a[..., i, :], a[..., j, :]) + _dot(b[..., i, :], b[..., j, :]))
-
-
 def _gram_entry(a: np.ndarray, b: np.ndarray, i: int, j: int) -> _Entry:
-    """Real and imaginary parts of entry (i, j) of H H†."""
+    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2)."""
     ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
-    return _gram_real(a, b, i, j), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
+    return 0.5 * (_dot(ai, aj) + _dot(bi, bj)), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
 
 
-def _abs2(entry: _Entry) -> np.ndarray:
-    re, im = entry
-    return re * re + im * im
+def _gram_invariants(z: np.ndarray) -> np.ndarray:
+    """e_1..e_r with det(I + t H H†) = 1 + e_1 t + ... + e_r t^r, for
+    channels drawn as (..., 2, n, m) standard normals,
+    H = (z[..., 0, :, :] + i z[..., 1, :, :]) / sqrt(2).
 
-
-def _hermitian3_eigenvalues(
-    diag: np.ndarray, g12: _Entry, g13: _Entry, g23: _Entry
-) -> np.ndarray:
-    """Eigenvalues of 3 x 3 Hermitian matrices, largest first, from the
-    diagonal and the (real, imaginary) upper entries: the trigonometric
-    solution of the characteristic cubic (O. K. Smith, CACM 4, 1961)."""
-    q = diag.sum(axis=-1) / 3
-    e1, e2, e3 = (diag[..., i] - q for i in range(3))
-    s12, s13, s23 = _abs2(g12), _abs2(g13), _abs2(g23)
-    p = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + 2 * (s12 + s13 + s23)) / 6)
-    (r12, i12), (r13, i13), (r23, i23) = g12, g13, g23
-    # det(G - qI); the middle term is 2 Re(g12 g23 conj(g13)).
-    triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
-    det = e1 * e2 * e3 + 2 * triple - e1 * s23 - e2 * s13 - e3 * s12
-    half = np.divide(det, 2 * p**3, out=np.zeros_like(p), where=p > 0)
-    phi = np.arccos(np.clip(half, -1.0, 1.0)) / 3
-    largest = q + 2 * p * np.cos(phi)
-    smallest = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
-    # Next to a repeated pair, arccos leaves each of the two close
-    # eigenvalues an error near sqrt(eps) times p, of opposite sign: taking
-    # the middle one from the trace keeps their sum, so sum log1p(x lambda)
-    # moves only at second order, far below rounding.
-    return np.stack([largest, 3 * q - largest - smallest, smallest], axis=-1)
-
-
-def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
-    """Nonzero eigenvalues of H H† for channels drawn as (..., 2, n, m)
-    standard normals, H = (z[..., 0, :, :] + i z[..., 1, :, :]) / sqrt(2).
-
-    Returns (..., min(n, m)), clipped at zero.  For m < n the Gram matrix
-    has rank m and the eigenvalues come from the m x m matrix H^T conj(H),
-    so none of them is rounding noise.
+    Returns (..., r), r = min(n, m).  For m < n the coefficients come from
+    the m x m matrix H^T conj(H), which has the same nonzero eigenvalues.
     """
     n, m = z.shape[-2:]
     if n == 1 or m == 1:
@@ -145,42 +110,61 @@ def _gram_eigenvalues(z: np.ndarray) -> np.ndarray:
         z = z.swapaxes(-1, -2)
     r = z.shape[-2]
     a, b = z[..., 0, :, :], z[..., 1, :, :]
-    if r == 2:
-        g11, g22 = _gram_real(a, b, 0, 0), _gram_real(a, b, 1, 1)
-        g12 = _gram_entry(a, b, 0, 1)
-        upper = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), np.hypot(*g12))
-        # det / upper keeps the small eigenvalue accurate where the
-        # difference tr/2 - hypot(...) would cancel.
-        lower = (g11 * g22 - _abs2(g12)) / upper
-        lam = np.stack([upper, lower], axis=-1)
-    elif r == 3:
-        # Half the squared norm of each row, summed over a and b.
-        diag = 0.5 * (_dot(a, a) + _dot(b, b))
-        entries = (_gram_entry(a, b, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
-        lam = _hermitian3_eigenvalues(diag, *entries)
-    else:
-        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-        gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
-        gram.real = 0.5 * (a @ at + b @ bt)
-        gram.imag = 0.5 * (b @ at - a @ bt)
-        lam = np.linalg.eigvalsh(gram)
-    return np.maximum(lam, 0.0, out=lam)
+    if r <= 3:
+        # The diagonal: half the squared norm of each row, over a and b.
+        g = 0.5 * (_dot(a, a) + _dot(b, b))
+        g11, g22 = g[..., 0], g[..., 1]
+        r12, i12 = _gram_entry(a, b, 0, 1)
+        s12 = r12 * r12 + i12 * i12
+        # Filled column by column: fewer slab-sized temporaries than a stack.
+        e = np.empty_like(g)
+        e[..., 0] = g.sum(axis=-1)
+        if r == 2:
+            e[..., 1] = g11 * g22 - s12
+            return e
+        (r13, i13), (r23, i23) = _gram_entry(a, b, 0, 2), _gram_entry(a, b, 1, 2)
+        g33, s13, s23 = g[..., 2], r13 * r13 + i13 * i13, r23 * r23 + i23 * i23
+        e[..., 1] = (g11 * g22 - s12) + (g11 * g33 - s13) + (g22 * g33 - s23)
+        # The middle term of the determinant is 2 Re(g12 g23 conj(g13)).
+        triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
+        e[..., 2] = g11 * g22 * g33 + 2 * triple - g11 * s23 - g22 * s13 - g33 * s12
+        return e
+    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
+    gram.real = 0.5 * (a @ at + b @ bt)
+    gram.imag = 0.5 * (b @ at - a @ bt)
+    lam = np.moveaxis(np.linalg.eigvalsh(gram), -1, 0)
+    # Vieta: multiply in (1 + lambda_j t) one eigenvalue at a time, e_0 = 1.
+    e = np.zeros((r + 1, *lam.shape[1:]))
+    e[0] = 1.0
+    for j, lam_j in enumerate(lam):
+        e[1 : j + 2] += lam_j * e[: j + 1]
+    return np.moveaxis(e[1:], 0, -1)
 
 
-def _log2det(eigenvalues: np.ndarray, m: int, rho: float) -> np.ndarray:
-    """log2 det(I + (rho/m) H H†) from the Gram eigenvalues (last axis)."""
-    terms = (rho / m) * eigenvalues
-    np.log1p(terms, out=terms)
-    # sum() is slow over so short an axis; one term, or a pair added in
-    # the order sum() adds it, gives the same bits.
-    r = terms.shape[-1]
-    if r == 1:
-        total = terms[..., 0]
-    elif r == 2:
-        total = terms[..., 0] + terms[..., 1]
-    else:
-        total = terms.sum(axis=-1)
-    return total / _LN2
+def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
+    """log2 det(I + t H H†) from the coefficients e_k on the last axis."""
+    e = np.moveaxis(invariants, -1, 0)
+    # Horner: y = t (e_1 + t (e_2 + ... + t e_r)) = det - 1, which keeps
+    # y, and so log1p(y), accurate however small t e_1 is.
+    with np.errstate(over="ignore"):
+        y = t * e[-1]
+        for ek in e[-2::-1]:
+            y += ek
+            y *= t
+    huge = np.isinf(y)
+    np.log1p(y, out=y)
+    if huge.any():
+        # det / t^r = e_r + u (e_{r-1} + ... + u (e_1 + u)), u = 1/t: each
+        # term is at most e_k, far from overflow, where t is this large.
+        u = 1.0 / t
+        scaled = e[0][huge] + u
+        for ek in e[1:]:
+            scaled *= u
+            scaled += ek[huge]
+        y[huge] = len(e) * math.log(t) + np.log(scaled)
+    y /= _LN2
+    return y
 
 
 def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
@@ -188,10 +172,10 @@ def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
     key = (n, m, mc)
     held = getattr(_HELD, "entry", None)
     if held is None or held[0] != key:
-        eigenvalues = draw_reduced(mc, (2, n, m), _gram_eigenvalues)
-        eigenvalues.flags.writeable = False
-        held = _HELD.entry = (key, eigenvalues)
-    return _log2det(held[1], m, rho)
+        invariants = draw_reduced(mc, (2, n, m), _gram_invariants)
+        invariants.flags.writeable = False
+        held = _HELD.entry = (key, invariants)
+    return _det_rates(held[1], rho / m)
 
 
 def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
@@ -243,8 +227,8 @@ def mimo_scheduled_ergodic(
     ``users`` independent channels per slot, at one SINR or along a curve
     (a tuple of ``LinkParams`` gives a tuple of results).
 
-    The K-user channels are drawn and reduced to Gram eigenvalues once per
-    call; every SINR's best rate per slot comes from those eigenvalues.
+    The K-user channels are drawn and reduced to their coefficients e_k
+    once per call; every SINR's best rate per slot comes from them.
     """
     _validate(n, m)
     if not isinstance(users, int) or users < 1:
@@ -256,9 +240,9 @@ def mimo_scheduled_ergodic(
         return ()
 
     def best_rates(z: np.ndarray) -> np.ndarray:
-        eigenvalues = _gram_eigenvalues(z)
+        invariants = _gram_invariants(z)
         return np.stack(
-            [_log2det(eigenvalues, m, rho).max(axis=1) for rho in rhos], axis=1
+            [_det_rates(invariants, rho / m).max(axis=1) for rho in rhos], axis=1
         )
 
     # One row per SINR, each contiguous, as a single SINR's rates would be.

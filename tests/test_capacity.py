@@ -186,6 +186,29 @@ class TestOutageCapacity:
             c0 = outage_capacity(cfg, link, p0).value
             assert abs(outage_probability(cfg, link, c0) - p0) <= 1e-9
 
+    @pytest.mark.parametrize("n,m,p0", [
+        (1, 1000, 0.9999999999999999),
+        (3, 1000, 0.9999999999999999),
+        (2, 10**6, 0.5),
+        (4, 1, 1 - 2**-52),
+        (2, 7, 1e-6),
+    ])
+    def test_exact_quantile_matches_mpmath(self, n, m, p0):
+        # F^m = p0 for the Gamma(n, 1) cdf F, solved in 40 digits through
+        # the tail level Q(n, x) = 1 - p0^{1/m}.  In double precision
+        # p0^{1/m} rounds to 1 once that level falls below about 1.1e-16.
+        mpmath = pytest.importorskip("mpmath")
+        gain = outage_capacity(SelectionConfig(n, m), LinkParams(1.0), p0).value
+        with mpmath.workdps(40):
+            log_tail = mpmath.log(-mpmath.expm1(mpmath.log(mpmath.mpf(p0)) / m))
+            x = mpmath.findroot(
+                lambda x: mpmath.log(mpmath.gammainc(n, x, mpmath.inf, regularized=True))
+                - log_tail,
+                mpmath.mpf(2.0**gain - 1.0),
+            )
+            exact = float(mpmath.log(1 + x, 2))
+        assert gain == pytest.approx(exact, rel=1e-12)
+
 
 class TestErgodicCapacity:
     def test_low_snr_linearizes(self):

@@ -39,6 +39,15 @@ class TestParsers:
         with pytest.raises(Exception):
             parse_int_grid("5..1")
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "-inf:1:5", "inf:1:5"])
+    def test_non_finite_range_bound_exits_two(self, grid, capsys):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_float_grid(grid)
+        with pytest.raises(SystemExit) as exc:
+            main(["ergodic", f"--rho-db={grid}"])
+        assert exc.value.code == 2
+        assert "range bounds must be finite" in capsys.readouterr().err
+
     def test_negative_grid_via_equals_form(self, tmp_path):
         out = tmp_path / "neg.csv"
         assert main(["ergodic", "--n", "1", "--m", "2", "--rho-db=-5,0",
@@ -189,6 +198,14 @@ class TestOutage:
         assert by_m[1][5] == ""  # no Gumbel fit at m = 1
         assert float(by_m[10][4]) > float(by_m[1][4])
         assert by_m[10][6] in ("0", "1")
+
+    def test_p0_next_to_one(self, tmp_path):
+        # p0^{1/m} rounds to 1 here; the exact quantile must still solve.
+        out = tmp_path / "out.csv"
+        assert main(["outage", "--n", "1", "--m", "1000", "--p0", "0.9999999999999999",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert math.isfinite(float(rows[0][4]))
 
     def test_grid_solves_each_level_once(self, tmp_path):
         # two (n, m) points with n >= 2, exact and Gumbel: four levels

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from antsel import (
     outage_capacity,
 )
 from antsel import cli, streams
+from antsel.capacity import db_to_linear
 from antsel.cli import main
 from antsel.streams import chunk_generators, substream
 
@@ -73,40 +75,25 @@ def resample_loop(sorted_rates: np.ndarray, p0: float, seed: int) -> np.ndarray:
     return resampled
 
 
-def reference_gram_eigenvalues(z: np.ndarray) -> np.ndarray:
-    """The Gram reduction as it stood before the per-row dots: one einsum
-    over both real components for the diagonal, at every rank.  Kept as a
-    test-only reference for the bits of mimo._gram_eigenvalues."""
+def reference_invariants(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e_1..e_r, eigenvalues) of the Gram matrix of channels drawn as
+    (..., 2, n, m) standard normals, by a route independent of
+    mimo._gram_invariants: e_k is the k-th elementary symmetric polynomial
+    of ``eigvalsh`` of the complex Gram matrix (H H†, or H† H for m < n),
+    summed subset by subset.  At rank 1 e_1 is half the squared norm of the
+    channel, one einsum over both real components."""
     if z.shape[-1] < z.shape[-2]:
         z = z.swapaxes(-1, -2)
     r = z.shape[-2]
-    a, b = z[..., 0, :, :], z[..., 1, :, :]
-
-    def dot(x, y):
-        return np.einsum("...j,...j->...", x, y)
-
-    def entry(i, j):
-        ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
-        return 0.5 * (dot(ai, aj) + dot(bi, bj)), 0.5 * (dot(bi, aj) - dot(ai, bj))
-
-    diag = 0.5 * np.einsum("...kij,...kij->...i", z, z)
+    h = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * math.sqrt(0.5)
+    lam = np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2))
     if r == 1:
-        return diag
-    if r == 2:
-        g11, g22 = diag[..., 0], diag[..., 1]
-        re, im = entry(0, 1)
-        upper = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), np.hypot(re, im))
-        lower = (g11 * g22 - (re * re + im * im)) / upper
-        lam = np.stack([upper, lower], axis=-1)
-    elif r == 3:
-        lam = mimo._hermitian3_eigenvalues(diag, entry(0, 1), entry(0, 2), entry(1, 2))
-    else:
-        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-        gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
-        gram.real = 0.5 * (a @ at + b @ bt)
-        gram.imag = 0.5 * (b @ at - a @ bt)
-        lam = np.linalg.eigvalsh(gram)
-    return np.maximum(lam, 0.0, out=lam)
+        return 0.5 * np.einsum("...kij,...kij->...i", z, z), lam
+    e = np.stack([
+        sum(np.prod(lam[..., subset], axis=-1) for subset in combinations(range(r), k))
+        for k in range(1, r + 1)
+    ], axis=-1)
+    return e, lam
 
 
 def record_draws(monkeypatch) -> list[int]:
@@ -254,6 +241,9 @@ class TestScheduled:
 
 
 class TestEigenvalueRoute:
+    """Rates from the Gram reduction against complex slogdet and exact
+    arithmetic, near repeated and very unequal eigenvalues too."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_slogdet_reference(self, n):
         # m < n leaves the Gram matrix rank-deficient
@@ -270,38 +260,37 @@ class TestEigenvalueRoute:
                 assert out.value == pytest.approx(np.sort(ref)[999], rel=1e-12, abs=0.0)
 
     def test_small_eigenvalue_keeps_relative_accuracy(self):
-        # rows of very different norm, nearly orthogonal: the difference
-        # tr/2 - hypot(...) would leave the small eigenvalue an absolute
-        # error of about eps * tr, here a relative error near 1e-4
+        # Rows of very different norm, nearly orthogonal.  The small
+        # eigenvalue is det / tr to first order, so it is as accurate as
+        # e_2 = g11 g22 - |g12|^2, which here cancels nothing.
         z = np.array([[[1e3, 0.0], [1e-6, 1e-3]], [[0.0, 2.0], [3e-4, 0.0]]])
-        upper, lower = mimo._gram_eigenvalues(z)
+        trace, det = mimo._gram_invariants(z)
         # exact arithmetic: det(H H†) = |det H|^2 and tr(H H†) = |H|_F^2
         (a11, a12), (a21, a22) = ([Fraction(x) for x in row] for row in z[0])
         (b11, b12), (b21, b22) = ([Fraction(x) for x in row] for row in z[1])
         det_re = a11 * a22 - b11 * b22 - (a12 * a21 - b12 * b21)
         det_im = a11 * b22 + b11 * a22 - (a12 * b21 + b12 * a21)
-        det = (det_re**2 + det_im**2) / 4
-        trace = sum(Fraction(x) ** 2 for x in z.ravel()) / 2
-        assert upper * lower == pytest.approx(float(det), rel=1e-12, abs=0.0)
-        assert upper + lower == pytest.approx(float(trace), rel=1e-15, abs=0.0)
+        exact_det = (det_re**2 + det_im**2) / 4
+        exact_trace = sum(Fraction(x) ** 2 for x in z.ravel()) / 2
+        assert det == pytest.approx(float(exact_det), rel=1e-12, abs=0.0)
+        assert trace == pytest.approx(float(exact_trace), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "diagonal", [(1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.0, 1.0)]
     )
     def test_repeated_eigenvalues_keep_rates_accurate(self, diagonal):
-        # arccos in the 3 x 3 closed form is ill-conditioned next to a
-        # repeated eigenvalue; the rates must still match, and an exactly
-        # repeated one must not divide by zero
+        # Nearly and exactly repeated eigenvalues: the rates must match,
+        # with nothing divided by zero
         rng = np.random.default_rng(17)
         for eps in (1e-3, 1e-8, 1e-13, 0.0):
             z = np.zeros((200, 2, 3, 3))
             z[:, 0] = np.diag(diagonal)
             z += eps * rng.standard_normal(z.shape)
-            eigenvalues = mimo._gram_eigenvalues(z)
-            assert np.all(np.isfinite(eigenvalues))
+            invariants = mimo._gram_invariants(z)
+            assert np.all(np.isfinite(invariants))
             for db in (-30, 10, 40):
                 rho = 10.0 ** (db / 10)
-                rates = mimo._log2det(eigenvalues, 3, rho)
+                rates = mimo._det_rates(invariants, rho / 3)
                 ref = logdet_rates(z, 3, rho)
                 np.testing.assert_allclose(rates, ref, rtol=1e-12, atol=0)
 
@@ -318,23 +307,87 @@ class TestEigenvalueRoute:
             assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
 
 
+class TestExtremeSinr:
+    """Per-sample rates far from the usual SINRs, at r = 1, 2, 3 and 8.
+    Past about 3080/r dB det(I + t G) overflows a float and the rate takes
+    the scaled Horner branch; at t lambda <= 1e-10 it is log1p of a tiny
+    sum.  The references work on the r x r Gram matrix G, whose eigenvalues
+    are the nonzero ones of H H†."""
+
+    SHAPES = [(1, 4), (4, 1), (2, 2), (2, 5), (3, 3), (5, 3), (8, 8)]
+
+    def draw(self, n, m):
+        z = np.random.default_rng(900 + 10 * n + m).standard_normal((1000, 2, n, m))
+        h = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) * math.sqrt(0.5)
+        if m < n:
+            h = h.conj().swapaxes(-1, -2)
+        return mimo._gram_invariants(z), h @ h.conj().swapaxes(-1, -2)
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_high_sinr_matches_slogdet(self, n, m):
+        # On these draws the eigenvalue route, the sum of log1p(t lambda)
+        # over eigvalsh eigenvalues, is within 1.9e-13 of slogdet.
+        invariants, gram = self.draw(n, m)
+        for db in (100, 400, 1000, 3000):
+            t = db_to_linear(db) / m
+            rates = mimo._det_rates(invariants, t)
+            ref = np.linalg.slogdet(np.eye(gram.shape[-1]) + t * gram)[1] / math.log(2.0)
+            assert np.all(np.isfinite(rates))
+            np.testing.assert_allclose(rates, ref, rtol=5e-13, atol=0)
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_largest_sinr_stays_finite(self, n, m):
+        # The largest SINR db_to_linear takes.  There slogdet's I + t G
+        # overflows, but log det = r log t + sum log lambda to rounding,
+        # since 1/t is far below every eigenvalue.
+        invariants, gram = self.draw(n, m)
+        r = gram.shape[-1]
+        t = db_to_linear(3082.5) / m
+        # t^r e_r, the top term of det(I + t G), overflows a float.
+        log_top = r * math.log(t) + np.log(invariants[..., -1])
+        assert np.any(log_top > math.log(sys.float_info.max))
+        rates = mimo._det_rates(invariants, t)
+        log_det = r * math.log(t) + np.log(np.linalg.eigvalsh(gram)).sum(axis=-1)
+        ref = log_det / math.log(2.0)
+        np.testing.assert_allclose(rates, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_tiny_sinr_keeps_relative_accuracy(self, n, m):
+        # At t lambda <= 1e-10, log det(I + t G) = t tr G - t^2 tr G^2 / 2
+        # up to a relative (t lambda)^2.  slogdet takes the log of numbers
+        # next to 1, so it is accurate only in absolute terms.
+        invariants, gram = self.draw(n, m)
+        t = 1e-10 / np.linalg.eigvalsh(gram).max()
+        rates = mimo._det_rates(invariants, t)
+        trace = np.trace(gram, axis1=-2, axis2=-1).real
+        square = np.einsum("...ij,...ji->...", gram, gram).real
+        series = (t * trace - t * t * square / 2) / math.log(2.0)
+        np.testing.assert_allclose(rates, series, rtol=4e-15, atol=0)
+        ref = np.linalg.slogdet(np.eye(gram.shape[-1]) + t * gram)[1] / math.log(2.0)
+        np.testing.assert_allclose(rates, ref, rtol=0, atol=4e-15)
+
+
 class TestReductionReference:
-    """The reduction keeps the bits of reference_gram_eigenvalues wherever
-    it sums in the same order: every rank-1 shape and every m >= n.  For
-    m < n the rows it sums are strided and einsum may add them in another
-    order, which moves the Gram entries by rounding only.  Eigenvalues move
-    by at most the change of the matrix (Weyl), so they are compared
-    relative to each channel's largest eigenvalue."""
+    """mimo._gram_invariants against reference_invariants.  Rank 1 keeps
+    the reference's bits.  Above it, a change dG of the Gram matrix moves
+    each eigenvalue by at most |dG| (Weyl) and so e_k by at most about
+    r |dG| e_{k-1}.  Rounding makes |dG| about eps times the largest
+    eigenvalue, in the reference's eigenvalues too, so e_k is compared to
+    lambda_max e_{k-1} (e_0 = 1), channel by channel.  The product of the
+    k largest eigenvalues is no such bound: where the smallest eigenvalue
+    is far below the largest, the reference's own error in it exceeds that
+    product's eps share."""
 
     M = [*range(1, 11), 16, 33]
 
-    def assert_matches(self, new, ref, n, m):
+    def assert_matches(self, new, z):
+        ref, lam = reference_invariants(z)
         assert new.shape == ref.shape
-        if m >= n or min(n, m) == 1:
-            assert np.array_equal(new, ref), (n, m)
+        if ref.shape[-1] == 1:
+            assert np.array_equal(new, ref)
         else:
-            scale = ref.max(axis=-1, keepdims=True)
-            assert np.all(np.abs(new - ref) <= 1e-13 * scale), (n, m)
+            lower = np.concatenate([np.ones_like(ref[..., :1]), ref[..., :-1]], axis=-1)
+            assert np.all(np.abs(new - ref) <= 1e-13 * lam[..., -1:] * lower)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("lead", [(), (40,), (8, 5)])
@@ -342,7 +395,7 @@ class TestReductionReference:
         rng = np.random.default_rng(700 + n)
         for m in self.M:
             z = rng.standard_normal((*lead, 2, n, m))
-            self.assert_matches(mimo._gram_eigenvalues(z), reference_gram_eigenvalues(z), n, m)
+            self.assert_matches(mimo._gram_invariants(z), z)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_slab_split_matches_reference(self, monkeypatch, n):
@@ -353,10 +406,10 @@ class TestReductionReference:
             for shape in ((2, n, m), (3, 2, n, m)):
                 elems = math.prod(shape)
                 mc = McRun(3 * streams.SLAB_ELEMENTS // elems + 7, 100 * n + m)
-                new = streams.draw_reduced(mc, shape, mimo._gram_eigenvalues)
+                new = streams.draw_reduced(mc, shape, mimo._gram_invariants)
                 whole = np.concatenate([rng.standard_normal((count, *shape))
                                         for count, rng in chunk_generators(mc, elems)])
-                self.assert_matches(new, reference_gram_eigenvalues(whole), n, m)
+                self.assert_matches(new, whole)
 
 
 class TestRankBootstrap:
