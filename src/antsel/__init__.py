@@ -31,6 +31,7 @@ from .mimo import MAX_RX_ANTENNAS, mimo_ergodic, mimo_outage, mimo_scheduled_erg
 from .oracle import (
     EmpiricalSummary,
     empirical_ergodic,
+    ergodic_and_ks,
     ks_against,
     sample_selection_gain,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "characteristic_largest",
     "convergence_error",
     "empirical_ergodic",
+    "ergodic_and_ks",
     "ergodic_approx",
     "ergodic_bounds",
     "ergodic_capacity",

@@ -7,12 +7,17 @@ and converted to linear exactly once, in ``_grid``, which hands out the
 grid one (n, m) curve at a time.  A subcommand computes each curve as one
 block of columns; ``_emit`` formats a block a column at a time and writes
 its rows in grid order, with the same bytes as formatting cell by cell
-(``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).  The ``mimo`` grid
-always computes its curves on a pool of worker threads, one per usable
-CPU (at least one), submitted largest first (n m times the curve's SINR
-count) so that no long curve starts last while a thread idles.  It reads
-the results in grid order, so its output, and which error it reports, do
-not depend on the thread count.
+(``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).
+
+The Monte Carlo work runs on a pool of worker threads, one per usable CPU
+(at least one), through ``_largest_first``: the ``mimo`` grid's curves,
+costed by n m times the curve's SINR count, and ``verify``'s two Monte
+Carlo families (the oracle checks and the MIMO check), costed by their
+normals per sample; ``verify``'s analytic checks run on the calling
+thread.  Jobs are submitted largest first, so that no long one starts last
+while a thread idles, and their results are read in grid or report order,
+so the output, and which error is reported, do not depend on the thread
+count.
 
 Exit codes: 0 success, 2 invalid arguments or parameter combinations,
 3 numerical diagnostic (solver or verification failure).
@@ -25,7 +30,8 @@ import io
 import math
 import os
 import sys
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from .gumbel import (
     normalizing_constants,
 )
 from .mimo import mimo_ergodic, mimo_outage, mimo_scheduled_ergodic
-from .oracle import empirical_ergodic, ks_against
+from .oracle import empirical_ergodic, ergodic_and_ks
 from .orderstats import (
     SelectionConfig,
     SolverError,
@@ -78,8 +84,11 @@ _FORMATS = {"table1": {"exact_gain": ".4f", "approx_gain": ".2f"}}
 
 _STRATEGIES = {s.value: s for s in FitStrategy}
 
-# Threads for the mimo grid's (n, m) points: the CPUs this process may use.
+# Threads for the Monte Carlo work of mimo and verify: the CPUs this
+# process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+_T = TypeVar("_T")
 
 
 def parse_int_grid(text: str) -> list[int]:
@@ -329,9 +338,28 @@ def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, 
     return block
 
 
-def cmd_mimo(args: argparse.Namespace) -> int:
+def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
+    """Results of ``jobs``, (cost, call) pairs, in the order given.
+
+    The calls run on a pool of up to ``_WORKERS`` threads (one worker is
+    still a pool thread, not the caller), submitted largest cost first, ties
+    in the order given, so that no long call starts last and leaves the
+    other threads idle.  The results are read in the order given, so the
+    first failing job in that order decides the error, and the jobs not yet
+    started are cancelled.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+    pool = ThreadPoolExecutor(max(1, min(len(jobs), _WORKERS)))
+    try:
+        futures = {i: pool.submit(jobs[i][1]) for i in order}
+        return [futures[i].result() for i in range(len(jobs))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
     curves, bad_sinr = [], None
@@ -340,19 +368,11 @@ def cmd_mimo(args: argparse.Namespace) -> int:
             curves.append(curve)
     except ValueError as exc:  # a bad SINR, raised once the first curve has run
         bad_sinr = exc
-    # A repeated (n, m) is one curve, computed once.  Largest curves first
-    # (n m times the SINR count), so that none of them starts last and
-    # leaves the other threads idle.  The results are read in grid order,
-    # so the first failing curve in grid order still decides the error.
+    # A repeated (n, m) is one curve, computed once.
     unique = {curve[:2]: curve for curve in curves}
-    largest_first = sorted(unique, key=lambda key: -key[0] * key[1] * len(unique[key][4]))
-    pool = ThreadPoolExecutor(max(1, min(len(unique), _WORKERS)))
-    try:
-        futures = {key: pool.submit(_mimo_curve, args, mc, unique[key])
-                   for key in largest_first}
-        computed = {key: futures[key].result() for key in unique}
-    finally:
-        pool.shutdown(cancel_futures=True)
+    computed = dict(zip(unique, _largest_first([
+        (curve[0] * curve[1] * len(curve[4]), partial(_mimo_curve, args, mc, curve))
+        for curve in unique.values()])))
     if bad_sinr is not None:
         raise bad_sinr
     _emit(args, [computed[curve[:2]] for curve in curves])
@@ -361,9 +381,45 @@ def cmd_mimo(args: argparse.Namespace) -> int:
 
 # ----------------------------- verification -----------------------------
 
+_Check = tuple[str, bool, str]
 
-def _verify_checks(samples: int, seed: int) -> list[tuple[str, bool, str]]:
-    results: list[tuple[str, bool, str]] = []
+
+def _oracle_checks(mc: McRun) -> list[_Check]:
+    """Monte Carlo vs quadrature, and the KS distance of the sample against
+    the exact distribution.  One (n=1, m=5) sample serves both checks, and
+    it is released before the (2, 5) sample is drawn."""
+    link = LinkParams(10**0.5)
+    ks_cfg = SelectionConfig(1, 5)
+    shared, ks = ergodic_and_ks(ks_cfg, link, mc, lambda x: max_cdf(ks_cfg, x))
+    ok = True
+    detail = []
+    for cfg in (SelectionConfig(1, 1), ks_cfg, SelectionConfig(2, 5)):
+        est = shared if cfg == ks_cfg else empirical_ergodic(cfg, link, mc)
+        ref = ergodic_capacity(cfg, link).value
+        z = (est.value - ref) / est.error_estimate
+        detail.append(f"(n={cfg.n},m={cfg.m}) z={z:+.2f}")
+        ok &= abs(z) <= 3.0
+    limit = 1.95 / math.sqrt(mc.samples)
+    return [("mc-vs-quadrature", ok, "; ".join(detail)),
+            ("ks-exact-fit", ks <= limit, f"KS = {ks:.5f}, limit = {limit:.5f}")]
+
+
+def _mimo_check(mc: McRun) -> _Check:
+    """MIMO: Jensen ceiling and agreement with quadrature at n = m = 1."""
+    ok = True
+    for n, m, rho in ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0)):
+        est = mimo_ergodic(n, m, LinkParams(rho), mc)
+        ceiling = n * math.log2(1 + rho)
+        ok &= est.value <= ceiling + 3 * est.error_estimate
+    est = mimo_ergodic(1, 1, LinkParams(1.0), mc)
+    ref = ergodic_capacity(SelectionConfig(1, 1), LinkParams(1.0)).value
+    z = (est.value - ref) / est.error_estimate
+    ok &= abs(z) <= 3.0
+    return ("mimo-baseline", ok, f"Jensen ceiling respected; point z={z:+.2f}")
+
+
+def _verify_checks(samples: int, seed: int) -> list[_Check]:
+    results: list[_Check] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
         results.append((name, ok, detail))
@@ -398,25 +454,15 @@ def _verify_checks(samples: int, seed: int) -> list[tuple[str, bool, str]]:
                 worst = max(worst, abs(outage_probability(cfg, link, c0) - p0))
     record("outage-round-trip", worst <= 1e-9, f"max |P(C(p0)) - p0| = {worst:.2e}")
 
-    # Monte Carlo vs quadrature.
+    # The two Monte Carlo families run on the pool at once, each costed by
+    # its normals per sample: the oracle's (1,1), (1,5) and (2,5) selection
+    # draws, and the (1,2), (2,2), (3,4) and (1,1) MIMO channels.
     mc = McRun(samples, seed)
-    ok = True
-    detail = []
-    for n, m in ((1, 1), (1, 5), (2, 5)):
-        cfg = SelectionConfig(n, m)
-        link = LinkParams(10**0.5)
-        est = empirical_ergodic(cfg, link, mc)
-        ref = ergodic_capacity(cfg, link).value
-        z = (est.value - ref) / est.error_estimate
-        detail.append(f"(n={n},m={m}) z={z:+.2f}")
-        ok &= abs(z) <= 3.0
-    record("mc-vs-quadrature", ok, "; ".join(detail))
-
-    # KS distance of the sample against the exact distribution.
-    cfg = SelectionConfig(1, 5)
-    ks = ks_against(cfg, mc, lambda x: max_cdf(cfg, x))
-    limit = 1.95 / math.sqrt(samples)
-    record("ks-exact-fit", ks <= limit, f"KS = {ks:.5f}, limit = {limit:.5f}")
+    oracle_checks, mimo_check = _largest_first([
+        (2 * (1 + 5 + 10), partial(_oracle_checks, mc)),
+        (2 * (2 + 4 + 12 + 1), partial(_mimo_check, mc)),
+    ])
+    results += oracle_checks
 
     # Convergence-rate probe for the reference constants (n = 1).
     e100 = convergence_error(SelectionConfig(1, 100), FitStrategy.MRL, 0.0)
@@ -424,18 +470,7 @@ def _verify_checks(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     ratio = e100 / e1000
     record("gumbel-rate", 5.0 <= ratio <= 20.0, f"error ratio per decade = {ratio:.2f}")
 
-    # MIMO: Jensen ceiling and agreement with quadrature at n = m = 1.
-    ok = True
-    detail = []
-    for n, m, rho in ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0)):
-        est = mimo_ergodic(n, m, LinkParams(rho), mc)
-        ceiling = n * math.log2(1 + rho)
-        ok &= est.value <= ceiling + 3 * est.error_estimate
-    est = mimo_ergodic(1, 1, LinkParams(1.0), mc)
-    ref = ergodic_capacity(SelectionConfig(1, 1), LinkParams(1.0)).value
-    z = (est.value - ref) / est.error_estimate
-    ok &= abs(z) <= 3.0
-    record("mimo-baseline", ok, f"Jensen ceiling respected; point z={z:+.2f}")
+    results.append(mimo_check)
 
     # Variance of the selection gain stays at or above the single-branch value.
     ok = all(

@@ -36,12 +36,13 @@ those ranks are drawn once and kept in a small cache.
 Channels are drawn through ``streams.draw_reduced``, which reduces each
 chunk in slabs of about ``streams.SLAB_ELEMENTS`` normals, so a call holds
 one slab of normals and its reductions, never a whole chunk: memory stays
-bounded when the CLI runs several (n, m) points on worker threads at once
-(numpy releases the GIL while it fills the normals).  The estimators are
-safe to call from several threads.  A grid point that runs its SINRs on
-one thread draws its set once; the bootstrap ranks, which every (n, m)
-shares, are computed under a lock, so concurrent outage calls draw them
-once.
+bounded when the CLI runs several samplers on worker threads at once, the
+(n, m) points of a ``mimo`` grid or ``verify``'s MIMO check beside its
+oracle checks (numpy releases the GIL while it fills the normals).  The
+estimators are safe to call from several threads.  A grid point that runs
+its SINRs on one thread draws its set once; the bootstrap ranks, which
+every (n, m) shares, are computed under a lock, so concurrent outage calls
+draw them once.
 """
 from __future__ import annotations
 

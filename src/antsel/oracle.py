@@ -26,6 +26,7 @@ __all__ = [
     "sample_selection_gain",
     "ks_against",
     "empirical_ergodic",
+    "ergodic_and_ks",
 ]
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
@@ -119,4 +120,26 @@ def empirical_ergodic(
     """Sample-mean estimate of E[log2(1 + rho X)] with its standard error."""
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    return _sample_mean(np.log1p(link.rho * _draws(cfg, mc)) / _LN2)
+    return _mean_rate(link.rho * _draws(cfg, mc))
+
+
+def ergodic_and_ks(
+    cfg: SelectionConfig, link: LinkParams, mc: McRun, reference_cdf: _ArrayCdf
+) -> tuple[CapacityResult, float]:
+    """``empirical_ergodic`` and ``ks_against`` from one selection-gain
+    sample: the values the two calls return, for one draw instead of two."""
+    if mc.samples < 1_000:
+        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
+    draws = _draws(cfg, mc)
+    # The mean first: it adds the rates in the order they were drawn.
+    estimate = _mean_rate(link.rho * draws)
+    draws.sort()
+    return estimate, _ks_statistic(draws, reference_cdf)
+
+
+def _mean_rate(snr: np.ndarray) -> CapacityResult:
+    """Sample mean of log2(1 + snr) with its standard error, computed in
+    the buffer of ``snr``."""
+    np.log1p(snr, out=snr)
+    snr /= _LN2
+    return _sample_mean(snr)

@@ -26,8 +26,8 @@ DEFAULT_SEED = 42
 
 # Normal draws per chunk: fixes which generator draws which sample.
 CHUNK_ELEMENTS = 1 << 22
-# Normal draws per slab (8 MiB): bounds peak memory, not the results.
-SLAB_ELEMENTS = 1 << 20
+# Normal draws per slab (1 MiB): bounds peak memory, not the results.
+SLAB_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import antsel
-from antsel import GumbelFit, cli, normalizing_constants, orderstats
+from antsel import GumbelFit, McRun, cli, normalizing_constants, orderstats, streams
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 from antsel.orderstats import SolverError
 
@@ -281,6 +283,84 @@ class TestVerify:
         header, rows = read_csv(out)
         assert header == SCHEMAS["verify"]
         assert all(r[1] == "PASS" for r in rows)
+
+
+class TestThreadedVerify:
+    """verify runs its two Monte Carlo families on the worker pool; the
+    report must not tell."""
+
+    ESTIMATORS = ("empirical_ergodic", "ergodic_and_ks", "mimo_ergodic")
+
+    @pytest.fixture(autouse=True)
+    def small_chunks_fast_switching(self, monkeypatch):
+        # Many chunks and slabs per sample at a test-sized count, and threads
+        # that switch far more often than by default.
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def run(self, monkeypatch, capsys, tmp_path, workers, argv):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        code = main([*argv, "--out", str(out)])
+        return code, capsys.readouterr(), out.read_bytes()
+
+    def test_single_worker_matches_pool(self, monkeypatch, capsys, tmp_path):
+        # The smallest draw, the oracle's (1, 1) at 2 normals, spans chunks.
+        assert len(list(streams.chunk_generators(McRun(20_000), 2))) >= 2
+        threads = {name: set() for name in self.ESTIMATORS}
+        for name in self.ESTIMATORS:
+            def recording(*args, name=name, estimator=getattr(cli, name)):
+                threads[name].add(threading.get_ident())
+                return estimator(*args)
+            monkeypatch.setattr(cli, name, recording)
+        argv = ["verify", "--samples", "20000", "--seed", "5"]
+        serial = self.run(monkeypatch, capsys, tmp_path, 1, argv)
+        pooled = self.run(monkeypatch, capsys, tmp_path, 2, argv)
+        assert pooled == serial
+        # A report of all eight checks (at this layout some may fail).
+        assert serial[0] in (0, 3)
+        assert len(serial[2].splitlines()) == 2 + 8
+        for name in self.ESTIMATORS:
+            assert threads[name] and threading.get_ident() not in threads[name]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_too_few_samples_is_the_serial_error(self, monkeypatch, capsys, workers):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        assert main(["verify", "--samples", "999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ergodic estimate needs >= 1000 samples, got 999\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_check_in_report_order_decides(
+        self, monkeypatch, capsys, workers
+    ):
+        # The MIMO family draws more normals per sample, so it starts first,
+        # and here it fails at once.  The oracle family fails well after it,
+        # but its checks come first in the report, so its error is the one.
+        mimo_failed = threading.Event()
+
+        def failing(*args):
+            mimo_failed.set()
+            raise ValueError("the MIMO family failed")
+
+        def after_mimo(*args, estimator=cli.ergodic_and_ks):
+            assert mimo_failed.wait(timeout=60)
+            time.sleep(0.2)
+            return estimator(*args)
+
+        monkeypatch.setattr(cli, "mimo_ergodic", failing)
+        monkeypatch.setattr(cli, "ergodic_and_ks", after_mimo)
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        assert main(["verify", "--samples", "999"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ergodic estimate needs >= 1000 samples, got 999\n")
 
 
 class TestImports:

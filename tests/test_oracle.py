@@ -12,10 +12,12 @@ from antsel import (
     Method,
     SelectionConfig,
     empirical_ergodic,
+    ergodic_and_ks,
     ergodic_capacity,
     ks_against,
     max_cdf,
     normalizing_constants,
+    oracle,
     quantile,
     sample_selection_gain,
     tail_quantile,
@@ -171,3 +173,29 @@ class TestEmpiricalErgodic:
         )
         assert lower - 3 * est.error_estimate <= est.value
         assert est.value <= upper + 3 * est.error_estimate
+
+
+class TestErgodicAndKs:
+    @pytest.mark.parametrize("n,m,rho", [(1, 5, 10.0**0.5), (2, 3, 1e-4)])
+    def test_equals_the_two_calls_from_one_draw(self, monkeypatch, n, m, rho):
+        cfg, link, mc = SelectionConfig(n, m), LinkParams(rho), McRun(20_000, 13)
+
+        def reference(x):
+            return max_cdf(cfg, x)
+
+        expected = (empirical_ergodic(cfg, link, mc), ks_against(cfg, mc, reference))
+        draws = []
+        draw_reduced = oracle.draw_reduced
+
+        def counting(*args):
+            draws.append(args[1])
+            return draw_reduced(*args)
+
+        monkeypatch.setattr(oracle, "draw_reduced", counting)
+        assert ergodic_and_ks(cfg, link, mc, reference) == expected
+        assert draws == [(m, 2 * n)]
+
+    def test_sample_floor(self):
+        cfg = SelectionConfig(1, 5)
+        with pytest.raises(ValueError, match="ergodic estimate needs >= 1000 samples"):
+            ergodic_and_ks(cfg, LinkParams(1.0), McRun(999), lambda x: max_cdf(cfg, x))

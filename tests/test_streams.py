@@ -1,5 +1,6 @@
 """Deterministic chunked sampling and reported-error invariants."""
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -106,9 +107,15 @@ class TestSlabs:
 
 class TestSlabMemory:
     """A sampler holds one slab of normals and its reductions, never two
-    slabs or a whole chunk: numpy reports its buffers to tracemalloc."""
+    slabs or a whole chunk, besides its result: numpy reports its buffers to
+    tracemalloc."""
 
-    BOUND = 2 * 8 * SLAB_ELEMENTS  # bytes: two slabs of float64 normals
+    @staticmethod
+    def bound(results):
+        """Bytes: two slabs of float64 normals, plus two float64 arrays of
+        the estimator's ``results`` values (the reduced slabs and their
+        concatenation, or a result and the array computed from it)."""
+        return 8 * (2 * SLAB_ELEMENTS + 2 * results)
 
     @staticmethod
     def traced_peak(call):
@@ -124,7 +131,7 @@ class TestSlabMemory:
         mc = McRun(20_000, 3)
         assert 20_000 * 384 > CHUNK_ELEMENTS
         peak = self.traced_peak(lambda: mimo_scheduled_ergodic(2, 6, 16, LinkParams(3.0), mc))
-        assert peak < self.BOUND
+        assert peak < self.bound(mc.samples)
 
     def test_oracle(self):
         # 20 normals per draw: two chunks of 32 MiB each at the full size.
@@ -132,13 +139,34 @@ class TestSlabMemory:
         assert 400_000 * 20 > CHUNK_ELEMENTS
         peak = self.traced_peak(
             lambda: empirical_ergodic(SelectionConfig(2, 5), LinkParams(3.0), mc))
-        assert peak < self.BOUND
+        assert peak < self.bound(mc.samples)
 
     def test_draw_reduced(self):
         # 384 normals per draw, reduced to one number each: two chunks.
         mc = McRun(20_000, 4)
         peak = self.traced_peak(lambda: draw_reduced(mc, (384,), lambda z: z.sum(axis=1)))
-        assert peak < self.BOUND
+        assert peak < self.bound(mc.samples)
+
+    def test_two_samplers_on_two_threads(self):
+        # The oracle's 20 normals per draw beside a (3, 4) MIMO point's 24,
+        # each over two chunks or more, and each with 600,000 result values
+        # (the MIMO point keeps three coefficients per channel).
+        oracle_mc, mimo_mc = McRun(600_000, 3), McRun(200_000, 5)
+        assert 200_000 * 24 > CHUNK_ELEMENTS
+        results = []
+
+        def both():
+            thread = threading.Thread(target=lambda: results.append(
+                mimo_ergodic(3, 4, LinkParams(1.0), mimo_mc)))
+            thread.start()
+            results.append(
+                empirical_ergodic(SelectionConfig(2, 5), LinkParams(3.0), oracle_mc))
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        peak = self.traced_peak(both)
+        assert len(results) == 2
+        assert peak < 2 * self.bound(600_000)
 
 
 class TestReportedErrors:
