@@ -19,8 +19,9 @@ while a thread idles, and their results are read in grid or report order,
 so the output, and which error is reported, do not depend on the thread
 count.
 
-Exit codes: 0 success, 2 invalid arguments or parameter combinations,
-3 numerical diagnostic (solver or verification failure).
+Exit codes: 0 success, 2 invalid arguments or parameter combinations
+(a bad ``--rho-db`` exits 2 before any curve is computed), 3 numerical
+diagnostic (solver or verification failure).
 """
 from __future__ import annotations
 
@@ -140,29 +141,20 @@ def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
     """(n, m, cfg, rho_dbs, links), one (n, m) curve at a time in output
     order: n, then m, each curve with the SINRs in order, ``links`` a tuple
     of ``LinkParams`` that the estimators take whole.  The one place where
-    dB becomes linear.
+    dB becomes linear: the whole SINR list is converted before the first
+    curve is yielded, so a bad ``--rho-db`` is reported before any work.
 
     Subcommands without ``--rho-db`` get curves of one point with rho_db
-    and link None.  ``configs=False`` yields cfg None, for estimators that
-    validate (n, m) themselves.  A SINR that does not convert cuts the
-    first curve short before it, and its error is raised once that curve
-    has been computed, so the errors of the points before it come first,
-    as point by point; a curve cut down to no point is not yielded.
+    and link None, and an empty ``--rho-db`` gives curves of no point,
+    which the estimators still validate their options on.
+    ``configs=False`` yields cfg None, for estimators that validate (n, m)
+    themselves.
     """
-    dbs, links, bad_sinr = getattr(args, "rho_db", [None]), [], None
-    try:
-        for db in dbs:
-            links.append(None if db is None else LinkParams(db_to_linear(db)))
-    except ValueError as exc:
-        bad_sinr = exc
-    dbs, links = dbs[:len(links)], tuple(links)
+    dbs = getattr(args, "rho_db", [None])
+    links = tuple(None if db is None else LinkParams(db_to_linear(db)) for db in dbs)
     for n in args.n:
         for m in args.m:
-            cfg = SelectionConfig(n, m) if configs else None
-            if links:
-                yield n, m, cfg, dbs, links
-            if bad_sinr is not None:
-                raise bad_sinr
+            yield n, m, SelectionConfig(n, m) if configs else None, dbs, links
 
 
 def _column(value: object, spec: str, rows: int) -> list[str]:
@@ -289,10 +281,10 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
     enabled = _mode_set(args, ("exact", "approx"))
     blocks = []
     for n, m, cfg, dbs, links in _grid(args):
-        scens = tuple(SchedulingScenario(cfg, args.users, link) for link in links)
+        scen = SchedulingScenario(cfg, args.users, links)
         block = {"n": n, "m": m, "users": args.users, "rho_db": dbs}
         if "exact" in enabled:
-            reps = gain_report(scens)
+            reps = gain_report(scen)
             block.update(greedy=[r.greedy.value for r in reps],
                          round_robin=[r.round_robin.value for r in reps],
                          gain_exact=[r.exact_gain for r in reps],
@@ -300,7 +292,7 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
             if "approx" in enabled:
                 block["gain_approx"] = [r.approx_gain for r in reps]
         elif "approx" in enabled:
-            block["gain_approx"] = list(scheduling_gain(scens, "approx"))
+            block["gain_approx"] = list(scheduling_gain(scen, "approx"))
         blocks.append(block)
     _emit(args, blocks)
     return 0
@@ -312,12 +304,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         raise ValueError(f"table1 takes a single n, got {args.n}")
     blocks = []
     for _, m, cfg, dbs, links in _grid(args):
-        scens = tuple(SchedulingScenario(cfg, args.users, link) for link in links)
+        scen = SchedulingScenario(cfg, args.users, links)
         block = {"m": m, "rho_db": dbs}
         if "exact" in enabled:
-            block["exact_gain"] = list(scheduling_gain(scens, "exact"))
+            block["exact_gain"] = list(scheduling_gain(scen, "exact"))
         if "approx" in enabled and m >= 2:
-            block["approx_gain"] = list(scheduling_gain(scens, "approx"))
+            block["approx_gain"] = list(scheduling_gain(scen, "approx"))
         blocks.append(block)
     _emit(args, blocks)
     return 0
@@ -327,9 +319,9 @@ def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, 
     n, m, _, dbs, links = curve
     block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
              "samples": args.samples, "seed": args.seed}
-    estimates = {"ergodic": [mimo_ergodic(n, m, link, mc) for link in links]}
+    estimates = {"ergodic": mimo_ergodic(n, m, links, mc)}
     if args.p0 is not None:
-        estimates["outage"] = [mimo_outage(n, m, link, args.p0, mc) for link in links]
+        estimates["outage"] = mimo_outage(n, m, links, args.p0, mc)
     if args.users is not None:
         estimates["scheduled"] = mimo_scheduled_ergodic(n, m, args.users, links, mc)
     for name, results in estimates.items():
@@ -362,19 +354,12 @@ def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
 def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
-    curves, bad_sinr = [], None
-    try:
-        for curve in _grid(args, configs=False):
-            curves.append(curve)
-    except ValueError as exc:  # a bad SINR, raised once the first curve has run
-        bad_sinr = exc
+    curves = list(_grid(args, configs=False))
     # A repeated (n, m) is one curve, computed once.
     unique = {curve[:2]: curve for curve in curves}
     computed = dict(zip(unique, _largest_first([
         (curve[0] * curve[1] * len(curve[4]), partial(_mimo_curve, args, mc, curve))
         for curve in unique.values()])))
-    if bad_sinr is not None:
-        raise bad_sinr
     _emit(args, [computed[curve[:2]] for curve in curves])
     return 0
 

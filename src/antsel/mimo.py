@@ -12,15 +12,18 @@ of its eigenvalues).  Ergodic capacity, outage capacity, and the
 greedy-scheduled multiuser variant are estimated by seeded,
 chunk-deterministic simulation.  Receive arrays up to n = 8 are supported.
 
-The coefficients e_k do not depend on rho, so each thread keeps the last
-(n, m, McRun) channel set it drew and reduced: the ergodic and outage
-estimators at every SINR of a point share it.  The greedy-scheduled
-estimator takes a whole SINR curve instead and draws its K-user set once
-per call, taking every SINR's best rate per slot from the same
-coefficients of each slab.  The reduction works in real arithmetic on the
-real and imaginary parts of H, on the smaller of the two Gram matrices
-(H H† or H^T conj(H), which share their nonzero eigenvalues and so their
-e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
+Each estimator takes one ``LinkParams`` or a whole SINR curve (a tuple of
+them gives a tuple of results), validates its arguments once per call and
+computes the rates one SINR at a time, so one SINR's rates are alive at
+once.  The coefficients e_k do not depend on rho, so the ergodic and
+outage estimators draw and reduce the single-user channel set once per
+curve; each thread keeps the last (n, m, McRun) set it drew, so the
+ergodic and outage calls of one curve share it.  The greedy-scheduled
+estimator draws its K-user set once per call, taking every SINR's best
+rate per slot from the same coefficients of each slab.  The reduction
+works in real arithmetic on the real and imaginary parts of H, on the
+smaller of the two Gram matrices (H H† or H^T conj(H), which share their
+nonzero eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
 which is one dot product along a row: e_1 is the trace (at r = 1 a
 squared norm over all 2 max(n, m) numbers of a channel), e_2 the sum of
 the 2 x 2 minors and e_3 the determinant.  Larger r forms the Gram matrix
@@ -39,10 +42,9 @@ one slab of normals and its reductions, never a whole chunk: memory stays
 bounded when the CLI runs several samplers on worker threads at once, the
 (n, m) points of a ``mimo`` grid or ``verify``'s MIMO check beside its
 oracle checks (numpy releases the GIL while it fills the normals).  The
-estimators are safe to call from several threads.  A grid point that runs
-its SINRs on one thread draws its set once; the bootstrap ranks, which
-every (n, m) shares, are computed under a lock, so concurrent outage calls
-draw them once.
+estimators are safe to call from several threads.  The bootstrap ranks,
+which every (n, m) shares, are read once per outage call under a lock, so
+concurrent outage calls draw them once.
 """
 from __future__ import annotations
 
@@ -63,8 +65,8 @@ _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
 _RANKS_LOCK = threading.Lock()
 # The channel set (samples x min(n, m) coefficients e_k) each thread used
-# last.  A CLI grid runs all SINRs of an (n, m) point on one thread, so the
-# point draws its set once.
+# last: it lets the ergodic and outage calls of one curve, made one after
+# the other on one thread, share a draw.
 _HELD = threading.local()
 
 
@@ -179,12 +181,18 @@ def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
     return _det_rates(held[1], rho / m)
 
 
-def mimo_ergodic(n: int, m: int, link: LinkParams, mc: McRun) -> CapacityResult:
-    """Monte Carlo mean rate; error_estimate is the standard error."""
+def mimo_ergodic(
+    n: int, m: int, link: Links, mc: McRun
+) -> CapacityResult | tuple[CapacityResult, ...]:
+    """Monte Carlo mean rate, at one SINR or along a curve (a tuple of
+    ``LinkParams`` gives a tuple of results); error_estimate is the
+    standard error."""
     _validate(n, m)
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    return _sample_mean(_rates(n, m, link.rho, mc))
+    return _shaped(link, tuple(
+        _sample_mean(_rates(n, m, point.rho, mc)) for point in _points(link)
+    ))
 
 
 # A CLI grid needs one rank set at a time.
@@ -203,22 +211,30 @@ def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
 
 
 def mimo_outage(
-    n: int, m: int, link: LinkParams, p0: float, mc: McRun
-) -> CapacityResult:
-    """Empirical p0-quantile rate (nearest rank), bootstrap standard error."""
+    n: int, m: int, link: Links, p0: float, mc: McRun
+) -> CapacityResult | tuple[CapacityResult, ...]:
+    """Empirical p0-quantile rate (nearest rank), bootstrap standard error,
+    at one SINR or along a curve."""
     _validate(n, m)
     if mc.samples < 10_000:
         raise ValueError(f"outage estimate needs >= 10000 samples, got {mc.samples}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
-    rates = np.sort(_rates(n, m, link.rho, mc))
-    k = max(math.ceil(p0 * rates.size) - 1, 0)
+    links = _points(link)
+    if not links:
+        return ()
+    k = max(math.ceil(p0 * mc.samples) - 1, 0)
     # lru_cache alone would let two threads compute the same ranks at once.
     with _RANKS_LOCK:
-        ranks = _bootstrap_ranks(mc.seed, rates.size, k)
-    resampled = rates[ranks]
-    se = float(resampled.std(ddof=1))
-    return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
+        ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
+
+    def quantile(point: LinkParams) -> CapacityResult:
+        rates = _rates(n, m, point.rho, mc)
+        rates.sort()
+        se = float(rates[ranks].std(ddof=1))
+        return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
+
+    return _shaped(link, tuple(map(quantile, links)))
 
 
 def mimo_scheduled_ergodic(

@@ -7,20 +7,23 @@ branches.  Round robin keeps the single-user capacity.  The gain is their
 difference; a closed-form approximation replaces each capacity with the
 quantile form log2(1 + rho (q + γ)).
 
-The capacity and gain functions take one scenario or a curve of them, as
-the capacity estimators take one ``LinkParams`` or a tuple: a tuple of
-scenarios that share the antenna configuration and user count, one SINR
-each, gives a tuple of results and costs one capacity call per estimator.
+A scenario holds one SINR or a whole curve, as the capacity estimators
+take one ``LinkParams`` or a tuple: the functions here give one result
+for a single link and a tuple along a curve, and cost one capacity call
+per estimator and configuration whatever the curve's length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .capacity import (
     CapacityResult,
     LinkParams,
     Links,
+    _points,
+    _shaped,
     db_to_linear,
     ergodic_approx,
     ergodic_capacity,
@@ -41,11 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchedulingScenario:
-    """K users with identical per-user antenna configuration and SINR."""
+    """K users with identical per-user antenna configuration, at one SINR
+    or along a curve (``link`` a tuple of ``LinkParams``)."""
 
     cfg: SelectionConfig
     users: int
-    link: LinkParams
+    link: Links
 
     def __post_init__(self) -> None:
         if not isinstance(self.users, int) or self.users < 1:
@@ -75,30 +79,8 @@ class GainCell(NamedTuple):
     approx: float | None
 
 
-Scenarios = SchedulingScenario | tuple[SchedulingScenario, ...]
-_T = TypeVar("_T")
-
-
-def _curve(scen: Scenarios) -> tuple[SelectionConfig, SelectionConfig, Links]:
-    """Per-user and pooled configurations of a scenario or of a curve of
-    scenarios, with the link argument for the capacity estimators: the
-    scenario's link, or the tuple of the curve's links."""
-    if isinstance(scen, SchedulingScenario):
-        return scen.cfg, scen.pooled_cfg, scen.link
-    scens = tuple(scen)
-    if len({(s.cfg, s.users) for s in scens}) != 1:
-        raise ValueError(
-            "a curve needs at least one scenario, all with the same cfg and users"
-        )
-    return scens[0].cfg, scens[0].pooled_cfg, tuple(s.link for s in scens)
-
-
-def _pointwise(link: Links, fn: Callable[..., _T], *results) -> _T | tuple[_T, ...]:
-    """``fn`` of the estimators' results at each SINR: one value for a
-    single link, a tuple along a curve."""
-    if isinstance(link, LinkParams):
-        return fn(*results)
-    return tuple(map(fn, *results))
+Capacities = CapacityResult | tuple[CapacityResult, ...]
+Gains = float | tuple[float, ...]
 
 
 def _difference(greedy: CapacityResult, rr: CapacityResult) -> float:
@@ -114,52 +96,57 @@ def _fraction(greedy: CapacityResult, rr: CapacityResult) -> float:
     return _difference(greedy, rr) / rr.value
 
 
-def greedy_capacity(scen: Scenarios) -> CapacityResult | tuple[CapacityResult, ...]:
+def greedy_capacity(scen: SchedulingScenario) -> Capacities:
     """Average system capacity when the best user is always served."""
-    _, pooled, link = _curve(scen)
-    return ergodic_capacity(pooled, link)
+    return ergodic_capacity(scen.pooled_cfg, scen.link)
 
 
-def round_robin_capacity(scen: Scenarios) -> CapacityResult | tuple[CapacityResult, ...]:
+def round_robin_capacity(scen: SchedulingScenario) -> Capacities:
     """Average system capacity under equal time sharing (K-independent)."""
-    cfg, _, link = _curve(scen)
-    return ergodic_capacity(cfg, link)
+    return ergodic_capacity(scen.cfg, scen.link)
 
 
-def scheduling_gain(scen: Scenarios, mode: str = "exact") -> float | tuple[float, ...]:
-    """Capacity increase of greedy over round-robin scheduling, in bits.
-
-    "exact" differences the two quadrature capacities; "approx" uses the
-    closed-form quantile capacities for both terms.
-    """
-    cfg, pooled, link = _curve(scen)
+def _gains(
+    scen: SchedulingScenario, links: tuple[LinkParams, ...], mode: str
+) -> tuple[float, ...]:
+    """Greedy minus round-robin capacity at each SINR of ``links``."""
     if mode == "exact":
         estimator = ergodic_capacity
     elif mode == "approx":
         estimator = ergodic_approx
     else:
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    return _pointwise(link, _difference, estimator(pooled, link), estimator(cfg, link))
+    greedy, rr = estimator(scen.pooled_cfg, links), estimator(scen.cfg, links)
+    return tuple(map(_difference, greedy, rr))
 
 
-def fractional_gain(scen: Scenarios) -> float | tuple[float, ...]:
+def scheduling_gain(scen: SchedulingScenario, mode: str = "exact") -> Gains:
+    """Capacity increase of greedy over round-robin scheduling, in bits.
+
+    "exact" differences the two quadrature capacities; "approx" uses the
+    closed-form quantile capacities for both terms.
+    """
+    return _shaped(scen.link, _gains(scen, _points(scen.link), mode))
+
+
+def fractional_gain(scen: SchedulingScenario) -> Gains:
     """Exact scheduling gain as a fraction of the round-robin capacity."""
-    cfg, pooled, link = _curve(scen)
-    rr = ergodic_capacity(cfg, link)
-    return _pointwise(link, _fraction, ergodic_capacity(pooled, link), rr)
+    links = _points(scen.link)
+    rr = ergodic_capacity(scen.cfg, links)
+    greedy = ergodic_capacity(scen.pooled_cfg, links)
+    return _shaped(scen.link, tuple(map(_fraction, greedy, rr)))
 
 
-def gain_report(scen: Scenarios) -> GainReport | tuple[GainReport, ...]:
-    """All scheduling figures of merit for one scenario or along a curve."""
-    cfg, pooled, link = _curve(scen)
-    greedy = ergodic_capacity(pooled, link)
-    rr = ergodic_capacity(cfg, link)
-
-    def report(greedy: CapacityResult, rr: CapacityResult, approx: float) -> GainReport:
-        exact, fraction = _difference(greedy, rr), _fraction(greedy, rr)
-        return GainReport(greedy, rr, exact, approx, fraction)
-
-    return _pointwise(link, report, greedy, rr, scheduling_gain(scen, "approx"))
+def gain_report(scen: SchedulingScenario) -> GainReport | tuple[GainReport, ...]:
+    """All scheduling figures of merit, at one SINR or along a curve."""
+    links = _points(scen.link)
+    greedy = ergodic_capacity(scen.pooled_cfg, links)
+    rr = ergodic_capacity(scen.cfg, links)
+    approx = _gains(scen, links, "approx")
+    return _shaped(scen.link, tuple(
+        GainReport(g, r, _difference(g, r), a, _fraction(g, r))
+        for g, r, a in zip(greedy, rr, approx)
+    ))
 
 
 def gain_table(
@@ -168,19 +155,18 @@ def gain_table(
     rho_db: Sequence[float] = (-5.0, 0.0, 5.0, 10.0),
     m_values: Iterable[int] = range(1, 21),
 ) -> list[GainCell]:
-    """Exact and approximate scheduling gains over an (m, SINR) grid.
+    """Exact and approximate scheduling gains over an (m, SINR) grid, one
+    scenario per m over the whole SINR list.
 
     Full precision throughout; display rounding is left to the caller.
     The approximate gain is reported for m >= 2 only, where the location
     quantile is positive.
     """
+    links = tuple(LinkParams(db_to_linear(db)) for db in rho_db)
     cells: list[GainCell] = []
     for m in m_values:
-        for db in rho_db:
-            scen = SchedulingScenario(
-                SelectionConfig(n, m), users, LinkParams(db_to_linear(db))
-            )
-            exact = scheduling_gain(scen, "exact")
-            approx = scheduling_gain(scen, "approx") if m >= 2 else None
-            cells.append(GainCell(m, db, exact, approx))
+        scen = SchedulingScenario(SelectionConfig(n, m), users, links)
+        exact = scheduling_gain(scen, "exact")
+        approx = scheduling_gain(scen, "approx") if m >= 2 else repeat(None)
+        cells += map(GainCell, repeat(m), rho_db, exact, approx)
     return cells

@@ -50,6 +50,7 @@ def test_traced_commands_count_draws(tmp_path):
     assert result["counts"]["streams.chunks"] > 0
     assert result["counts"]["mimo.normals"] > 0
     # ergodic: 6 curves, one call each; scheduling: 2 curves, greedy and
-    # round robin each.
+    # round robin each, and one scheduling call per curve.
     before, after = result["calls"][0], result["calls"][2]
     assert after["capacity.ergodic"] - before["capacity.ergodic"] == 6 + 2 * 2
+    assert after["scheduling"] - result["calls"][1]["scheduling"] == 2

@@ -404,8 +404,9 @@ class TestArgHandling:
         assert captured.err == "error: SINR 4000 dB is out of range\n"
 
     @pytest.mark.parametrize("argv,message", [
-        # The first failing point in grid order decides, as point by point.
-        (["--n", "9", "--rho-db=0,4000"], "n must be an integer in 1..8, got 9"),
+        # A bad SINR is reported before any curve runs; after that the first
+        # failing curve in grid order decides.
+        (["--n", "9", "--rho-db=0,4000"], "SINR 4000 dB is out of range"),
         (["--n", "9", "--rho-db=4000,0"], "SINR 4000 dB is out of range"),
         (["--n", "1,9", "--rho-db=0,4000", "--samples", "1000"],
          "SINR 4000 dB is out of range"),
@@ -419,6 +420,19 @@ class TestArgHandling:
     def test_mimo_grid_errors_keep_their_order(self, argv, message, capsys):
         assert main(["mimo", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mimo", "--n", "9", "--samples", "10"], "n must be an integer in 1..8, got 9"),
+        (["scheduling", "--users", "0"], "users must be a positive integer, got 0"),
+        (["outage", "--p0", "2"], "outage probability must lie in (0, 1), got 2.0"),
+    ])
+    def test_empty_sinr_grid_still_validates(self, argv, message, capsys):
+        # Each (n, m) curve has no SINR, and each estimator still checks its
+        # options on it.
+        assert main([*argv, "--rho-db="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_empty_mimo_grid_writes_the_header(self, capsys):
         assert main(["mimo", "--n", ",", "--samples", "1000"]) == 0

@@ -6,6 +6,7 @@ estimator once per (n, m) curve.
 """
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from antsel import (
     LinkParams,
+    McRun,
     SchedulingScenario,
     SelectionConfig,
     SolverError,
@@ -21,13 +23,20 @@ from antsel import (
     ergodic_approx,
     ergodic_bounds,
     ergodic_capacity,
+    fractional_gain,
     gain_report,
+    greedy_capacity,
+    mimo_ergodic,
+    mimo_outage,
     outage_capacity,
+    round_robin_capacity,
     scheduling,
+    scheduling_gain,
 )
 from antsel.capacity import QUAD_BLOCK_ELEMENTS, db_to_linear
 from antsel.cli import main
 
+MIMO_SIZES = st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 5]))
 configs = st.builds(
     SelectionConfig, st.integers(1, 6), st.sampled_from([1, 2, 7, 40, 640])
 )
@@ -102,20 +111,42 @@ class TestCurveEqualsPoints:
     @CURVE_SETTINGS
     @given(configs, curves, st.integers(1, 40))
     def test_gain_report(self, cfg, links, users):
-        scens = tuple(SchedulingScenario(cfg, users, link) for link in links)
-        assert_curve_matches_points(gain_report, scens)
+        assert_curve_matches_points(
+            lambda link: gain_report(SchedulingScenario(cfg, users, link)), links
+        )
+
+    @CURVE_SETTINGS
+    @given(configs, curves, st.integers(1, 40), st.sampled_from([
+        greedy_capacity, round_robin_capacity, fractional_gain,
+        partial(scheduling_gain, mode="exact"), partial(scheduling_gain, mode="approx"),
+    ]))
+    def test_scheduling(self, cfg, links, users, estimator):
+        assert_curve_matches_points(
+            lambda link: estimator(SchedulingScenario(cfg, users, link)), links
+        )
+
+    # Every example draws its own channel set; the curve and point calls
+    # then share it, as the CLI's ergodic and outage calls of a curve do.
+    @settings(CURVE_SETTINGS, max_examples=30)
+    @given(MIMO_SIZES, curves, st.floats(1e-3, 1.0 - 1e-3), st.integers(0, 2**32))
+    def test_mimo(self, size, links, p0, seed):
+        n, m = size
+        mc = McRun(10_000, seed)
+        assert_curve_matches_points(lambda link: mimo_ergodic(n, m, link, mc), links)
+        assert_curve_matches_points(
+            lambda link: mimo_outage(n, m, link, p0, mc), links
+        )
 
     def test_single_link_gives_single_result(self):
         cfg, link = SelectionConfig(2, 3), LinkParams(2.0)
         assert ergodic_capacity(cfg, (link,)) == (ergodic_capacity(cfg, link),)
         assert ergodic_capacity(cfg, ()) == ()
 
-    def test_scenarios_of_a_curve_share_cfg_and_users(self):
-        link = LinkParams(1.0)
-        mixed = (SchedulingScenario(SelectionConfig(1, 2), 4, link),
-                 SchedulingScenario(SelectionConfig(1, 2), 5, link))
-        with pytest.raises(ValueError, match="same cfg and users"):
-            gain_report(mixed)
+    def test_scenario_link_sets_the_result_shape(self):
+        cfg, link = SelectionConfig(1, 2), LinkParams(1.0)
+        point = gain_report(SchedulingScenario(cfg, 4, link))
+        assert gain_report(SchedulingScenario(cfg, 4, (link,))) == (point,)
+        assert gain_report(SchedulingScenario(cfg, 4, ())) == ()
 
 
 class TestLongCurve:

@@ -486,6 +486,27 @@ class TestReuse:
         assert main(argv) == 0
         assert sorted(calls) == [6, 12]
 
+    def test_curve_calls_each_estimator_once(self, monkeypatch, tmp_path):
+        # Two curves on the pool's threads; list.append is atomic, so the
+        # recorders lose no call.
+        draws = record_draws(monkeypatch)
+        calls = []
+        for name in ("mimo_ergodic", "mimo_outage"):
+            estimator = getattr(cli, name)
+
+            def recording(*args, name=name, estimator=estimator):
+                calls.append((name, args[0]))
+                return estimator(*args)
+
+            monkeypatch.setattr(cli, name, recording)
+        clear_caches()
+        argv = ["mimo", "--n", "1,2", "--m", "3", "--p0", "0.1", "--rho-db=0,10,20",
+                "--samples", "10000", "--seed", "406", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 0
+        assert sorted(calls) == [("mimo_ergodic", 1), ("mimo_ergodic", 2),
+                                 ("mimo_outage", 1), ("mimo_outage", 2)]
+        assert sorted(draws) == [2 * 1 * 3, 2 * 2 * 3]
+
     def test_scheduled_curve_draws_the_user_set_once(self, monkeypatch, tmp_path):
         calls = record_draws(monkeypatch)
         clear_caches()

@@ -13,8 +13,10 @@ from antsel import (
     gain_table,
     greedy_capacity,
     round_robin_capacity,
+    scheduling,
     scheduling_gain,
 )
+from antsel.capacity import db_to_linear
 
 RHO_5DB = 10.0**0.5
 
@@ -172,6 +174,24 @@ class TestGainTable:
         assert cell.exact == pytest.approx(exact, abs=5e-4)
         if approx is not None:
             assert cell.approx == pytest.approx(approx, abs=5e-3)
+
+    def test_one_capacity_pass_per_m(self, monkeypatch):
+        # One scenario per m over the whole SINR list: greedy and round
+        # robin, 2 curve calls per m, and every cell the per-cell bits.
+        calls, estimator = [], scheduling.ergodic_capacity
+
+        def counting(*args):
+            calls.append(args)
+            return estimator(*args)
+
+        monkeypatch.setattr(scheduling, "ergodic_capacity", counting)
+        cells = gain_table()
+        assert len(calls) == 2 * 20 == 40
+        for c in cells:
+            s = scen(1, c.m, 32, db_to_linear(c.rho_db))
+            assert c.exact.hex() == scheduling_gain(s, "exact").hex()
+            if c.m >= 2:
+                assert c.approx.hex() == scheduling_gain(s, "approx").hex()
 
     def test_out_of_range_db_raises_value_error(self):
         with pytest.raises(ValueError, match="SINR 4000 dB is out of range"):
