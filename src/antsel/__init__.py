@@ -31,7 +31,6 @@ from .mimo import MAX_RX_ANTENNAS, mimo_ergodic, mimo_outage, mimo_scheduled_erg
 from .oracle import (
     EmpiricalSummary,
     empirical_ergodic,
-    ergodic_and_ks,
     ks_against,
     sample_selection_gain,
 )
@@ -61,7 +60,7 @@ from .scheduling import (
     round_robin_capacity,
     scheduling_gain,
 )
-from .streams import DEFAULT_SEED, McRun
+from .streams import DEFAULT_SEED, McRun, sharing
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "characteristic_largest",
     "convergence_error",
     "empirical_ergodic",
-    "ergodic_and_ks",
     "ergodic_approx",
     "ergodic_bounds",
     "ergodic_capacity",
@@ -114,6 +112,7 @@ __all__ = [
     "sample_selection_gain",
     "scheduling_gain",
     "selection_gain_variance",
+    "sharing",
     "survival",
     "tail_quantile",
     "upper_density_root",

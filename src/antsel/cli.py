@@ -55,7 +55,7 @@ from .gumbel import (
     normalizing_constants,
 )
 from .mimo import mimo_ergodic, mimo_outage, mimo_scheduled_ergodic
-from .oracle import empirical_ergodic, ergodic_and_ks
+from .oracle import empirical_ergodic, ks_against
 from .orderstats import (
     SelectionConfig,
     SolverError,
@@ -64,7 +64,7 @@ from .orderstats import (
     tail_quantile,
 )
 from .scheduling import SchedulingScenario, gain_report, scheduling_gain
-from .streams import DEFAULT_SEED, McRun
+from .streams import DEFAULT_SEED, McRun, sharing
 
 SCHEMAS: dict[str, list[str]] = {
     "dist": ["n", "m", "strategy", "x", "exact_cdf", "approx_cdf"],
@@ -319,9 +319,10 @@ def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, 
     n, m, _, dbs, links = curve
     block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
              "samples": args.samples, "seed": args.seed}
-    estimates = {"ergodic": mimo_ergodic(n, m, links, mc)}
-    if args.p0 is not None:
-        estimates["outage"] = mimo_outage(n, m, links, args.p0, mc)
+    with sharing():  # the outage call reads the ergodic call's channel set
+        estimates = {"ergodic": mimo_ergodic(n, m, links, mc)}
+        if args.p0 is not None:
+            estimates["outage"] = mimo_outage(n, m, links, args.p0, mc)
     if args.users is not None:
         estimates["scheduled"] = mimo_scheduled_ergodic(n, m, args.users, links, mc)
     for name, results in estimates.items():
@@ -374,12 +375,14 @@ def _oracle_checks(mc: McRun) -> list[_Check]:
     the exact distribution.  One (n=1, m=5) sample serves both checks, and
     it is released before the (2, 5) sample is drawn."""
     link = LinkParams(10**0.5)
-    ks_cfg = SelectionConfig(1, 5)
-    shared, ks = ergodic_and_ks(ks_cfg, link, mc, lambda x: max_cdf(ks_cfg, x))
+    configs = (SelectionConfig(1, 1), SelectionConfig(1, 5), SelectionConfig(2, 5))
+    with sharing():
+        estimates = [empirical_ergodic(cfg, link, mc) for cfg in configs[:2]]
+        ks = ks_against(configs[1], mc, lambda x: max_cdf(configs[1], x))
+        estimates.append(empirical_ergodic(configs[2], link, mc))
     ok = True
     detail = []
-    for cfg in (SelectionConfig(1, 1), ks_cfg, SelectionConfig(2, 5)):
-        est = shared if cfg == ks_cfg else empirical_ergodic(cfg, link, mc)
+    for cfg, est in zip(configs, estimates):
         ref = ergodic_capacity(cfg, link).value
         z = (est.value - ref) / est.error_estimate
         detail.append(f"(n={cfg.n},m={cfg.m}) z={z:+.2f}")

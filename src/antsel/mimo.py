@@ -17,13 +17,13 @@ them gives a tuple of results), validates its arguments once per call and
 computes the rates one SINR at a time, so one SINR's rates are alive at
 once.  The coefficients e_k do not depend on rho, so the ergodic and
 outage estimators draw and reduce the single-user channel set once per
-curve; each thread keeps the last (n, m, McRun) set it drew, so the
-ergodic and outage calls of one curve share it.  The greedy-scheduled
-estimator draws its K-user set once per call, taking every SINR's best
-rate per slot from the same coefficients of each slab.  The reduction
-works in real arithmetic on the real and imaginary parts of H, on the
-smaller of the two Gram matrices (H H† or H^T conj(H), which share their
-nonzero eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
+curve; in one ``streams.sharing()`` block the ergodic and outage calls of
+a curve share it.  The greedy-scheduled estimator draws its K-user set
+once per call, taking every SINR's best rate per slot from the same
+coefficients of each slab.  The reduction works in real arithmetic on the
+real and imaginary parts of H, on the smaller of the two Gram matrices
+(H H† or H^T conj(H), which share their nonzero eigenvalues and so their
+e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
 which is one dot product along a row: e_1 is the trace (at r = 1 a
 squared norm over all 2 max(n, m) numbers of a channel), e_2 the sum of
 the 2 x 2 minors and e_3 the determinant.  Larger r forms the Gram matrix
@@ -36,15 +36,11 @@ outage bootstrap resamples sorted rates, so a resample's quantile is the
 rate at a rank that depends only on (seed, sample count, quantile level);
 those ranks are drawn once and kept in a small cache.
 
-Channels are drawn through ``streams.draw_reduced``, which reduces each
-chunk in slabs of about ``streams.SLAB_ELEMENTS`` normals, so a call holds
-one slab of normals and its reductions, never a whole chunk: memory stays
-bounded when the CLI runs several samplers on worker threads at once, the
-(n, m) points of a ``mimo`` grid or ``verify``'s MIMO check beside its
-oracle checks (numpy releases the GIL while it fills the normals).  The
-estimators are safe to call from several threads.  The bootstrap ranks,
-which every (n, m) shares, are read once per outage call under a lock, so
-concurrent outage calls draw them once.
+Channels are drawn through ``streams.draw_reduced``, a slab of normals at a
+time, so memory stays bounded when the CLI runs several samplers on worker
+threads at once.  The estimators are safe to call from several threads.
+The bootstrap ranks, which every (n, m) shares, are read once per outage
+call under a lock, so concurrent outage calls draw them once.
 """
 from __future__ import annotations
 
@@ -55,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .capacity import _LN2, CapacityResult, LinkParams, Links, Method, _points, _shaped
-from .streams import McRun, _sample_mean, draw_reduced, substream
+from .streams import McRun, _sample_mean, draw_reduced, kept, sharing, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -64,10 +60,6 @@ MAX_RX_ANTENNAS = 8
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
 _RANKS_LOCK = threading.Lock()
-# The channel set (samples x min(n, m) coefficients e_k) each thread used
-# last: it lets the ergodic and outage calls of one curve, made one after
-# the other on one thread, share a draw.
-_HELD = threading.local()
 
 
 def _validate(n: int, m: int) -> None:
@@ -102,11 +94,7 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
     n, m = z.shape[-2:]
     if n == 1 or m == 1:
         # Half the squared norm of the channel's 2 max(n, m) numbers, one
-        # contiguous run.  A pair is multiplied out: faster than einsum,
-        # which adds a pair in the same order.
-        if n == m:
-            re, im = z[..., 0, :, 0], z[..., 1, :, 0]
-            return 0.5 * (re * re + im * im)
+        # contiguous run.
         flat = z.reshape(z.shape[:-3] + (-1,))
         return 0.5 * _dot(flat, flat)[..., None]
     if m < n:
@@ -172,13 +160,7 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
 
 def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
     """Rates of the single-user channel set at SINR rho."""
-    key = (n, m, mc)
-    held = getattr(_HELD, "entry", None)
-    if held is None or held[0] != key:
-        invariants = draw_reduced(mc, (2, n, m), _gram_invariants)
-        invariants.flags.writeable = False
-        held = _HELD.entry = (key, invariants)
-    return _det_rates(held[1], rho / m)
+    return _det_rates(kept(draw_reduced, mc, (2, n, m), _gram_invariants), rho / m)
 
 
 def mimo_ergodic(
@@ -190,9 +172,10 @@ def mimo_ergodic(
     _validate(n, m)
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    return _shaped(link, tuple(
-        _sample_mean(_rates(n, m, point.rho, mc)) for point in _points(link)
-    ))
+    with sharing():
+        return _shaped(link, tuple(
+            _sample_mean(_rates(n, m, point.rho, mc)) for point in _points(link)
+        ))
 
 
 # A CLI grid needs one rank set at a time.
@@ -234,7 +217,8 @@ def mimo_outage(
         se = float(rates[ranks].std(ddof=1))
         return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
 
-    return _shaped(link, tuple(map(quantile, links)))
+    with sharing():
+        return _shaped(link, tuple(map(quantile, links)))
 
 
 def mimo_scheduled_ergodic(

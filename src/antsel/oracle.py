@@ -4,9 +4,11 @@ Draws go through the physical channel model end to end: each branch gain is
 a sum of squared magnitudes of unit-variance complex Gaussians, and the
 selection gain is the maximum over m branches.  Each draw is one channel's
 2nm normals, drawn and reduced by ``streams.draw_reduced`` as the MIMO
-sampler draws its channels.  Nothing here reuses the closed-form
-distribution theory, so agreement between this module and the analytic
-modules is a genuine two-route check.
+sampler draws its channels, and sorted once; every estimator reads it
+sorted, the mean included, and in one ``streams.sharing()`` block the
+estimators of one (cfg, McRun) read one sample.  Nothing here reuses the
+closed-form distribution theory, so agreement between this module and the
+analytic modules is a genuine two-route check.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import _LN2, CapacityResult, LinkParams
+from .capacity import CapacityResult, LinkParams, _log2_1p_inplace
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, _sample_mean, draw_reduced
+from .streams import McRun, _sample_mean, draw_reduced, kept
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -26,7 +28,6 @@ __all__ = [
     "sample_selection_gain",
     "ks_against",
     "empirical_ergodic",
-    "ergodic_and_ks",
 ]
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
@@ -47,15 +48,16 @@ class EmpiricalSummary:
 
 
 def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
-    """Selection-gain sample via squared complex-Gaussian branch sums, drawn
-    and reduced a slab at a time."""
-    n, m = cfg.n, cfg.m
+    """Sorted selection-gain sample via squared complex-Gaussian branch sums,
+    drawn and reduced a slab at a time; read through ``streams.kept``."""
 
     def best_gains(z: np.ndarray) -> np.ndarray:
         # Halving is exact and keeps the order, so halve the maxima only.
         return 0.5 * np.einsum("ijk,ijk->ij", z, z).max(axis=1)
 
-    return draw_reduced(mc, (m, 2 * n), best_gains)
+    gains = draw_reduced(mc, (cfg.m, 2 * cfg.n), best_gains)
+    gains.sort()
+    return gains
 
 
 def _ks_statistic(sorted_draws: np.ndarray, reference_cdf: _ArrayCdf) -> float:
@@ -89,7 +91,7 @@ def sample_selection_gain(
     """
     if mc.samples < 1_000:
         raise ValueError(f"summary needs >= 1000 samples, got {mc.samples}")
-    draws = np.sort(_draws(cfg, mc))
+    draws = kept(_draws, cfg, mc)
     if reference_cdf is None:
         reference_cdf = lambda x: max_cdf(cfg, x)  # noqa: E731
     quantiles = tuple(
@@ -107,11 +109,11 @@ def sample_selection_gain(
 
 
 def ks_against(cfg: SelectionConfig, mc: McRun, reference_cdf: _ArrayCdf) -> float:
-    """KS distance between a fresh selection-gain sample and ``reference_cdf``,
+    """KS distance between a selection-gain sample and ``reference_cdf``,
     which maps the sorted sample, an array, to one cdf value per point."""
     if mc.samples < 1_000:
         raise ValueError(f"KS estimate needs >= 1000 samples, got {mc.samples}")
-    return _ks_statistic(np.sort(_draws(cfg, mc)), reference_cdf)
+    return _ks_statistic(kept(_draws, cfg, mc), reference_cdf)
 
 
 def empirical_ergodic(
@@ -120,26 +122,4 @@ def empirical_ergodic(
     """Sample-mean estimate of E[log2(1 + rho X)] with its standard error."""
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    return _mean_rate(link.rho * _draws(cfg, mc))
-
-
-def ergodic_and_ks(
-    cfg: SelectionConfig, link: LinkParams, mc: McRun, reference_cdf: _ArrayCdf
-) -> tuple[CapacityResult, float]:
-    """``empirical_ergodic`` and ``ks_against`` from one selection-gain
-    sample: the values the two calls return, for one draw instead of two."""
-    if mc.samples < 1_000:
-        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    draws = _draws(cfg, mc)
-    # The mean first: it adds the rates in the order they were drawn.
-    estimate = _mean_rate(link.rho * draws)
-    draws.sort()
-    return estimate, _ks_statistic(draws, reference_cdf)
-
-
-def _mean_rate(snr: np.ndarray) -> CapacityResult:
-    """Sample mean of log2(1 + snr) with its standard error, computed in
-    the buffer of ``snr``."""
-    np.log1p(snr, out=snr)
-    snr /= _LN2
-    return _sample_mean(snr)
+    return _sample_mean(_log2_1p_inplace(link.rho * kept(_draws, cfg, mc)))

@@ -11,10 +11,15 @@ consecutive slabs of about ``SLAB_ELEMENTS`` normals.  A generator's stream
 does not depend on how its draws are split, so the slabs hold the chunk's
 numbers bit for bit, while only one slab of normals, not a whole chunk, is
 alive at a time; that bound is what keeps concurrent samplers small.
+Inside a ``sharing()`` block, ``kept`` keeps the thread's last sample,
+read-only, for the next estimator until another is drawn or the block
+ends; outside a block nothing is kept.
 """
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -28,6 +33,9 @@ DEFAULT_SEED = 42
 CHUNK_ELEMENTS = 1 << 22
 # Normal draws per slab (1 MiB): bounds peak memory, not the results.
 SLAB_ELEMENTS = 1 << 17
+
+# Inside a sharing() block, .slot holds the thread's kept (key, sample).
+_KEPT = threading.local()
 
 
 @dataclass(frozen=True)
@@ -62,14 +70,9 @@ def chunk_generators(
     chunk's output never depends on how many chunks ran before it.
     """
     per_chunk = max(1, CHUNK_ELEMENTS // max(1, elems_per_draw))
-    produced = 0
-    index = 0
-    while produced < mc.samples:
-        count = min(per_chunk, mc.samples - produced)
+    for index, start in enumerate(range(0, mc.samples, per_chunk)):
         seq = np.random.SeedSequence(entropy=mc.seed, spawn_key=(0, index))
-        yield count, np.random.default_rng(seq)
-        produced += count
-        index += 1
+        yield min(per_chunk, mc.samples - start), np.random.default_rng(seq)
 
 
 def draw_reduced(
@@ -94,7 +97,36 @@ def draw_reduced(
     ])
 
 
+@contextmanager
+def sharing() -> Iterator[None]:
+    """Keep the thread's last ``kept`` sample until the outermost block exits."""
+    if hasattr(_KEPT, "slot"):
+        yield
+        return
+    _KEPT.slot = []
+    try:
+        yield
+    finally:
+        del _KEPT.slot
+
+
+def kept(sampler: Callable[..., np.ndarray], *args: object) -> np.ndarray:
+    """``sampler(*args)``, read-only; inside a ``sharing()`` block, the one
+    kept for the same sampler, arguments and ``CHUNK_ELEMENTS`` if any."""
+    key = (sampler, args, CHUNK_ELEMENTS)
+    slot = getattr(_KEPT, "slot", [])
+    if not slot or slot[0] != key:
+        slot.clear()  # the kept sample is released before the next is drawn
+        slot[:] = key, sampler(*args)
+        slot[1].flags.writeable = False
+    return slot[1]
+
+
 def _sample_mean(values: np.ndarray) -> CapacityResult:
-    """Monte Carlo mean of ``values``; error_estimate is the standard error."""
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return CapacityResult(float(values.mean()), Method.MONTE_CARLO, se)
+    """Monte Carlo mean of ``values``; error_estimate is the standard error.
+    Consumes ``values``: the squared deviations are formed in its buffer."""
+    mean = values.mean()
+    values -= mean
+    values *= values
+    se = math.sqrt(float(values.sum()) / (values.size - 1)) / math.sqrt(values.size)
+    return CapacityResult(float(mean), Method.MONTE_CARLO, se)

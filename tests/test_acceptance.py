@@ -35,6 +35,7 @@ from antsel import (
     sample_selection_gain,
     scheduling_gain,
     selection_gain_variance,
+    sharing,
 )
 
 RHO_DBS = (-5.0, 0.0, 5.0, 10.0)
@@ -262,11 +263,12 @@ def test_c05_oracle_equivalence():
     for n in (1, 2):
         for m in (1, 5, 20):
             cfg = SelectionConfig(n, m)
-            for db in (-5.0, 5.0):
-                link = LinkParams(10.0 ** (db / 10.0))
-                est = empirical_ergodic(cfg, link, mc)
-                ref = ergodic_capacity(cfg, link).value
-                worst_z = max(worst_z, abs(est.value - ref) / est.error_estimate)
+            with sharing():  # both SINRs read one sample of the configuration
+                for db in (-5.0, 5.0):
+                    link = LinkParams(10.0 ** (db / 10.0))
+                    est = empirical_ergodic(cfg, link, mc)
+                    ref = ergodic_capacity(cfg, link).value
+                    worst_z = max(worst_z, abs(est.value - ref) / est.error_estimate)
     report(
         "criterion-05-oracle-equivalence",
         worst_z <= 3.0,
@@ -372,11 +374,13 @@ def test_c09_mimo_comparison_trends():
 
     for n in (1, 2, 4):
         for m in (1, 2, 8):
-            for rho in (10.0**-0.5, 10.0**0.5, 10.0):
-                est = mimo_ergodic(n, m, LinkParams(rho), mc)
-                ceiling = n * math.log2(1.0 + rho)
-                if est.value > ceiling + 3.0 * est.error_estimate:
-                    problems.append(f"ceiling violated at n={n}, m={m}, rho={rho:.2f}")
+            with sharing():  # the three SINRs read one channel set
+                for rho in (10.0**-0.5, 10.0**0.5, 10.0):
+                    est = mimo_ergodic(n, m, LinkParams(rho), mc)
+                    ceiling = n * math.log2(1.0 + rho)
+                    if est.value > ceiling + 3.0 * est.error_estimate:
+                        problems.append(
+                            f"ceiling violated at n={n}, m={m}, rho={rho:.2f}")
     report(
         "criterion-09-mimo-trends",
         not problems,

@@ -289,7 +289,7 @@ class TestThreadedVerify:
     """verify runs its two Monte Carlo families on the worker pool; the
     report must not tell."""
 
-    ESTIMATORS = ("empirical_ergodic", "ergodic_and_ks", "mimo_ergodic")
+    ESTIMATORS = ("empirical_ergodic", "ks_against", "mimo_ergodic")
 
     @pytest.fixture(autouse=True)
     def small_chunks_fast_switching(self, monkeypatch):
@@ -350,13 +350,13 @@ class TestThreadedVerify:
             mimo_failed.set()
             raise ValueError("the MIMO family failed")
 
-        def after_mimo(*args, estimator=cli.ergodic_and_ks):
+        def after_mimo(*args, estimator=cli.empirical_ergodic):
             assert mimo_failed.wait(timeout=60)
             time.sleep(0.2)
             return estimator(*args)
 
         monkeypatch.setattr(cli, "mimo_ergodic", failing)
-        monkeypatch.setattr(cli, "ergodic_and_ks", after_mimo)
+        monkeypatch.setattr(cli, "empirical_ergodic", after_mimo)
         monkeypatch.setattr(cli, "_WORKERS", workers)
         assert main(["verify", "--samples", "999"]) == 2
         assert capsys.readouterr().err == (

@@ -22,6 +22,7 @@ from antsel import (
     mimo_outage,
     mimo_scheduled_ergodic,
     outage_capacity,
+    sharing,
 )
 from antsel import cli, streams
 from antsel.capacity import db_to_linear
@@ -110,7 +111,6 @@ def record_draws(monkeypatch) -> list[int]:
 
 def clear_caches() -> None:
     mimo._bootstrap_ranks.cache_clear()
-    mimo._HELD.entry = None
 
 
 class TestValidation:
@@ -249,15 +249,17 @@ class TestEigenvalueRoute:
         # m < n leaves the Gram matrix rank-deficient
         mc = McRun(10_000, 100 + n)
         for m in sorted({1, max(n - 1, 1), n, n + 2}):
-            for db in (-30, -10, 10, 40):
-                rho = 10.0 ** (db / 10)
-                ref = slogdet_rates(n, m, rho, mc)
-                est = mimo_ergodic(n, m, LinkParams(rho), mc)
-                out = mimo_outage(n, m, LinkParams(rho), 0.1, mc)
-                ref_se = ref.std(ddof=1) / math.sqrt(ref.size)
-                assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
-                assert est.error_estimate == pytest.approx(ref_se, rel=1e-12, abs=0.0)
-                assert out.value == pytest.approx(np.sort(ref)[999], rel=1e-12, abs=0.0)
+            with sharing():  # every SINR's calls read one channel set
+                for db in (-30, -10, 10, 40):
+                    rho = 10.0 ** (db / 10)
+                    ref = slogdet_rates(n, m, rho, mc)
+                    est = mimo_ergodic(n, m, LinkParams(rho), mc)
+                    out = mimo_outage(n, m, LinkParams(rho), 0.1, mc)
+                    ref_se = ref.std(ddof=1) / math.sqrt(ref.size)
+                    assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
+                    assert est.error_estimate == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+                    assert out.value == pytest.approx(
+                        np.sort(ref)[999], rel=1e-12, abs=0.0)
 
     def test_small_eigenvalue_keeps_relative_accuracy(self):
         # Rows of very different norm, nearly orthogonal.  The small
@@ -463,9 +465,25 @@ class TestReuse:
     def test_one_thread_draws_a_point_once(self, monkeypatch):
         calls = record_draws(monkeypatch)
         clear_caches()
+        with sharing():
+            for rho in self.RHOS:
+                self.point(2, 3, rho)
+        assert calls == [2 * 2 * 3]
+
+    def test_outside_a_block_every_call_draws(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        clear_caches()
         for rho in self.RHOS:
             self.point(2, 3, rho)
-        assert calls == [2 * 2 * 3]
+        assert calls == [2 * 2 * 3] * 2 * len(self.RHOS)
+
+    def test_a_curve_call_draws_once(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        clear_caches()
+        links = tuple(map(LinkParams, self.RHOS))
+        mimo_ergodic(2, 3, links, self.MC)
+        mimo_outage(2, 3, links, 0.05, self.MC)
+        assert calls == [2 * 2 * 3] * 2
 
     def test_samplers_draw_whole_channels(self, monkeypatch):
         # Each draw is one channel set: 2nm normals for a single user and
@@ -532,8 +550,6 @@ class TestThreadedGrid:
         # Many chunks and slabs per (n, m) at test-sized sample counts.
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 10)
-        yield
-        clear_caches()  # no set drawn with this layout outlives the test
 
     @pytest.fixture
     def fast_switching(self):

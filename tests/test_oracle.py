@@ -12,7 +12,6 @@ from antsel import (
     Method,
     SelectionConfig,
     empirical_ergodic,
-    ergodic_and_ks,
     ergodic_capacity,
     ks_against,
     max_cdf,
@@ -20,6 +19,7 @@ from antsel import (
     oracle,
     quantile,
     sample_selection_gain,
+    sharing,
     tail_quantile,
 )
 from antsel.oracle import _draws
@@ -175,7 +175,9 @@ class TestEmpiricalErgodic:
         assert est.value <= upper + 3 * est.error_estimate
 
 
-class TestErgodicAndKs:
+class TestSharedSample:
+    """Estimators in one sharing() block read one sorted sample."""
+
     @pytest.mark.parametrize("n,m,rho", [(1, 5, 10.0**0.5), (2, 3, 1e-4)])
     def test_equals_the_two_calls_from_one_draw(self, monkeypatch, n, m, rho):
         cfg, link, mc = SelectionConfig(n, m), LinkParams(rho), McRun(20_000, 13)
@@ -183,7 +185,11 @@ class TestErgodicAndKs:
         def reference(x):
             return max_cdf(cfg, x)
 
-        expected = (empirical_ergodic(cfg, link, mc), ks_against(cfg, mc, reference))
+        def estimates():
+            return (empirical_ergodic(cfg, link, mc), ks_against(cfg, mc, reference),
+                    sample_selection_gain(cfg, mc, reference))
+
+        expected = estimates()
         draws = []
         draw_reduced = oracle.draw_reduced
 
@@ -192,10 +198,17 @@ class TestErgodicAndKs:
             return draw_reduced(*args)
 
         monkeypatch.setattr(oracle, "draw_reduced", counting)
-        assert ergodic_and_ks(cfg, link, mc, reference) == expected
+        with sharing():
+            assert estimates() == expected
         assert draws == [(m, 2 * n)]
+        estimates()
+        assert draws == [(m, 2 * n)] * 4
 
     def test_sample_floor(self):
-        cfg = SelectionConfig(1, 5)
-        with pytest.raises(ValueError, match="ergodic estimate needs >= 1000 samples"):
-            ergodic_and_ks(cfg, LinkParams(1.0), McRun(999), lambda x: max_cdf(cfg, x))
+        cfg, link = SelectionConfig(1, 5), LinkParams(1.0)
+        with sharing():
+            empirical_ergodic(cfg, link, McRun(1_000))
+            with pytest.raises(ValueError, match="ergodic estimate needs >= 1000"):
+                empirical_ergodic(cfg, link, McRun(999))
+            with pytest.raises(ValueError, match="KS estimate needs >= 1000"):
+                ks_against(cfg, McRun(999), lambda x: max_cdf(cfg, x))
