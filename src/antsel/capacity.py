@@ -7,8 +7,9 @@ integrate the selection-gain law from :mod:`antsel.orderstats`; the
 approximate routes use the Gumbel fit; the bounds sandwich the ergodic
 capacity between two closed-form quantile expressions.  Every quantile
 here (outage rates, bounds, the Gumbel location, the quadrature panel
-edges) comes from :mod:`antsel.orderstats`, which caches its solves per
-``(n, tail level)``, so a grid solves each level once, not once per SINR.
+edges) comes from :mod:`antsel.orderstats`.  Each estimator solves its
+levels once per curve, and the solve cache per ``(n, tail level)`` lets the
+estimators of one curve share the levels they have in common.
 
 Expectations over the selection gain use a composite Gauss-Legendre rule
 built once per :class:`SelectionConfig` and kept in a bounded cache (Golub &

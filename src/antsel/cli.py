@@ -355,13 +355,9 @@ def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
 def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
-    curves = list(_grid(args, configs=False))
-    # A repeated (n, m) is one curve, computed once.
-    unique = {curve[:2]: curve for curve in curves}
-    computed = dict(zip(unique, _largest_first([
+    _emit(args, _largest_first([
         (curve[0] * curve[1] * len(curve[4]), partial(_mimo_curve, args, mc, curve))
-        for curve in unique.values()])))
-    _emit(args, [computed[curve[:2]] for curve in curves])
+        for curve in _grid(args, configs=False)]))
     return 0
 
 
@@ -419,16 +415,15 @@ def _verify_checks(samples: int, seed: int) -> list[_Check]:
         worst = max(worst, abs(mean_selection_gain(SelectionConfig(1, m)) - harmonic))
     record("mean-harmonic", worst <= 1e-7, f"max |quad - harmonic| = {worst:.2e}")
 
-    # Ergodic capacity inside its closed-form sandwich.
+    # Ergodic capacity inside its closed-form sandwich, one curve per (n, m).
     ok = True
+    curve = (LinkParams(10**-0.5), LinkParams(10**0.5))
     for n in (1, 2, 3):
         for m in (1, 5, 20):
             cfg = SelectionConfig(n, m)
-            for rho in (10**-0.5, 10**0.5):
-                link = LinkParams(rho)
-                lower, upper = ergodic_bounds(cfg, link)
-                val = ergodic_capacity(cfg, link).value
-                ok &= lower.value - 1e-6 <= val <= upper.value + 1e-6
+            for (lower, upper), val in zip(ergodic_bounds(cfg, curve),
+                                           ergodic_capacity(cfg, curve)):
+                ok &= lower.value - 1e-6 <= val.value <= upper.value + 1e-6
     record("capacity-sandwich", ok, "n in {1,2,3}, m in {1,5,20}, rho at -5/+5 dB")
 
     # Outage round trip.

@@ -3,17 +3,15 @@
 The branch gain has an exponential-type upper tail, so the normalized best
 of m converges to the Gumbel law G(x) = exp(-e^{-x}).  What matters in
 practice is the choice of location/scale sequences (a_m, b_m): this module
-implements the four constructions the analysis singles out (each fit built
-once per configuration and strategy), the approximate cdf they induce (one
-numpy expression for a float or an array of points), its moments and a
-pointwise convergence-error probe.
+implements the four constructions the analysis singles out, the
+approximate cdf they induce (one numpy expression for a float or an array
+of points), its moments and a pointwise convergence-error probe.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,15 +87,13 @@ def gumbel_cdf(x: float | np.ndarray) -> float | np.ndarray:
     return float(g) if np.ndim(x) == 0 else g
 
 
-@lru_cache(maxsize=None)
 def normalizing_constants(cfg: SelectionConfig, strategy: FitStrategy) -> GumbelFit:
     """Build the (location, scale) pair for ``strategy``.
 
     Requires m >= 2 throughout (the location quantile must be positive);
     ASYMPTOTIC additionally needs m >= 3 when n >= 2 so that ln(ln m) > 0,
-    and DENSITY_ROOT needs the pdf-level crossing to exist.  Each fit is
-    built once per (cfg, strategy) and shared, as it is frozen, so an
-    outage grid does not rebuild it at every SINR.
+    and DENSITY_ROOT needs the pdf-level crossing to exist.  Each call
+    builds a new fit; callers build one per curve, not one per SINR.
     """
     n, m = cfg.n, cfg.m
     if m < 2:

@@ -15,13 +15,14 @@ chunk-deterministic simulation.  Receive arrays up to n = 8 are supported.
 Each estimator takes one ``LinkParams`` or a whole SINR curve (a tuple of
 them gives a tuple of results), validates its arguments once per call and
 computes the rates one SINR at a time, so one SINR's rates are alive at
-once.  The coefficients e_k do not depend on rho, so the ergodic and
-outage estimators draw and reduce the single-user channel set once per
-curve; in one ``streams.sharing()`` block the ergodic and outage calls of
-a curve share it.  The greedy-scheduled estimator draws its K-user set
-once per call, taking every SINR's best rate per slot from the same
-coefficients of each slab.  The reduction works in real arithmetic on the
-real and imaginary parts of H, on the smaller of the two Gram matrices
+once; an empty curve returns () before any draw.  The coefficients e_k do
+not depend on rho, so the ergodic and outage estimators each read the
+single-user channel set once per call, through ``streams.kept``: inside a
+caller's ``streams.sharing()`` block an ergodic and an outage call of one
+curve share a single draw.  The greedy-scheduled estimator draws its
+K-user set once per call, taking every SINR's best rate per slot from the
+same coefficients of each slab.  The reduction works in real arithmetic on
+the real and imaginary parts of H, on the smaller of the two Gram matrices
 (H H† or H^T conj(H), which share their nonzero eigenvalues and so their
 e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
 which is one dot product along a row: e_1 is the trace (at r = 1 a
@@ -51,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .capacity import _LN2, CapacityResult, LinkParams, Links, Method, _points, _shaped
-from .streams import McRun, _sample_mean, draw_reduced, kept, sharing, substream
+from .streams import McRun, _sample_mean, draw_reduced, kept, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -158,11 +159,6 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
     return y
 
 
-def _rates(n: int, m: int, rho: float, mc: McRun) -> np.ndarray:
-    """Rates of the single-user channel set at SINR rho."""
-    return _det_rates(kept(draw_reduced, mc, (2, n, m), _gram_invariants), rho / m)
-
-
 def mimo_ergodic(
     n: int, m: int, link: Links, mc: McRun
 ) -> CapacityResult | tuple[CapacityResult, ...]:
@@ -172,10 +168,13 @@ def mimo_ergodic(
     _validate(n, m)
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    with sharing():
-        return _shaped(link, tuple(
-            _sample_mean(_rates(n, m, point.rho, mc)) for point in _points(link)
-        ))
+    links = _points(link)
+    if not links:
+        return ()
+    invariants = kept(draw_reduced, mc, (2, n, m), _gram_invariants)
+    return _shaped(link, tuple(
+        _sample_mean(_det_rates(invariants, point.rho / m)) for point in links
+    ))
 
 
 # A CLI grid needs one rank set at a time.
@@ -210,15 +209,15 @@ def mimo_outage(
     # lru_cache alone would let two threads compute the same ranks at once.
     with _RANKS_LOCK:
         ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
+    invariants = kept(draw_reduced, mc, (2, n, m), _gram_invariants)
 
     def quantile(point: LinkParams) -> CapacityResult:
-        rates = _rates(n, m, point.rho, mc)
+        rates = _det_rates(invariants, point.rho / m)
         rates.sort()
         se = float(rates[ranks].std(ddof=1))
         return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
 
-    with sharing():
-        return _shaped(link, tuple(map(quantile, links)))
+    return _shaped(link, tuple(map(quantile, links)))
 
 
 def mimo_scheduled_ergodic(

@@ -21,9 +21,9 @@ the ergodic quadrature make one call per grid.  ``pdf``, ``survival``,
 one point per step, and routed through the numpy kernel the solves of the
 benchmark's curves workload took 0.180 s instead of 0.037 s, with a median
 11% fewer rows per second (5 alternating pairs, 2-core x86-64, numpy 2.4).
-``tail_quantile`` and ``upper_density_root`` share one Newton loop, and the
-tail solves are cached per ``(n, tail level)``, so every SINR, bound, fit
-or quadrature panel that asks for a level shares one solve.
+``tail_quantile`` and ``upper_density_root`` share one Newton loop.  The
+tail solves are cached per ``(n, tail level)`` for the estimators of one
+curve that ask for the same level, such as the 1 - 1/m quantile.
 """
 from __future__ import annotations
 
@@ -53,7 +53,8 @@ __all__ = [
 _MAX_ITER = 200
 _LOG_TAIL_TOL = 1e-12
 # Distinct (n, tail level) solves kept; the benchmark's largest grid,
-# ``fit --n 1,2,3 --m 3..200``, solves 396 levels.
+# ``fit --n 1,2,3 --m 3..200``, solves 396 levels.  Hits come from the
+# estimators of one curve asking for the same level.
 _SOLVE_CACHE_SIZE = 1024
 
 
@@ -102,8 +103,7 @@ def _log_tail_sum(n: int, x: float) -> float:
 
 
 def _log_survival(n: int, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
+    """Log of the branch survival for x > 0."""
     return -x + _log_tail_sum(n, x)
 
 
@@ -193,10 +193,8 @@ def max_pdf(cfg: SelectionConfig, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _tail_seed(n: int, log_tail: float) -> float:
-    """Asymptotic location of the tail level exp(log_tail)."""
+    """Asymptotic location of the tail level exp(log_tail), for n >= 2."""
     t = -log_tail
-    if n == 1:
-        return t
     return t + (n - 1) * math.log(max(t, 2.0)) - math.lgamma(n)
 
 

@@ -14,7 +14,6 @@ every cell, the erratum included, is held to the same 5e-4 tolerance.
 """
 import math
 
-import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammainccinv
 
@@ -176,7 +175,7 @@ def closed_form_capacity(branches: int, rho, mpmath):
 
 
 def test_c01_erratum_closed_form():
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     for (m, db), corrected in ERRATA.items():
         printed = PUBLISHED[m][0][RHO_DBS.index(db)]
         with mpmath.workdps(110):

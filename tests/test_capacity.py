@@ -15,7 +15,6 @@ from antsel import (
     ergodic_bounds,
     ergodic_capacity,
     mean_selection_gain,
-    normalizing_constants,
     outage_capacity,
     outage_probability,
     selection_gain_variance,
@@ -126,10 +125,8 @@ class TestOutageCapacity:
         for cfg in cfgs:
             for rho in rhos:
                 orderstats._solve_tail.cache_clear()
-                normalizing_constants.cache_clear()
                 fresh.append(outage_capacity(cfg, LinkParams(rho), 0.05, mode).value)
         orderstats._solve_tail.cache_clear()
-        normalizing_constants.cache_clear()
         cached = [
             outage_capacity(cfg, LinkParams(rho), 0.05, mode).value
             for cfg in cfgs
@@ -197,7 +194,7 @@ class TestOutageCapacity:
         # F^m = p0 for the Gamma(n, 1) cdf F, solved in 40 digits through
         # the tail level Q(n, x) = 1 - p0^{1/m}.  In double precision
         # p0^{1/m} rounds to 1 once that level falls below about 1.1e-16.
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         gain = outage_capacity(SelectionConfig(n, m), LinkParams(1.0), p0).value
         with mpmath.workdps(40):
             log_tail = mpmath.log(-mpmath.expm1(mpmath.log(mpmath.mpf(p0)) / m))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import antsel
-from antsel import GumbelFit, McRun, cli, normalizing_constants, orderstats, streams
+from antsel import GumbelFit, McRun, cli, orderstats, streams
 from antsel.cli import SCHEMAS, main, parse_float_grid, parse_int_grid
 from antsel.orderstats import SolverError
 
@@ -212,7 +212,6 @@ class TestOutage:
     def test_grid_solves_each_level_once(self, tmp_path):
         # two (n, m) points with n >= 2, exact and Gumbel: four levels
         orderstats._solve_tail.cache_clear()
-        normalizing_constants.cache_clear()
         assert main(["outage", "--n", "2,3", "--m", "6", "--rho-db=-10:5:10",
                      "--p0", "0.05", "--out", str(tmp_path / "out.csv")]) == 0
         assert orderstats._solve_tail.cache_info().misses == 4
@@ -224,7 +223,6 @@ class TestOutage:
             built.append(fit)
             post_init(fit)
 
-        normalizing_constants.cache_clear()
         monkeypatch.setattr(GumbelFit, "__post_init__", counting)
         assert main(["outage", "--n", "1,2", "--m", "2,3", "--rho-db=0:1:10",
                      "--out", str(tmp_path / "out.csv")]) == 0
@@ -437,6 +435,11 @@ class TestArgHandling:
     def test_empty_mimo_grid_writes_the_header(self, capsys):
         assert main(["mimo", "--n", ",", "--samples", "1000"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == ",".join(SCHEMAS["mimo"])
+
+    def test_empty_mimo_curve_writes_the_header_alone(self, capsys):
+        assert main(["mimo", "--n", "1", "--m", "2", "--rho-db=", "--p0", "0.1",
+                     "--users", "4", "--samples", "10000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [",".join(SCHEMAS["mimo"])]
 
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "1", "--m", "2", "--points", "5"],

@@ -27,7 +27,7 @@ from antsel import (
 from antsel import cli, streams
 from antsel.capacity import db_to_linear
 from antsel.cli import main
-from antsel.streams import chunk_generators, substream
+from antsel.streams import chunk_generators, draw_reduced, substream
 
 RHO_5DB = 10.0**0.5
 MC = McRun(100_000, 2024)
@@ -140,6 +140,16 @@ class TestValidation:
             McRun(1000, -1)
         with pytest.raises(ValueError):
             McRun(1000, 2**64)
+
+    def test_empty_curve_draws_nothing(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        clear_caches()
+        mc = McRun(10_000, 7)
+        assert mimo_ergodic(2, 3, (), mc) == ()
+        assert mimo_outage(2, 3, (), 0.1, mc) == ()
+        assert mimo_scheduled_ergodic(2, 3, 4, (), mc) == ()
+        assert calls == []
+        assert mimo._bootstrap_ranks.cache_info().misses == 0
 
 
 class TestDeterminism:
@@ -433,7 +443,8 @@ class TestRankBootstrap:
 
         mc = McRun(samples, seed)
         est = mimo_outage(2, 3, LinkParams(1.0), p0, mc)
-        rates = np.sort(mimo._rates(2, 3, 1.0, mc))
+        invariants = draw_reduced(mc, (2, 2, 3), mimo._gram_invariants)
+        rates = np.sort(mimo._det_rates(invariants, 1.0 / 3))
         assert est.value == rates[k]
         assert est.error_estimate == float(resample_loop(rates, p0, seed).std(ddof=1))
 
@@ -604,11 +615,8 @@ class TestThreadedGrid:
             return self.run(monkeypatch, tmp_path, workers, argv).splitlines()[2:]
 
         two, one = data_rows(1, "2"), data_rows(1, "1")
-        calls = record_draws(monkeypatch)
         assert data_rows(2, "2,1,2") == two + one + two
         assert data_rows(1, "2,1,2") == two + one + two
-        # The repeated (2, 1) curve is computed, and its channel set drawn, once.
-        assert sorted(calls) == [2, 2, 4, 4]
 
     def test_bootstrap_ranks_drawn_once(self, monkeypatch, tmp_path, fast_switching):
         tags = []

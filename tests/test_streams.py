@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from antsel import LinkParams, McRun, SelectionConfig
-from antsel.mimo import _rates, mimo_ergodic, mimo_scheduled_ergodic
+from antsel.mimo import _det_rates, _gram_invariants, mimo_ergodic, mimo_scheduled_ergodic
 from antsel.oracle import _draws, empirical_ergodic, sample_selection_gain
 from antsel import streams
 from antsel.streams import (
@@ -244,7 +244,7 @@ class TestReportedErrors:
         mc = McRun(5_000, 21)
         link = LinkParams(1.0)
         res = mimo_ergodic(2, 2, link, mc)
-        rates = _rates(2, 2, link.rho, mc)
+        rates = _det_rates(draw_reduced(mc, (2, 2, 2), _gram_invariants), link.rho / 2)
         assert res.value == float(rates.mean())
         assert res.error_estimate == float(rates.std(ddof=1) / math.sqrt(rates.size))
 
