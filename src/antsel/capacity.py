@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -54,7 +53,6 @@ from .orderstats import (
 )
 
 __all__ = [
-    "Method",
     "LinkParams",
     "db_to_linear",
     "CapacityResult",
@@ -95,18 +93,6 @@ QUAD_BLOCK_ELEMENTS = 1 << 16
 _CURVE_CACHE_SIZE = 32
 
 
-class Method(str, Enum):
-    """How a capacity value was obtained."""
-
-    EXACT_QUADRATURE = "exact-quadrature"
-    EXACT_INVERSION = "exact-inversion"
-    BOUND_LOWER = "bound-lower"
-    BOUND_UPPER = "bound-upper"
-    GUMBEL_APPROX = "gumbel-approx"
-    QUANTILE_APPROX = "quantile-approx"
-    MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(frozen=True)
 class LinkParams:
     """Average SINR of the link as a linear power ratio."""
@@ -128,7 +114,7 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """A capacity value (bits/s/Hz) with its method tag and error estimate.
+    """A capacity value (bits/s/Hz) with its error estimate.
 
     ``error_estimate`` is the quadrature error estimate or the Monte Carlo
     standard error; zero for closed forms.  ``degenerate`` marks a Gumbel
@@ -137,7 +123,6 @@ class CapacityResult:
     """
 
     value: float
-    method: Method
     error_estimate: float = 0.0
     degenerate: bool = False
 
@@ -296,18 +281,16 @@ def outage_capacity(
         # F(x)^m = p0 as a tail level: 1 - p0^{1/m} without rounding p0^{1/m}
         # to 1 when p0 is near 1 or m is large.
         gain = tail_quantile(cfg.n, -math.expm1(math.log(p0) / cfg.m))
-        method = Method.EXACT_INVERSION
     elif mode == "gumbel":
         fit = normalizing_constants(cfg, FitStrategy.MRL)
         gain = fit.location - fit.scale * math.log(-math.log(p0))
-        method = Method.GUMBEL_APPROX
     else:
         raise ValueError(f"mode must be 'exact' or 'gumbel', got {mode!r}")
     links = _points(link)
     if gain < 0.0:
-        return _shaped(link, (CapacityResult(0.0, method, degenerate=True),) * len(links))
+        return _shaped(link, (CapacityResult(0.0, degenerate=True),) * len(links))
     return _shaped(link, tuple(
-        CapacityResult(_log2_1p(point.rho * gain), method) for point in links
+        CapacityResult(_log2_1p(point.rho * gain)) for point in links
     ))
 
 
@@ -332,10 +315,7 @@ def ergodic_capacity(
     """
     links = _points(link)
     values, errors = _expect(cfg, _log2_1p_inplace, [point.rho for point in links])
-    return _shaped(link, tuple(
-        CapacityResult(value, Method.EXACT_QUADRATURE, error)
-        for value, error in zip(values, errors)
-    ))
+    return _shaped(link, tuple(map(CapacityResult, values, errors)))
 
 
 def ergodic_bounds(cfg: SelectionConfig, link: Links) -> Bounds | tuple[Bounds, ...]:
@@ -349,8 +329,8 @@ def ergodic_bounds(cfg: SelectionConfig, link: Links) -> Bounds | tuple[Bounds, 
     q_upper = tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1)))
     return _shaped(link, tuple(
         (
-            CapacityResult(_log2_1p(point.rho * q_lower), Method.BOUND_LOWER),
-            CapacityResult(_log2_1p(point.rho * q_upper), Method.BOUND_UPPER),
+            CapacityResult(_log2_1p(point.rho * q_lower)),
+            CapacityResult(_log2_1p(point.rho * q_upper)),
         )
         for point in _points(link)
     ))
@@ -364,14 +344,14 @@ def ergodic_approx(
     sandwich bounds."""
     gain = characteristic_largest(cfg) + EULER_GAMMA
     return _shaped(link, tuple(
-        CapacityResult(_log2_1p(point.rho * gain), Method.QUANTILE_APPROX)
-        for point in _points(link)
+        CapacityResult(_log2_1p(point.rho * gain)) for point in _points(link)
     ))
 
 
 @lru_cache(maxsize=None)
 def mean_selection_gain(cfg: SelectionConfig) -> float:
-    """E[X] of the selection gain by quadrature (harmonic sum for n = 1)."""
+    """E[X] of the selection gain by quadrature, for every n (``verify``
+    checks n = 1 against the harmonic sum)."""
     return _expect(cfg, lambda x: x)[0][0]
 
 

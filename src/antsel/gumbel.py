@@ -62,15 +62,11 @@ class FitStrategy(Enum):
 
 @dataclass(frozen=True)
 class GumbelFit:
-    """Location/scale pair approximating the selection gain as a + b*Gumbel.
-
-    ``strategy`` records which construction produced the constants; None
-    marks user-supplied (strategy-free) constants.
-    """
+    """Location/scale pair approximating the selection gain as a + b*Gumbel,
+    whether built by ``normalizing_constants`` or supplied directly."""
 
     location: float
     scale: float
-    strategy: FitStrategy | None = None
 
     def __post_init__(self) -> None:
         if not self.scale > 0.0:
@@ -100,20 +96,20 @@ def normalizing_constants(cfg: SelectionConfig, strategy: FitStrategy) -> Gumbel
         raise ValueError(f"strategy {strategy.value!r} needs m >= 2, got m={m}")
     if strategy is FitStrategy.MRL:
         q = characteristic_largest(cfg)
-        return GumbelFit(q, mean_residual_life(n, q), strategy)
+        return GumbelFit(q, mean_residual_life(n, q))
     if strategy is FitStrategy.ASYMPTOTIC:
         if n >= 2 and m < 3:
             raise ValueError(
                 f"asymptotic constants need m >= 3 when n >= 2, got n={n}, m={m}"
             )
         loc = math.log(m) + (n - 1) * math.log(math.log(m)) - math.lgamma(n)
-        return GumbelFit(loc, 1.0, strategy)
+        return GumbelFit(loc, 1.0)
     if strategy is FitStrategy.DENSITY_ROOT:
         root = upper_density_root(cfg)
-        return GumbelFit(root + (n - 1) / root, 1.0 + (n - 1) / root, strategy)
+        return GumbelFit(root + (n - 1) / root, 1.0 + (n - 1) / root)
     if strategy is FitStrategy.QUANTILE_RATE:
         q = characteristic_largest(cfg)
-        return GumbelFit(q, 1.0 + (n - 1) / q, strategy)
+        return GumbelFit(q, 1.0 + (n - 1) / q)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

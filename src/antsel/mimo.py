@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import _LN2, CapacityResult, LinkParams, Links, Method, _points, _shaped
+from .capacity import _LN2, CapacityResult, LinkParams, Links, _points, _shaped
 from .streams import McRun, _sample_mean, draw_reduced, kept, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
@@ -215,7 +215,7 @@ def mimo_outage(
         rates = _det_rates(invariants, point.rho / m)
         rates.sort()
         se = float(rates[ranks].std(ddof=1))
-        return CapacityResult(float(rates[k]), Method.MONTE_CARLO, se)
+        return CapacityResult(float(rates[k]), se)
 
     return _shaped(link, tuple(map(quantile, links)))
 

@@ -8,10 +8,12 @@ freedom, i.e. Gamma(n, 1):
     survival  1 - F(x) = e^{-x} sum_{k<n} x^k / k!
 
 Picking the best of ``m`` independent branches makes the selection gain the
-maximum order statistic with cdf F^m.  Everything here is evaluated
+maximum order statistic with cdf F^m.  The upper tail is evaluated
 tail-first: the survival sum is computed directly (never as one minus a
 near-one cdf) and powers of F go through log1p of the survival, which keeps
-m up to 1e4 and deep tail levels exact to roundoff.
+m up to 1e4 and deep upper-tail levels exact to roundoff.  The lower tail is
+not: F is still 1 - survival, so ``quantile(2, 1e-12)`` is 33% high and
+``quantile(4, 1e-18)`` is 0 (ROADMAP item 2).
 
 All functions are pure and thread-safe.  ``max_cdf`` and ``max_pdf`` take
 a float or a numpy array through one numpy path (a float returns a float,

@@ -25,7 +25,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .capacity import CapacityResult, Method
+from .capacity import CapacityResult
+
+__all__ = ["DEFAULT_SEED", "McRun", "sharing"]
 
 DEFAULT_SEED = 42
 
@@ -129,4 +131,4 @@ def _sample_mean(values: np.ndarray) -> CapacityResult:
     values -= mean
     values *= values
     se = math.sqrt(float(values.sum()) / (values.size - 1)) / math.sqrt(values.size)
-    return CapacityResult(float(mean), Method.MONTE_CARLO, se)
+    return CapacityResult(float(mean), se)

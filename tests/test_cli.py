@@ -2,6 +2,7 @@
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -361,16 +362,60 @@ class TestThreadedVerify:
             "error: ergodic estimate needs >= 1000 samples, got 999\n")
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this antsel."""
+    src = str(Path(antsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+# Runs every subcommand on a small grid with the test-only dependencies
+# made unimportable; prints each exit code and the blocked modules loaded.
+RUNTIME_ONLY = """
+import contextlib, importlib.abc, io, json, sys
+
+BLOCKED = {"scipy", "mpmath", "hypothesis"}
+
+class Block(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] in BLOCKED:
+            raise ModuleNotFoundError(f"blocked: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, Block())
+from antsel.cli import main
+
+codes = {}
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = main(argv)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in BLOCKED)]))
+"""
+
+
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(antsel.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         code = ("import sys, antsel.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert run_python(code).stdout.strip() == "[]"
+
+    def test_every_subcommand_runs_on_numpy_alone(self):
+        argvs = [
+            ["dist", "--n", "1,2", "--m", "1,4", "--points", "20"],
+            ["fit", "--n", "1,2", "--m", "3,8"],
+            ["outage", "--n", "1,2", "--m", "1,4", "--rho-db=0,10"],
+            ["ergodic", "--n", "1,2", "--m", "1,4", "--rho-db=0,10"],
+            ["scheduling", "--m", "1,4", "--users", "4", "--rho-db=0,10"],
+            ["table1", "--m", "1,2", "--rho-db=0,5"],
+            ["mimo", "--n", "1,2", "--m", "1,4", "--p0", "0.1", "--users", "4",
+             "--samples", "10000"],
+            ["verify", "--samples", "20000"],
+        ]
+        codes, loaded = json.loads(run_python(RUNTIME_ONLY % argvs).stdout)
+        assert codes == {argv[0]: 0 for argv in argvs}
+        assert loaded == []
 
 
 class TestArgHandling:

@@ -52,7 +52,6 @@ class TestNormalizingConstants:
         fit = normalizing_constants(SelectionConfig(1, 10), FitStrategy.MRL)
         assert fit.location == pytest.approx(math.log(10.0), rel=1e-14)
         assert fit.scale == 1.0
-        assert fit.strategy is FitStrategy.MRL
 
     def test_mrl_ties_location_and_scale_together(self):
         for n, m in ((2, 5), (3, 40), (5, 12)):
@@ -106,10 +105,6 @@ class TestNormalizingConstants:
     def test_density_root_unavailable_propagates(self):
         with pytest.raises(ValueError):
             normalizing_constants(SelectionConfig(2, 2), FitStrategy.DENSITY_ROOT)
-
-    def test_raw_fit_is_strategy_free(self):
-        fit = GumbelFit(1.5, 2.0)
-        assert fit.strategy is None
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from antsel import (
     FitStrategy,
     LinkParams,
     McRun,
-    Method,
     SelectionConfig,
     empirical_ergodic,
     ergodic_capacity,
@@ -147,7 +146,6 @@ class TestEmpiricalErgodic:
         a = empirical_ergodic(SelectionConfig(1, 2), LinkParams(1.0), McRun(10_000, 5))
         b = empirical_ergodic(SelectionConfig(1, 2), LinkParams(1.0), McRun(10_000, 5))
         assert a.value == b.value
-        assert a.method is Method.MONTE_CARLO
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("m", [1, 5])
