@@ -19,6 +19,16 @@ while a thread idles, and their results are read in grid or report order,
 so the output, and which error is reported, do not depend on the thread
 count.
 
+Importing this module registers ``gc.freeze`` to run at interpreter exit.
+Finalization would otherwise run full collections over the tens of
+thousands of objects the imports create and tear their cycles down one
+object at a time, about 27 ms after the last statement of every run; frozen,
+they are left to the OS with the rest of the heap.  Nothing here needs a
+finalizer at exit: ``_emit`` closes ``--out`` itself, the interpreter
+flushes stdout, and ``_largest_first`` shuts its pool down.  ``import
+antsel`` alone registers nothing, and in-process callers of ``main`` are
+unaffected until their interpreter exits.
+
 Exit codes: 0 success, 2 invalid arguments or parameter combinations
 (a bad ``--rho-db`` exits 2 before any curve is computed), 3 numerical
 diagnostic (solver or verification failure).
@@ -26,7 +36,9 @@ diagnostic (solver or verification failure).
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import math
 import os
@@ -89,7 +101,24 @@ _STRATEGIES = {s.value: s for s in FitStrategy}
 # process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
+# Leave the heap to the OS at exit (see the module docstring).
+atexit.register(gc.freeze)
+
+# Most values one range of a grid option, or --points, may ask for.
+MAX_GRID_VALUES = 10**6
+
 _T = TypeVar("_T")
+
+
+def _check_grid_size(text: str, count: float) -> None:
+    """Reject a range of more than ``MAX_GRID_VALUES`` values before it is built.
+
+    ``count`` may be fractional (a float range's last step is cut short), so
+    the values are ``floor(count)``.
+    """
+    if count >= MAX_GRID_VALUES + 1:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count:.7g} values; at most {MAX_GRID_VALUES} are allowed")
 
 
 def parse_int_grid(text: str) -> list[int]:
@@ -100,6 +129,7 @@ def parse_int_grid(text: str) -> list[int]:
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        _check_grid_size(text, hi_i - lo_i + 1)
         return list(range(lo_i, hi_i + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -114,10 +144,13 @@ def parse_float_grid(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"range bounds must be finite in {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError(f"step must be positive in {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
+        # Steps past the start; checked as a float, so that a range too
+        # long to count in a float is rejected too.
+        steps = (stop - start) / step + 1e-9
+        if steps < 0:
             raise argparse.ArgumentTypeError(f"empty grid {text!r}")
-        return [start + i * step for i in range(count)]
+        _check_grid_size(text, steps + 1)
+        return [start + i * step for i in range(math.floor(steps) + 1)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -209,6 +242,8 @@ def _dist_grid(cfg: SelectionConfig, points: int) -> list[float]:
 def cmd_dist(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
+    if args.points > MAX_GRID_VALUES:
+        raise ValueError(f"--points must be at most {MAX_GRID_VALUES}, got {args.points}")
     strategy = _STRATEGIES[args.strategy]
     enabled = _mode_set(args, ("exact", "approx"))
     blocks = []

@@ -1,6 +1,7 @@
 """Outage and ergodic capacity: closed-form anchors, bounds, and invariants."""
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import comb, exp1, gammainc, gammainccinv, gammaln, xlogy
@@ -12,7 +13,9 @@ from antsel import (
     SelectionConfig,
     ergodic_approx,
     ergodic_bounds,
+    capacity,
     ergodic_capacity,
+    max_pdf,
     mean_selection_gain,
     outage_capacity,
     outage_probability,
@@ -269,6 +272,46 @@ class TestErgodicQuadrature:
         res = ergodic_capacity(SelectionConfig(1, m), LinkParams(rho))
         assert res.value == pytest.approx(exponential_ergodic(m, rho), abs=1e-9)
         assert 0.0 < res.error_estimate <= 1e-9
+
+
+def full_rule_expect(cfg, fn):
+    """E[fn(X)] by the 2N-point rule over every panel of ``_panel_edges``,
+    with the library's order of operations."""
+    x, w = capacity._gauss_legendre(capacity._panel_edges(cfg), capacity._UNIT_RULES[1])
+    terms = fn(x)
+    terms *= w * max_pdf(cfg, x)
+    return float(terms.sum())
+
+
+class TestRuleStart:
+    """The rule starts at the last panel edge with at most 1e-20 of mass
+    below it; what it drops stays far under the quadrature tolerance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 640])
+    def test_agrees_with_the_rule_over_every_panel(self, n, m):
+        cfg = SelectionConfig(n, m)
+        rhos = [10.0 ** (db / 10.0) for db in (-20, 0, 40, 80)]
+        curve = ergodic_capacity(cfg, tuple(LinkParams(rho) for rho in rhos))
+        for rho, res in zip(rhos, curve):
+            full = full_rule_expect(cfg, lambda x: np.log1p(rho * x) / math.log(2.0))
+            assert abs(res.value - full) <= 1e-13, rho
+        mean = full_rule_expect(cfg, np.copy)
+        second = full_rule_expect(cfg, np.square)
+        assert abs(mean_selection_gain(cfg) - mean) <= 1e-13
+        # Var = E[X²] - E[X]² keeps a few ulps of E[X²] (1.8e-12 at n = 50,
+        # where E[X²] is about 4e3) from summing fewer terms.
+        variance = selection_gain_variance(cfg)
+        assert abs(variance - (second - mean * mean)) <= 1e-13 + 8e-16 * second
+
+    def test_node_counts(self):
+        def nodes(n, m):
+            return capacity._density_rule(SelectionConfig(n, m)).x.size
+
+        # (1, 1) has mass in every panel; best of 20 has none in most.
+        edges = capacity._panel_edges(SelectionConfig(1, 1))
+        assert nodes(1, 1) == 2 * capacity._GAUSS_POINTS * (edges.size - 1) == 1032
+        assert nodes(1, 20) <= 408
 
 
 class TestErgodicBounds:

@@ -42,6 +42,36 @@ class TestParsers:
         with pytest.raises(Exception):
             parse_int_grid("5..1")
 
+    def test_largest_ranges_accepted(self):
+        assert len(parse_int_grid(f"1..{cli.MAX_GRID_VALUES}")) == cli.MAX_GRID_VALUES
+        grid = parse_float_grid(f"0:0.5:{(cli.MAX_GRID_VALUES - 1) / 2}")
+        assert len(grid) == cli.MAX_GRID_VALUES
+
+    @pytest.mark.parametrize("option,grid", [
+        ("--m", f"1..{cli.MAX_GRID_VALUES + 1}"),
+        ("--n", f"0..{cli.MAX_GRID_VALUES}"),
+        ("--rho-db", f"0:1:{cli.MAX_GRID_VALUES}"),
+        ("--rho-db", f"0:0.5:{cli.MAX_GRID_VALUES / 2}"),
+    ])
+    def test_oversized_range_exits_two(self, option, grid, capsys):
+        # --n 0 (or n = 0 first) fails the first curve, and 3,081 dB is out of
+        # range, so a grid that got past the check stops there, not after
+        # 10^6 curves.
+        with pytest.raises(SystemExit) as exc:
+            main(["ergodic", "--n", "0", f"{option}={grid}"])
+        assert exc.value.code == 2
+        assert (f"range {grid!r} has {cli.MAX_GRID_VALUES + 1} values; "
+                f"at most {cli.MAX_GRID_VALUES} are allowed") in capsys.readouterr().err
+
+    def test_float_range_too_long_to_count_rejected(self):
+        # The span overflows to inf; the count is checked as a float.
+        with pytest.raises(argparse.ArgumentTypeError, match="has inf values"):
+            parse_float_grid("-1e308:1e-10:1e308")
+
+    def test_range_that_overflows_backwards_is_empty(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="empty grid"):
+            parse_float_grid("1e308:1:-1e308")
+
     @pytest.mark.parametrize("grid", ["0:1:inf", "-inf:1:5", "inf:1:5"])
     def test_non_finite_range_bound_exits_two(self, grid, capsys):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -140,6 +170,15 @@ class TestDistAndFit:
         assert main(["dist", "--n", "1", "--m", "2", "--points", points,
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_points_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "dist.csv"
+        points = cli.MAX_GRID_VALUES + 1
+        assert main(["dist", "--n", "1", "--m", "2", "--points", str(points),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --points must be at most {cli.MAX_GRID_VALUES}, got {points}\n")
         assert not out.exists()
 
     def test_single_branch_leaves_approx_empty(self, tmp_path):
@@ -362,12 +401,13 @@ class TestThreadedVerify:
             "error: ergodic estimate needs >= 1000 samples, got 999\n")
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this antsel."""
+def run_python(*args):
+    """Run a fresh interpreter with ``args`` (``"-c", code`` or ``"-m", ...``)
+    that imports this antsel; a nonzero exit fails the test."""
     src = str(Path(antsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True)
 
 
@@ -399,7 +439,7 @@ class TestImports:
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, antsel.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        assert run_python(code).stdout.strip() == "[]"
+        assert run_python("-c", code).stdout.strip() == "[]"
 
     def test_every_subcommand_runs_on_numpy_alone(self):
         argvs = [
@@ -413,9 +453,31 @@ class TestImports:
              "--samples", "10000"],
             ["verify", "--samples", "20000"],
         ]
-        codes, loaded = json.loads(run_python(RUNTIME_ONLY % argvs).stdout)
+        codes, loaded = json.loads(run_python("-c", RUNTIME_ONLY % argvs).stdout)
         assert codes == {argv[0]: 0 for argv in argvs}
         assert loaded == []
+
+
+# Registers an exit probe before importing ``%s``; atexit runs hooks last
+# registered first, so the probe sees the state any hook of the import left.
+EXIT_PROBE = """
+import atexit, gc
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+import %s
+"""
+
+
+class TestExitHook:
+    @pytest.mark.parametrize("module,frozen", [("antsel.cli", "True"), ("antsel", "False")])
+    def test_only_the_cli_freezes_the_heap_at_exit(self, module, frozen):
+        assert run_python("-c", EXIT_PROBE % module).stdout.strip() == frozen
+
+    def test_table1_through_a_real_exit(self, tmp_path):
+        out = tmp_path / "table1.csv"
+        proc = run_python("-m", "antsel.cli", "table1", "--out", str(out))
+        assert proc.stdout == proc.stderr == ""
+        golden = Path(__file__).parent / "golden" / "readme_table1.csv"
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestArgHandling:
