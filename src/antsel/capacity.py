@@ -25,9 +25,8 @@ every panel.  The mass dropped is at most ``1e-20``, plus the ~1e-16
 rounding of the lower-tail cdf at m = 1; times an integrand of at most
 log2(1 + rho x_hi), that stays below 1e-13, far under ``QUAD_ABS_TOL``.
 The weights carry the density, so an expectation is a weighted sum over
-the nodes.  The value is
-the 2N-point rule on every panel; its difference from the N-point rule is
-the error estimate.
+the nodes.  The value is the 2N-point rule on every panel; its difference
+from the N-point rule is the error estimate.
 
 The estimators take a whole SINR curve: a tuple of ``LinkParams`` gives a
 tuple of results, one per SINR, and a single ``LinkParams`` a single result,

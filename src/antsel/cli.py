@@ -144,8 +144,8 @@ def parse_float_grid(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"range bounds must be finite in {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError(f"step must be positive in {text!r}")
-        # Steps past the start; checked as a float, so that a range too
-        # long to count in a float is rejected too.
+        # Steps past the start, kept as a float: a span that
+        # overflows to inf is rejected by the size check, not converted.
         steps = (stop - start) / step + 1e-9
         if steps < 0:
             raise argparse.ArgumentTypeError(f"empty grid {text!r}")
