@@ -144,10 +144,6 @@ Bounds = tuple[CapacityResult, CapacityResult]
 _T = TypeVar("_T")
 
 
-def _log2_1p(y: float) -> float:
-    return math.log1p(y) / _LN2
-
-
 def _points(link: Links) -> tuple[LinkParams, ...]:
     """The SINRs of a curve: a single ``LinkParams`` is a curve of one."""
     return (link,) if isinstance(link, LinkParams) else tuple(link)
@@ -156,6 +152,20 @@ def _points(link: Links) -> tuple[LinkParams, ...]:
 def _shaped(link: Links, results: tuple[_T, ...]) -> _T | tuple[_T, ...]:
     """One result for a single ``LinkParams``, the tuple for a curve."""
     return results[0] if isinstance(link, LinkParams) else results
+
+
+def _rates(link: Links, gain: float) -> tuple[CapacityResult, ...]:
+    """log2(1 + rho gain) at each SINR of a curve, one selection gain for all."""
+    return tuple(
+        CapacityResult(math.log1p(point.rho * gain) / _LN2) for point in _points(link)
+    )
+
+
+def _log2_1p_inplace(y: np.ndarray) -> np.ndarray:
+    """log2(1 + y) in place over an array: the quadrature's and samplers' map."""
+    np.log1p(y, out=y)
+    y /= _LN2
+    return y
 
 
 def _upper_cutoff(cfg: SelectionConfig) -> float:
@@ -256,24 +266,16 @@ def _expect(
     return values, errors
 
 
-def outage_probability(
-    cfg: SelectionConfig, link: LinkParams, c0: float, mode: str = "exact"
-) -> float:
+def outage_probability(cfg: SelectionConfig, link: LinkParams, c0: float) -> float:
     """Probability that the instantaneous rate falls at or below ``c0``.
 
-    The rate threshold maps to the gain threshold (2^c0 - 1)/rho.  Mode
-    "exact" evaluates the selection-gain cdf there; "gumbel" evaluates the
-    MRL-constants Gumbel fit instead.
+    The rate threshold maps to the gain threshold (2^c0 - 1)/rho, and the
+    exact selection-gain cdf is evaluated there.  The Gumbel approximation
+    of the same probability is ``GumbelFit.cdf`` at that threshold.
     """
     if c0 < 0.0:
         raise ValueError(f"rate threshold must be nonnegative, got {c0!r}")
-    threshold = math.expm1(c0 * _LN2) / link.rho
-    if mode == "exact":
-        return max_cdf(cfg, threshold)
-    if mode == "gumbel":
-        fit = normalizing_constants(cfg, FitStrategy.MRL)
-        return fit.cdf(threshold)
-    raise ValueError(f"mode must be 'exact' or 'gumbel', got {mode!r}")
+    return max_cdf(cfg, math.expm1(c0 * _LN2) / link.rho)
 
 
 def outage_capacity(
@@ -297,18 +299,9 @@ def outage_capacity(
         gain = fit.location - fit.scale * math.log(-math.log(p0))
     else:
         raise ValueError(f"mode must be 'exact' or 'gumbel', got {mode!r}")
-    links = _points(link)
     if gain < 0.0:
-        return _shaped(link, (CapacityResult(0.0, degenerate=True),) * len(links))
-    return _shaped(link, tuple(
-        CapacityResult(_log2_1p(point.rho * gain)) for point in links
-    ))
-
-
-def _log2_1p_inplace(y: np.ndarray) -> np.ndarray:
-    np.log1p(y, out=y)
-    y /= _LN2
-    return y
+        return _shaped(link, (CapacityResult(0.0, degenerate=True),) * len(_points(link)))
+    return _shaped(link, _rates(link, gain))
 
 
 @lru_cache(maxsize=_CURVE_CACHE_SIZE)
@@ -338,13 +331,7 @@ def ergodic_bounds(cfg: SelectionConfig, link: Links) -> Bounds | tuple[Bounds, 
     """
     q_lower = characteristic_largest(cfg)
     q_upper = tail_quantile(cfg.n, 1.0 / (_EXP_GAMMA * (cfg.m + 1)))
-    return _shaped(link, tuple(
-        (
-            CapacityResult(_log2_1p(point.rho * q_lower)),
-            CapacityResult(_log2_1p(point.rho * q_upper)),
-        )
-        for point in _points(link)
-    ))
+    return _shaped(link, tuple(zip(_rates(link, q_lower), _rates(link, q_upper))))
 
 
 def ergodic_approx(
@@ -354,9 +341,7 @@ def ergodic_approx(
     (1 - 1/m) quantile, at one SINR or along a curve; lies inside the
     sandwich bounds."""
     gain = characteristic_largest(cfg) + EULER_GAMMA
-    return _shaped(link, tuple(
-        CapacityResult(_log2_1p(point.rho * gain)) for point in _points(link)
-    ))
+    return _shaped(link, _rates(link, gain))
 
 
 @lru_cache(maxsize=None)

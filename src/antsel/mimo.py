@@ -51,7 +51,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import _LN2, CapacityResult, LinkParams, Links, _points, _shaped
+from .capacity import (
+    _LN2,
+    CapacityResult,
+    LinkParams,
+    Links,
+    _log2_1p_inplace,
+    _points,
+    _shaped,
+)
 from .streams import McRun, _sample_mean, draw_reduced, kept, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
@@ -145,7 +153,7 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
             y += ek
             y *= t
     huge = np.isinf(y)
-    np.log1p(y, out=y)
+    _log2_1p_inplace(y)
     if huge.any():
         # det / t^r = e_r + u (e_{r-1} + ... + u (e_1 + u)), u = 1/t: each
         # term is at most e_k, far from overflow, where t is this large.
@@ -154,8 +162,7 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
         for ek in e[1:]:
             scaled *= u
             scaled += ek[huge]
-        y[huge] = len(e) * math.log(t) + np.log(scaled)
-    y /= _LN2
+        y[huge] = (len(e) * math.log(t) + np.log(scaled)) / _LN2
     return y
 
 

@@ -9,6 +9,7 @@ from scipy.special import comb, exp1, gammainc, gammainccinv, gammaln, xlogy
 from antsel import (
     EULER_GAMMA,
     CapacityResult,
+    FitStrategy,
     LinkParams,
     SelectionConfig,
     ergodic_approx,
@@ -17,6 +18,7 @@ from antsel import (
     ergodic_capacity,
     max_pdf,
     mean_selection_gain,
+    normalizing_constants,
     outage_capacity,
     outage_probability,
     selection_gain_variance,
@@ -96,18 +98,15 @@ class TestOutageProbability:
         assert p == pytest.approx((1.0 - math.exp(-1.0)) ** 5, rel=1e-12)
 
     def test_gumbel_mode_formula(self):
-        cfg = SelectionConfig(1, 10)
-        link = LinkParams(2.0)
-        c0 = 2.5
-        expected = math.exp(-math.exp(-((2.0**c0 - 1.0) / 2.0 - math.log(10.0))))
-        assert outage_probability(cfg, link, c0, "gumbel") == pytest.approx(
-            expected, rel=1e-12
-        )
+        # The Gumbel outage probability is the MRL fit's cdf at the gain
+        # threshold (2^c0 - 1) / rho.
+        rho, c0 = 2.0, 2.5
+        fit = normalizing_constants(SelectionConfig(1, 10), FitStrategy.MRL)
+        expected = math.exp(-math.exp(-((2.0**c0 - 1.0) / rho - math.log(10.0))))
+        assert fit.cdf((2.0**c0 - 1.0) / rho) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_mode_and_rate(self):
         cfg = SelectionConfig(1, 2)
-        with pytest.raises(ValueError):
-            outage_probability(cfg, LinkParams(1.0), 1.0, "mc")
         with pytest.raises(ValueError):
             outage_probability(cfg, LinkParams(1.0), -0.5)
 

@@ -55,6 +55,10 @@ CASES: dict[str, str] = {
     "dist_alpha_undefined": "dist --n 2 --m 2 --strategy alpha",
     "fit_asymptotic_undefined": "fit --n 2 --m 2 --strategy asymptotic",
     "dist_m1": "dist --n 1,2 --m 1..3 --points 10",
+    # Large n, where the lemma scale's terms t^k/k! overflow a float.
+    "fit_large_n": "fit --n 700,708,710,800,3000 --m 2,32",
+    "outage_large_n": "outage --n 709,800 --m 2 --rho-db 5",
+    "dist_large_n": "dist --n 800 --m 2 --points 5",
     # Every --mode.
     **{f"dist_mode_{mode}": f"dist --n 2 --m 5 --points 10 --mode {mode}"
        for mode in ("exact", "approx")},

@@ -328,6 +328,26 @@ class TestMeanResidualLife:
     def test_two_branch_near_asymptote(self):
         assert mean_residual_life(2, 100.0) == pytest.approx(1.0 + 1.0 / 100.0, abs=2e-4)
 
+    @pytest.mark.parametrize("n", [2, 5, 50, 700, 708, 710, 800, 3000])
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_large_n_matches_mpmath(self, n, m):
+        # The lemma Gumbel scale: at the 1 - 1/m quantile, where t^k/k!
+        # overflows a float from n = 708 (m = 2) or n = 700 (m = 32).  The
+        # log terms carry math.lgamma's few-ulp error on log k! (about 4e3
+        # at k = 700), which bounds the accuracy: over n <= 3000 at these m
+        # (every n to 1,199, then every fifth) the worst is 8.8e-13, and it
+        # is 1.3e-13 at (n, m) = (710, 32).
+        import mpmath
+
+        t = characteristic_largest(SelectionConfig(n, m))
+        with mpmath.workdps(40):
+            terms = [mpmath.mpf(1)]  # t^k / k!
+            for k in range(1, n):
+                terms.append(terms[-1] * t / k)
+            num = mpmath.fsum((n - k) * w for k, w in enumerate(terms))
+            exact = float(num / mpmath.fsum(terms))
+        assert mean_residual_life(n, t) == pytest.approx(exact, rel=1e-12)
+
 
 class TestUpperDensityRoot:
     def test_exponential_closed_form(self):
