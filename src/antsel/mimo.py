@@ -19,34 +19,44 @@ once; an empty curve returns () before any draw.  The coefficients e_k do
 not depend on rho, so the ergodic and outage estimators each read the
 single-user channel set once per call, through ``streams.kept``: inside a
 caller's ``streams.sharing()`` block an ergodic and an outage call of one
-curve share a single draw.  The greedy-scheduled estimator draws its
-K-user set once per call, taking every SINR's best rate per slot from the
-same coefficients of each slab.  The reduction works in real arithmetic on
-the real and imaginary parts of H, on the smaller of the two Gram matrices
-(H H† or H^T conj(H), which share their nonzero eigenvalues and so their
-e_k).  Up to r = 3 the e_k are polynomials in the Gram entries, each of
-which is one dot product along a row: e_1 is the trace (at r = 1 a
-squared norm over all 2 max(n, m) numbers of a channel), e_2 the sum of
-the 2 x 2 minors and e_3 the determinant.  Larger r forms the Gram matrix
-by matmul, takes its eigenvalues from ``numpy.linalg.eigvalsh`` and the
-e_k from them by Vieta's recurrence.  A rate is then one Horner pass and
-one ``log1p`` per channel.  Past about 3080/r dB the polynomial overflows
-a float; there a channel's rate is r log t + log(e_r + u(e_{r-1} + ... +
-u)) with u = 1/t, which stays finite at every SINR a float holds.  The
-outage bootstrap resamples sorted rates, so a resample's quantile is the
-rate at a rank that depends only on (seed, sample count, quantile level);
-those ranks are drawn once and kept in a small cache.
+curve share a single draw.  The greedy-scheduled estimator reads its
+K-user set once per call, through ``streams.kept`` too, reduced slab by
+slab to every SINR's best rate per slot: the rate grows with det - 1, so a
+slot's best rate is one ``log1p`` of its users' largest det - 1.  That
+reduction compares by value, so a caller can draw the K-user sets of
+several curves in one ``streams.prefetch`` pass (``scheduled_draw`` gives
+a curve's request) and each call finds its own.  All samplers with one
+``McRun`` read prefixes of the same chunk streams, so the curves of one
+run share their normals (they are correlated), and a shared pass gives
+each call the bits of its own draw.  The reduction works in real
+arithmetic on the real and imaginary parts of H, on the smaller of the
+two Gram matrices (H H† or H^T conj(H), which share their nonzero
+eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in
+the Gram entries, each of which is one dot product along a row: e_1 is the
+trace (at r = 1 a squared norm over all 2 max(n, m) numbers of a channel),
+e_2 the sum of the 2 x 2 minors and e_3 the determinant.  Larger r forms
+the Gram matrix by matmul, takes its eigenvalues from
+``numpy.linalg.eigvalsh`` and the e_k from them by Vieta's recurrence.  A
+rate is then one Horner pass and one ``log1p`` per channel.  Past about
+3080/r dB the polynomial overflows a float; there a channel's rate is
+r log t + log(e_r + u(e_{r-1} + ... + u)) with u = 1/t, which stays finite
+at every SINR a float holds.  The outage bootstrap resamples sorted rates,
+so a resample's quantile is the rate at a rank that depends only on (seed,
+sample count, quantile level); those ranks are drawn once and kept in a
+small cache.
 
-Channels are drawn through ``streams.draw_reduced``, a slab of normals at a
-time, so memory stays bounded when the CLI runs several samplers on worker
-threads at once.  The estimators are safe to call from several threads.
-The bootstrap ranks, which every (n, m) shares, are read once per outage
-call under a lock, so concurrent outage calls draw them once.
+Channels are drawn through ``streams.draw_reduced``, or a caller's
+``streams.prefetch``, a slab of normals at a time, so memory stays bounded
+when the CLI runs several samplers on worker threads at once.  The
+estimators are safe to call from several threads.  The bootstrap ranks,
+which every (n, m) shares, are read once per outage call under a lock, so
+concurrent outage calls draw them once.
 """
 from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +70,7 @@ from .capacity import (
     _points,
     _shaped,
 )
-from .streams import McRun, _sample_mean, draw_reduced, kept, substream
+from .streams import McRun, Request, _sample_mean, draw_reduced, kept, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -87,9 +97,22 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gram_entry(a: np.ndarray, b: np.ndarray, i: int, j: int) -> _Entry:
-    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2)."""
+    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2):
+    0.5 * (ai.aj + bi.bj) and 0.5 * (bi.aj - ai.bj), each formed in place."""
     ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
-    return 0.5 * (_dot(ai, aj) + _dot(bi, bj)), 0.5 * (_dot(bi, aj) - _dot(ai, bj))
+    re, im = _dot(ai, aj), _dot(bi, aj)
+    re += _dot(bi, bj)
+    re *= 0.5
+    im -= _dot(ai, bj)
+    im *= 0.5
+    return re, im
+
+
+def _squared_norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re * re + im * im."""
+    norm = re * re
+    norm += im * im
+    return norm
 
 
 def _gram_invariants(z: np.ndarray) -> np.ndarray:
@@ -99,6 +122,9 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
 
     Returns (..., r), r = min(n, m).  For m < n the coefficients come from
     the m x m matrix H^T conj(H), which has the same nonzero eigenvalues.
+    Up to r = 3 each slab-sized value is formed in place where it can be,
+    in the order the expressions in the comments evaluate, so the bits are
+    theirs with fewer temporaries alive at once.
     """
     n, m = z.shape[-2:]
     if n == 1 or m == 1:
@@ -112,22 +138,53 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
     a, b = z[..., 0, :, :], z[..., 1, :, :]
     if r <= 3:
         # The diagonal: half the squared norm of each row, over a and b.
-        g = 0.5 * (_dot(a, a) + _dot(b, b))
+        g = _dot(a, a)
+        g += _dot(b, b)
+        g *= 0.5
         g11, g22 = g[..., 0], g[..., 1]
-        r12, i12 = _gram_entry(a, b, 0, 1)
-        s12 = r12 * r12 + i12 * i12
-        # Filled column by column: fewer slab-sized temporaries than a stack.
         e = np.empty_like(g)
         e[..., 0] = g.sum(axis=-1)
+        r12, i12 = _gram_entry(a, b, 0, 1)
+        # s12 = r12 * r12 + i12 * i12, and so on.
+        s12 = _squared_norm(r12, i12)
         if r == 2:
-            e[..., 1] = g11 * g22 - s12
+            # g11 * g22 - s12
+            np.multiply(g11, g22, out=e[..., 1])
+            e[..., 1] -= s12
             return e
         (r13, i13), (r23, i23) = _gram_entry(a, b, 0, 2), _gram_entry(a, b, 1, 2)
-        g33, s13, s23 = g[..., 2], r13 * r13 + i13 * i13, r23 * r23 + i23 * i23
-        e[..., 1] = (g11 * g22 - s12) + (g11 * g33 - s13) + (g22 * g33 - s23)
-        # The middle term of the determinant is 2 Re(g12 g23 conj(g13)).
-        triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
-        e[..., 2] = g11 * g22 * g33 + 2 * triple - g11 * s23 - g22 * s13 - g33 * s12
+        # The middle term of the determinant is 2 Re(g12 g23 conj(g13)):
+        # triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
+        triple = r12 * r23
+        triple -= i12 * i23
+        triple *= r13
+        r12 *= i23
+        i12 *= r23
+        r12 += i12
+        r12 *= i13
+        triple += r12
+        del r12, i12
+        g33, s13, s23 = g[..., 2], _squared_norm(r13, i13), _squared_norm(r23, i23)
+        del r13, i13, r23, i23
+        # (g11 * g22 - s12) + (g11 * g33 - s13) + (g22 * g33 - s23)
+        e1, term = e[..., 1], np.empty_like(g11)
+        np.multiply(g11, g22, out=e1)
+        e1 -= s12
+        np.multiply(g11, g33, out=term)
+        term -= s13
+        e1 += term
+        np.multiply(g22, g33, out=term)
+        term -= s23
+        e1 += term
+        # g11 * g22 * g33 + 2 * triple - g11 * s23 - g22 * s13 - g33 * s12
+        e3 = e[..., 2]
+        np.multiply(g11, g22, out=e3)
+        e3 *= g33
+        triple *= 2
+        e3 += triple
+        for gkk, skk in ((g11, s23), (g22, s13), (g33, s12)):
+            np.multiply(gkk, skk, out=term)
+            e3 -= term
         return e
     at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
@@ -142,21 +199,28 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
     return np.moveaxis(e[1:], 0, -1)
 
 
-def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
-    """log2 det(I + t H H†) from the coefficients e_k on the last axis."""
+def _det_minus_one(invariants: np.ndarray, t: float) -> np.ndarray:
+    """det(I + t H H†) - 1 from the coefficients e_k on the last axis, by
+    Horner: t (e_1 + t (e_2 + ... + t e_r)), which keeps it, and so its
+    log1p, accurate however small t e_1 is.  Past a float it is inf."""
     e = np.moveaxis(invariants, -1, 0)
-    # Horner: y = t (e_1 + t (e_2 + ... + t e_r)) = det - 1, which keeps
-    # y, and so log1p(y), accurate however small t e_1 is.
     with np.errstate(over="ignore"):
         y = t * e[-1]
         for ek in e[-2::-1]:
             y += ek
             y *= t
+    return y
+
+
+def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
+    """log2 det(I + t H H†) from the coefficients e_k on the last axis."""
+    y = _det_minus_one(invariants, t)
     huge = np.isinf(y)
     _log2_1p_inplace(y)
     if huge.any():
         # det / t^r = e_r + u (e_{r-1} + ... + u (e_1 + u)), u = 1/t: each
         # term is at most e_k, far from overflow, where t is this large.
+        e = np.moveaxis(invariants, -1, 0)
         u = 1.0 / t
         scaled = e[0][huge] + u
         for ek in e[1:]:
@@ -166,15 +230,89 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
     return y
 
 
+@dataclass(frozen=True)
+class _BestRates:
+    """Reduction of a slab of K-user channel draws, (..., K, 2, n, m), to
+    each slot's best rate at every SINR ``rhos``, one column per SINR.
+
+    The rate is increasing in det - 1, so a slot's best rate is the rate of
+    its largest det - 1: one log1p per slot and SINR.  A slot whose largest
+    det - 1 overflows takes the best of its users' rates from
+    ``_det_rates``.  Compared by value, so the scheduled estimator's
+    ``kept`` key matches a prefetched draw of the same curve.
+    """
+
+    m: int
+    rhos: tuple[float, ...]
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        invariants = _gram_invariants(z)
+        best = np.empty((len(z), len(self.rhos)))
+        for column, rho in zip(best.T, self.rhos):
+            top = _det_minus_one(invariants, rho / self.m).max(axis=-1)
+            huge = np.isinf(top)
+            column[:] = _log2_1p_inplace(top)
+            if huge.any():
+                column[huge] = _det_rates(invariants[huge], rho / self.m).max(axis=-1)
+        return best
+
+
+def _check_ergodic(n: int, m: int, mc: McRun) -> None:
+    _validate(n, m)
+    if mc.samples < 1_000:
+        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
+
+
+def _check_outage(n: int, m: int, p0: float, mc: McRun) -> None:
+    _validate(n, m)
+    if mc.samples < 10_000:
+        raise ValueError(f"outage estimate needs >= 10000 samples, got {mc.samples}")
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
+
+
+def _check_scheduled(n: int, m: int, users: int, mc: McRun) -> None:
+    _validate(n, m)
+    if not isinstance(users, int) or users < 1:
+        raise ValueError(f"users must be a positive integer, got {users!r}")
+    _check_ergodic(n, m, mc)
+
+
+def _user_sets(n: int, m: int, users: int, rhos: tuple[float, ...]) -> Request:
+    """The K-user channel sets of a curve: each slot's best rate at every
+    SINR."""
+    return (users, 2, n, m), _BestRates(m, rhos)
+
+
+def scheduled_draw(
+    n: int, m: int, link: Links, mc: McRun, p0: float | None = None,
+    users: int | None = None,
+) -> Request | None:
+    """The ``streams.draw_reduced`` request that ``mimo_scheduled_ergodic``
+    reads through ``streams.kept`` for this curve, for ``streams.prefetch``;
+    None without ``users`` or SINRs.
+
+    First raises the error that the curve's ``mimo_ergodic`` call and, with
+    ``p0`` or ``users``, its ``mimo_outage`` and ``mimo_scheduled_ergodic``
+    calls, made in that order, would raise.
+    """
+    _check_ergodic(n, m, mc)
+    if p0 is not None:
+        _check_outage(n, m, p0, mc)
+    if users is None:
+        return None
+    _check_scheduled(n, m, users, mc)
+    rhos = tuple(point.rho for point in _points(link))
+    return _user_sets(n, m, users, rhos) if rhos else None
+
+
 def mimo_ergodic(
     n: int, m: int, link: Links, mc: McRun
 ) -> CapacityResult | tuple[CapacityResult, ...]:
     """Monte Carlo mean rate, at one SINR or along a curve (a tuple of
     ``LinkParams`` gives a tuple of results); error_estimate is the
     standard error."""
-    _validate(n, m)
-    if mc.samples < 1_000:
-        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
+    _check_ergodic(n, m, mc)
     links = _points(link)
     if not links:
         return ()
@@ -204,11 +342,7 @@ def mimo_outage(
 ) -> CapacityResult | tuple[CapacityResult, ...]:
     """Empirical p0-quantile rate (nearest rank), bootstrap standard error,
     at one SINR or along a curve."""
-    _validate(n, m)
-    if mc.samples < 10_000:
-        raise ValueError(f"outage estimate needs >= 10000 samples, got {mc.samples}")
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
+    _check_outage(n, m, p0, mc)
     links = _points(link)
     if not links:
         return ()
@@ -234,24 +368,13 @@ def mimo_scheduled_ergodic(
     ``users`` independent channels per slot, at one SINR or along a curve
     (a tuple of ``LinkParams`` gives a tuple of results).
 
-    The K-user channels are drawn and reduced to their coefficients e_k
-    once per call; every SINR's best rate per slot comes from them.
+    The K-user channels are drawn and reduced to each slot's best rate at
+    every SINR once per call, through ``streams.kept``.
     """
-    _validate(n, m)
-    if not isinstance(users, int) or users < 1:
-        raise ValueError(f"users must be a positive integer, got {users!r}")
-    if mc.samples < 1_000:
-        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    rhos = [point.rho for point in _points(link)]
+    _check_scheduled(n, m, users, mc)
+    rhos = tuple(point.rho for point in _points(link))
     if not rhos:
         return ()
-
-    def best_rates(z: np.ndarray) -> np.ndarray:
-        invariants = _gram_invariants(z)
-        return np.stack(
-            [_det_rates(invariants, rho / m).max(axis=1) for rho in rhos], axis=1
-        )
-
-    # One row per SINR, each contiguous, as a single SINR's rates would be.
-    rates = draw_reduced(mc, (users, 2, n, m), best_rates).T.copy()
-    return _shaped(link, tuple(_sample_mean(row) for row in rates))
+    table = kept(draw_reduced, mc, *_user_sets(n, m, users, rhos))
+    # One SINR at a time, copied contiguous, as a single SINR's rates would be.
+    return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))

@@ -3,17 +3,26 @@
 Sample generation is split into fixed-size chunks, each driven by its own
 child stream derived from ``(seed, chunk index)``.  The chunk layout depends
 only on the sample count, so results are bit-identical no matter how chunks
-are scheduled or parallelized.
+are scheduled or parallelized.  Since a chunk's stream depends on nothing
+else, every sampler with one ``(samples, seed)`` reads a prefix of the same
+chunk streams, whatever its draw shape: the samplers of one run are
+correlated (common random numbers), and sharing their draws is exact.
 
 Every sampler draws through ``draw_reduced``, the one chunk -> slab ->
-reduce -> concatenate pipeline: within a chunk it draws and reduces
-consecutive slabs of about ``SLAB_ELEMENTS`` normals.  A generator's stream
-does not depend on how its draws are split, so the slabs hold the chunk's
-numbers bit for bit, while only one slab of normals, not a whole chunk, is
-alive at a time; that bound is what keeps concurrent samplers small.
+reduce pipeline: within a chunk it draws and reduces consecutive slabs of
+about ``SLAB_ELEMENTS`` normals into one reused buffer, and writes each
+slab's reduction into the result, which is allocated once.  A generator's
+stream does not depend on how its draws are split, so the slabs hold the
+chunk's numbers bit for bit, while only one slab of normals, not a whole
+chunk, is alive at a time; that bound is what keeps concurrent samplers
+small.  ``draw_reduced`` is ``draw_shared`` with one request:
+``draw_shared`` serves several (shape, reduce) requests from one pass,
+drawing each chunk's stream once, as far as the longest request needs.
 Inside a ``sharing()`` block, ``kept`` keeps the thread's last sample,
 read-only, for the next estimator until another is drawn or the block
-ends; outside a block nothing is kept.
+ends, and ``prefetch`` keeps the samples of several requests, drawn in one
+``draw_shared`` pass, for ``kept`` until the block ends; outside a block
+nothing is kept.
 """
 from __future__ import annotations
 
@@ -21,7 +30,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +45,8 @@ CHUNK_ELEMENTS = 1 << 22
 # Normal draws per slab (1 MiB): bounds peak memory, not the results.
 SLAB_ELEMENTS = 1 << 17
 
-# Inside a sharing() block, .slot holds the thread's kept (key, sample).
+# Inside a sharing() block, .slot holds the thread's last kept (key, sample)
+# and .prefetched its prefetched samples by key.
 _KEPT = threading.local()
 
 
@@ -63,6 +73,12 @@ def substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
 
+def _per_chunk(elems_per_draw: int) -> int:
+    """Draws per chunk: the layout every sampler of ``elems_per_draw``
+    normals per draw shares."""
+    return max(1, CHUNK_ELEMENTS // max(1, elems_per_draw))
+
+
 def chunk_generators(
     mc: McRun, elems_per_draw: int
 ) -> Iterator[tuple[int, np.random.Generator]]:
@@ -71,10 +87,75 @@ def chunk_generators(
     Each chunk's generator is keyed by (seed, chunk index) alone, so a
     chunk's output never depends on how many chunks ran before it.
     """
-    per_chunk = max(1, CHUNK_ELEMENTS // max(1, elems_per_draw))
+    per_chunk = _per_chunk(elems_per_draw)
     for index, start in enumerate(range(0, mc.samples, per_chunk)):
         seq = np.random.SeedSequence(entropy=mc.seed, spawn_key=(0, index))
         yield min(per_chunk, mc.samples - start), np.random.default_rng(seq)
+
+
+# One draw request: the shape of a draw and the reduction of a slab of draws.
+Request = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
+
+
+def draw_shared(mc: McRun, requests: Sequence[Request]) -> list[np.ndarray]:
+    """``draw_reduced(mc, shape, reduce)`` of each (shape, reduce) request,
+    all from one pass over the chunk streams.
+
+    Chunk c of every request is a prefix of the one stream keyed by
+    (seed, c), so the pass draws each chunk's stream once, up to the longest
+    prefix a request needs, a block at a time into one reused buffer, and
+    each request reduces the whole draws of its own prefix as they arrive.
+    A block holds the largest one-request slab, or chunk 0's longest prefix
+    if that is shorter.  The head of a draw that straddles a block edge is
+    moved into room before the next block, so the draw is reduced whole
+    with the draws after it and no block is copied.  Each request's result
+    is allocated at its first reduced slab and filled in order.
+
+    A ``MemoryError`` on the way is raised again with the draw named.
+    """
+    sizes = [math.prod(shape) for shape, _ in requests]
+    per_chunk = [_per_chunk(elems) for elems in sizes]
+    try:
+        block = min(
+            max(max(1, SLAB_ELEMENTS // elems) * elems for elems in sizes),
+            max(min(per, mc.samples) * elems for per, elems in zip(per_chunk, sizes)))
+        # Room for the head of a draw that straddles a block edge.
+        head = max((elems - 1 for elems in sizes if block % elems), default=0)
+        buf = np.empty(head + block)
+        results: list[np.ndarray] = [np.empty(0)] * len(requests)
+        filled = [0] * len(requests)
+        # The widest draw has the most chunks, as its chunks hold the fewest.
+        for index, (_, rng) in enumerate(chunk_generators(mc, max(sizes))):
+            ends = [max(0, min(per, mc.samples - index * per)) * elems
+                    for per, elems in zip(per_chunk, sizes)]
+            starts = [0] * len(requests)  # stream offset of each next draw
+            drawn = width = 0
+            while drawn < max(ends):
+                # Every request has reduced its whole draws up to ``drawn``;
+                # the tail left, under one draw of each, goes before the block.
+                tail = drawn - min((start for start, end in zip(starts, ends) if start < end),
+                                   default=drawn)
+                buf[head - tail : head] = buf[head + width - tail : head + width]
+                width = min(block, max(ends) - drawn)
+                rng.standard_normal(out=buf[head : head + width])
+                drawn += width
+                for i, ((shape, reduce), elems, end) in enumerate(zip(requests, sizes, ends)):
+                    stop = min(end, drawn) // elems * elems
+                    if stop <= starts[i]:
+                        continue
+                    lo = head + starts[i] - (drawn - width)
+                    reduced = reduce(buf[lo : lo + stop - starts[i]].reshape(-1, *shape))
+                    if not filled[i]:
+                        results[i] = np.empty((mc.samples, *reduced.shape[1:]), reduced.dtype)
+                    results[i][filled[i] : filled[i] + len(reduced)] = reduced
+                    filled[i] += len(reduced)
+                    starts[i] = stop
+    except MemoryError as exc:
+        shapes = " and ".join(str(shape) for shape, _ in requests)
+        raise MemoryError(
+            f"not enough memory to draw {mc.samples} samples of {shapes} normals: {exc}"
+        ) from None
+    return results
 
 
 def draw_reduced(
@@ -86,42 +167,55 @@ def draw_reduced(
     The draws come chunk by chunk from ``chunk_generators`` and are reduced
     in consecutive slabs of at most ``SLAB_ELEMENTS`` normals (one draw, if a
     draw is larger), so the result equals ``reduce`` of the whole draw bit
-    for bit wherever ``reduce`` treats draws independently.  Each slab is
-    released once reduced, before the next is drawn, unless ``reduce``
-    returns a view of it.
+    for bit wherever ``reduce`` treats draws independently.  The slabs are
+    views of one buffer that each next slab overwrites; a slab's reduction
+    is copied into the result before then.  This is ``draw_shared`` with
+    one request.
     """
-    elems = math.prod(shape)
-    per_slab = max(1, SLAB_ELEMENTS // max(1, elems))
-    return np.concatenate([
-        reduce(rng.standard_normal((min(per_slab, count - start), *shape)))
-        for count, rng in chunk_generators(mc, elems)
-        for start in range(0, count, per_slab)
-    ])
+    return draw_shared(mc, [(shape, reduce)])[0]
 
 
 @contextmanager
 def sharing() -> Iterator[None]:
-    """Keep the thread's last ``kept`` sample until the outermost block exits."""
+    """Keep the thread's ``kept`` and prefetched samples until the outermost
+    block exits."""
     if hasattr(_KEPT, "slot"):
         yield
         return
-    _KEPT.slot = []
+    _KEPT.slot, _KEPT.prefetched = [], {}
     try:
         yield
     finally:
-        del _KEPT.slot
+        del _KEPT.slot, _KEPT.prefetched
 
 
 def kept(sampler: Callable[..., np.ndarray], *args: object) -> np.ndarray:
     """``sampler(*args)``, read-only; inside a ``sharing()`` block, the one
-    kept for the same sampler, arguments and ``CHUNK_ELEMENTS`` if any."""
+    prefetched or kept for the same sampler, arguments and
+    ``CHUNK_ELEMENTS`` if any."""
     key = (sampler, args, CHUNK_ELEMENTS)
+    prefetched = getattr(_KEPT, "prefetched", None)
+    if prefetched and key in prefetched:
+        return prefetched[key]
     slot = getattr(_KEPT, "slot", [])
     if not slot or slot[0] != key:
         slot.clear()  # the kept sample is released before the next is drawn
         slot[:] = key, sampler(*args)
         slot[1].flags.writeable = False
     return slot[1]
+
+
+def prefetch(mc: McRun, requests: Sequence[Request]) -> None:
+    """Inside a ``sharing()`` block, draw every (shape, reduce) request in
+    one ``draw_shared`` pass and keep each as ``kept(draw_reduced, mc,
+    shape, reduce)`` until the outermost block ends; outside a block, do
+    nothing."""
+    prefetched = getattr(_KEPT, "prefetched", None)
+    if prefetched is None or not requests:
+        return
+    for (shape, reduce), sample in zip(requests, draw_shared(mc, requests)):
+        sample.flags.writeable = False
+        prefetched[draw_reduced, (mc, shape, reduce), CHUNK_ELEMENTS] = sample
 
 
 def _sample_mean(values: np.ndarray) -> CapacityResult:

@@ -296,6 +296,33 @@ class TestMimo:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("argv,draw", [
+        (["mimo", "--n", "2", "--m", "3", "--samples", "1000"], "(2, 2, 3)"),
+        (["mimo", "--n", "2", "--m", "3", "--users", "4", "--samples", "1000"],
+         "(4, 2, 2, 3)"),
+        # verify's MIMO family fails at its first point, (n, m) = (1, 2).
+        (["verify", "--samples", "1000"], "(2, 1, 2)"),
+    ])
+    def test_out_of_memory_in_a_draw_exits_two(self, monkeypatch, capsys, workers,
+                                               argv, draw):
+        # A Monte Carlo draw that runs out of memory on a pool thread gives
+        # one line naming the draw, and exit 2 instead of a traceback.
+        threads = []
+
+        def failing(z):
+            threads.append(threading.get_ident())
+            raise MemoryError("Unable to allocate 6 GiB")
+
+        monkeypatch.setattr(antsel.mimo, "_gram_invariants", failing)
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: not enough memory to draw 1000 samples of {draw} "
+                                "normals: Unable to allocate 6 GiB\n")
+        assert threads and threading.get_ident() not in threads
+
 
 class TestScheduling:
     def test_schema_and_consistency(self, tmp_path):
@@ -541,6 +568,10 @@ class TestArgHandling:
 
     def test_empty_mimo_grid_writes_the_header(self, capsys):
         assert main(["mimo", "--n", ",", "--samples", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == ",".join(SCHEMAS["mimo"])
+
+    def test_empty_mimo_grid_with_users_writes_the_header(self, capsys):
+        assert main(["mimo", "--n", ",", "--users", "4", "--samples", "1000"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == ",".join(SCHEMAS["mimo"])
 
     def test_empty_mimo_curve_writes_the_header_alone(self, capsys):

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
@@ -103,6 +105,22 @@ def record_draws(monkeypatch) -> list[int]:
     def counting(mc, elems_per_draw):
         calls.append(elems_per_draw)
         return chunk_generators(mc, elems_per_draw)
+
+    monkeypatch.setattr(streams, "chunk_generators", counting)
+    return calls
+
+
+def record_chunks(monkeypatch) -> list[tuple[int, list[int]]]:
+    """For each chunk_generators call, its normals per draw and the indices
+    of the chunks whose generators it handed out, in order."""
+    calls = []
+
+    def counting(mc, elems_per_draw):
+        chunks: list[int] = []
+        calls.append((elems_per_draw, chunks))
+        for chunk in chunk_generators(mc, elems_per_draw):
+            chunks.append(len(chunks))
+            yield chunk
 
     monkeypatch.setattr(streams, "chunk_generators", counting)
     return calls
@@ -506,19 +524,26 @@ class TestReuse:
         assert calls == [2 * n * m, 2 * n * m * users, 2 * n * m]
 
     def test_cli_draws_each_channel_set_once(self, monkeypatch, tmp_path):
-        calls = record_draws(monkeypatch)
+        # Each curve's ergodic and outage calls read one single-user set, and
+        # one job draws both curves' K-user sets in one pass: each chunk
+        # stream is drawn once per job.
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 16)
+        calls = record_chunks(monkeypatch)
         clear_caches()
-        argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,5,10", "--p0", "0.1",
+        argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=5", "--p0", "0.1", "--users", "4",
                 "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
-        assert sorted(calls) == [6, 12]
+        assert sorted(elems for elems, _ in calls) == [6, 12, 2 * 2 * 3 * 4]
+        for elems, chunks in calls:
+            assert chunks == list(range(len(list(chunk_generators(McRun(10_000), elems)))))
+        assert len(dict(calls)[2 * 2 * 3 * 4]) > 1
 
     def test_curve_calls_each_estimator_once(self, monkeypatch, tmp_path):
-        # Two curves on the pool's threads; list.append is atomic, so the
-        # recorders lose no call.
+        # Two curves in one job on a pool thread; list.append is atomic, so
+        # the recorders lose no call.
         draws = record_draws(monkeypatch)
         calls = []
-        for name in ("mimo_ergodic", "mimo_outage"):
+        for name in ("mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"):
             estimator = getattr(cli, name)
 
             def recording(*args, name=name, estimator=estimator):
@@ -527,21 +552,27 @@ class TestReuse:
 
             monkeypatch.setattr(cli, name, recording)
         clear_caches()
-        argv = ["mimo", "--n", "1,2", "--m", "3", "--p0", "0.1", "--rho-db=0,10,20",
-                "--samples", "10000", "--seed", "406", "--out", str(tmp_path / "m.csv")]
+        argv = ["mimo", "--n", "1,2", "--m", "3", "--p0", "0.1", "--rho-db=0,10",
+                "--users", "2", "--samples", "10000", "--seed", "406",
+                "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
         assert sorted(calls) == [("mimo_ergodic", 1), ("mimo_ergodic", 2),
-                                 ("mimo_outage", 1), ("mimo_outage", 2)]
-        assert sorted(draws) == [2 * 1 * 3, 2 * 2 * 3]
+                                 ("mimo_outage", 1), ("mimo_outage", 2),
+                                 ("mimo_scheduled_ergodic", 1), ("mimo_scheduled_ergodic", 2)]
+        # The two K-user sets come from one pass, laid out as the wider.
+        assert sorted(draws) == [2 * 1 * 3, 2 * 2 * 3, 2 * 2 * 3 * 2]
 
     def test_scheduled_curve_draws_the_user_set_once(self, monkeypatch, tmp_path):
-        calls = record_draws(monkeypatch)
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 16)
+        calls = record_chunks(monkeypatch)
         clear_caches()
         argv = ["mimo", "--n", "2", "--m", "4", "--users", "16", "--samples", "2000",
                 "--seed", "405"]
         curve = tmp_path / "curve.csv"
         assert main([*argv, "--rho-db=0,5,10,15", "--out", str(curve)]) == 0
-        assert calls.count(2 * 2 * 4 * 16) == 1
+        user_sets = [chunks for elems, chunks in calls if elems == 2 * 2 * 4 * 16]
+        # One pass over the K-user set's chunk streams, each drawn once.
+        assert user_sets == [list(range(8))]
         rows = []
         for db in ("0", "5", "10", "15"):
             point = tmp_path / f"{db}.csv"
@@ -549,6 +580,98 @@ class TestReuse:
             rows += point.read_text().splitlines()[2:]
         # Past the parameter line and the header, byte for byte.
         assert curve.read_text().splitlines()[2:] == rows
+
+
+class TestSharedGrid:
+    """With --users, cmd_mimo's jobs draw their curves' K-user sets in one
+    pass; the CSV holds the bytes that per-curve library calls give, at one
+    worker and at two."""
+
+    @staticmethod
+    def library_csv(argv, path):
+        args = cli.build_parser().parse_args([*argv, "--out", str(path)])
+        mc = McRun(args.samples, args.seed)
+        blocks = []
+        for n, m, _, dbs, links in cli._grid(args, configs=False):
+            block = {"n": n, "m": m, "rho_db": dbs, "p0": None, "users": args.users,
+                     "samples": args.samples, "seed": args.seed}
+            for name, results in (
+                ("ergodic", mimo_ergodic(n, m, links, mc)),
+                ("scheduled", mimo_scheduled_ergodic(n, m, args.users, links, mc)),
+            ):
+                block[name] = [r.value for r in results]
+                block[f"{name}_stderr"] = [r.error_estimate for r in results]
+            blocks.append(block)
+        cli._emit(args, blocks)
+        return path.read_bytes()
+
+    # The bench scheduled grid's shapes at test size: 8 to 384 normals per
+    # K-user draw against 8192 per chunk and 1024 per slab, so the curves of
+    # one job have from 1 to 47 chunks each.
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate, Phase.shrink),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sets(st.integers(1, 2), min_size=1), st.sets(st.integers(1, 6), min_size=1),
+           st.sampled_from([1, 4, 16]),
+           st.lists(st.sampled_from([-5.0, 5.0, 20.0]), min_size=1, max_size=3),
+           st.integers(1_000, 2_000), st.integers(0, 2**32))
+    @example({1, 2}, set(range(1, 7)), 16, [5.0], 2_000, 3)
+    def test_grid_writes_the_library_bytes(
+        self, monkeypatch, tmp_path, ns, ms, users, dbs, samples, seed
+    ):
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 10)
+        clear_caches()
+        argv = ["mimo", "--n", ",".join(map(str, sorted(ns))),
+                "--m", ",".join(map(str, sorted(ms))),
+                f"--rho-db={','.join(map(str, dbs))}", "--users", str(users),
+                "--samples", str(samples), "--seed", str(seed)]
+        expected = self.library_csv(argv, tmp_path / "library.csv")
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_WORKERS", workers)
+            out = tmp_path / f"w{workers}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected
+
+    def test_bench_grid_jobs(self):
+        # Largest first (ties in grid order), each job's best-rate tables
+        # within the three values per sample a (2, m >= 2) curve keeps alone.
+        args = cli.build_parser().parse_args(
+            ["mimo", "--n", "1,2", "--m", "1..6", "--rho-db", "5", "--users", "16"])
+        curves = list(cli._grid(args, configs=False))
+        jobs = [[curves[i][:2] for i in job] for job in cli._mimo_jobs(curves, 16)]
+        assert jobs == [[(2, 6), (2, 5), (2, 4)], [(1, 6), (2, 3), (1, 5)],
+                        [(1, 4), (2, 2), (1, 3)], [(1, 2), (2, 1), (1, 1)]]
+        args.users = None
+        assert all(len(job) == 1 for job in cli._mimo_jobs(curves, None))
+
+
+class TestBestRates:
+    """The scheduled reduction takes one log1p per slot and SINR: the rate
+    of the users' largest det - 1 is the best of their rates, bit for bit,
+    and a slot whose largest det - 1 overflows takes its users' rates."""
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 1), (2, 2), (2, 5), (3, 3), (5, 4)])
+    def test_equals_the_best_of_each_users_rates(self, n, m):
+        z = np.random.default_rng(70 + 10 * n + m).standard_normal((400, 8, 2, n, m))
+        r = min(n, m)
+        invariants = mimo._gram_invariants(z)
+        # At this SINR t^r e_r passes the float limit for about half the
+        # users (fewer at r = 1, where rho = t m must stay finite): some
+        # slots then hold users on both sides of it.
+        top = max(float(np.median(invariants[..., -1])), 1.01 * m**r)
+        edge = m * (sys.float_info.max / top) ** (1 / r)
+        y = mimo._det_minus_one(invariants, edge / m)
+        assert np.any(np.isinf(y).any(axis=1) & ~np.isinf(y).all(axis=1))
+        rhos = (1e-9, 1.0, db_to_linear(40.0), edge / 4, edge, db_to_linear(3000.0))
+        reference = np.stack(
+            [mimo._det_rates(invariants, rho / m).max(axis=1) for rho in rhos], axis=1)
+        assert mimo._BestRates(m, rhos)(z).tobytes() == reference.tobytes()
+
+    def test_compares_by_value(self):
+        assert mimo._BestRates(3, (1.0, 2.0)) == mimo._BestRates(3, (1.0, 2.0))
+        assert hash(mimo._BestRates(3, (1.0,))) == hash(mimo._BestRates(3, (1.0,)))
+        assert mimo._BestRates(3, (1.0,)) != mimo._BestRates(2, (1.0,))
 
 
 class TestThreadedGrid:

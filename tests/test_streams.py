@@ -5,9 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
-from antsel import LinkParams, McRun, SelectionConfig
-from antsel.mimo import _det_rates, _gram_invariants, mimo_ergodic, mimo_scheduled_ergodic
+from antsel import LinkParams, McRun, SelectionConfig, cli
+from antsel.mimo import (
+    _det_rates,
+    _gram_invariants,
+    mimo_ergodic,
+    mimo_scheduled_ergodic,
+    scheduled_draw,
+)
 from antsel.oracle import _draws, empirical_ergodic, sample_selection_gain
 from antsel import streams
 from antsel.streams import (
@@ -15,7 +23,9 @@ from antsel.streams import (
     SLAB_ELEMENTS,
     chunk_generators,
     draw_reduced,
+    draw_shared,
     kept,
+    prefetch,
     sharing,
     substream,
 )
@@ -107,6 +117,54 @@ class TestSlabs:
         assert np.array_equal(heads, self.chunk_draws(mc, shape)[:, :4])
 
 
+class TestSharedPass:
+    """draw_shared gives each request the bytes draw_reduced gives it alone."""
+
+    @staticmethod
+    def row_sums(z):
+        return z.sum(axis=1)
+
+    @staticmethod
+    def whole(z):
+        return z  # a view of the block, copied into the result before reuse
+
+    # Up to 400 normals per draw against 4096 per chunk and 512 per slab:
+    # up to 30 chunks, draws larger than a slab, and draws straddling blocks.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate, Phase.shrink),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(1, 400), st.booleans()), min_size=1, max_size=5),
+           st.integers(1, 300), st.integers(0, 2**64 - 1))
+    def test_each_request_equals_its_own_draw(self, monkeypatch, draws, samples, seed):
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 9)
+        mc = McRun(samples, seed)
+        requests = [((elems,), self.row_sums if summed else self.whole)
+                    for elems, summed in draws]
+        shared = draw_shared(mc, requests)
+        for (shape, reduce), result in zip(requests, shared):
+            alone = draw_reduced(mc, shape, reduce)
+            assert result.dtype == alone.dtype and result.shape == alone.shape
+            assert result.tobytes() == alone.tobytes()
+            # And both are the reduction of the chunks' whole draws.
+            assert alone.tobytes() == reduce(TestSlabs.chunk_draws(mc, shape)).tobytes()
+
+    def test_each_chunk_stream_is_drawn_once(self, monkeypatch):
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 9)
+        calls = []
+
+        def counting(mc, elems_per_draw):
+            calls.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw)
+
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+        mc = McRun(200, 5)
+        draw_shared(mc, [((3,), self.whole), ((40,), self.whole), ((7,), self.whole)])
+        # The widest draw's layout has the most chunks; each is drawn once.
+        assert calls == [40]
+
+
 class TestSlabMemory:
     """A sampler holds one slab of normals and its reductions, never two
     slabs or a whole chunk, besides its result: numpy reports its buffers to
@@ -170,6 +228,21 @@ class TestSlabMemory:
         assert len(results) == 2
         assert peak < 2 * self.bound(600_000)
 
+    def test_prefetched_multi_curve_job(self):
+        # The bench scheduled grid's largest job: the K-user sets of (2, 6),
+        # (2, 5) and (2, 4), 16 users, drawn in one pass and kept while
+        # each curve also draws its single-user set (two values per sample).
+        args = cli.build_parser().parse_args(
+            ["mimo", "--n", "2", "--m", "6,5,4", "--rho-db", "5", "--users", "16",
+             "--samples", "20000", "--seed", "3"])
+        mc = McRun(args.samples, args.seed)
+        curves = list(cli._grid(args, configs=False))
+        requests = [scheduled_draw(n, m, links, mc, None, 16) for n, m, _, _, links in curves]
+        assert len(cli._mimo_jobs(curves, 16)) == 1
+        kept_results = mc.samples * (len(curves) + 2)
+        peak = self.traced_peak(lambda: cli._mimo_job(args, mc, curves, requests))
+        assert peak < self.bound(kept_results)
+
     def test_key_change_releases_the_kept_sample_first(self):
         # Holding the first sample while the second is drawn and reduced
         # would take three arrays of results, over the bound.
@@ -222,6 +295,43 @@ class TestSharing:
             monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
             kept(sampler, 4)
         assert calls == [4, 4]
+
+    def test_prefetched_samples_are_read_without_a_draw(self, monkeypatch):
+        calls = []
+
+        def counting(mc, elems_per_draw):
+            calls.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw)
+
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+        mc = McRun(1_000, 6)
+        requests = [((4,), TestSharedPass.row_sums), ((9,), TestSharedPass.row_sums)]
+        prefetch(mc, requests)  # outside a block: nothing is drawn or kept
+        assert calls == []
+        with sharing():
+            prefetch(mc, requests)
+            first = kept(draw_reduced, mc, *requests[0])
+            kept(draw_reduced, mc, (5,), TestSharedPass.row_sums)  # a miss
+            assert kept(draw_reduced, mc, *requests[0]) is first
+            second = kept(draw_reduced, mc, *requests[1])
+        assert calls == [9, 5]
+        assert not first.flags.writeable and not second.flags.writeable
+        assert first.tobytes() == draw_reduced(mc, *requests[0]).tobytes()
+
+    def test_prefetched_samples_end_with_the_outermost_block(self):
+        mc = McRun(100_000, 4)
+        requests = [((4,), TestSharedPass.row_sums), ((6,), TestSharedPass.row_sums)]
+        tracemalloc.start()
+        try:
+            with sharing():
+                with sharing():  # joins the outer block
+                    prefetch(mc, requests)
+                inside = tracemalloc.get_traced_memory()[0]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert inside >= 8 * 2 * 100_000
+        assert after < 8 * 1_000
 
     def test_no_sample_outlives_its_block(self):
         def block():
