@@ -139,6 +139,16 @@ class CapacityResult:
             raise ValueError(f"capacity must be nonnegative, got {self.value!r}")
 
 
+def _sample_mean(values: np.ndarray) -> CapacityResult:
+    """Monte Carlo mean of ``values``; error_estimate is the standard error.
+    Consumes ``values``: the squared deviations are formed in its buffer."""
+    mean = values.mean()
+    values -= mean
+    values *= values
+    se = math.sqrt(float(values.sum()) / (values.size - 1)) / math.sqrt(values.size)
+    return CapacityResult(float(mean), se)
+
+
 Links = LinkParams | tuple[LinkParams, ...]
 Bounds = tuple[CapacityResult, CapacityResult]
 _T = TypeVar("_T")

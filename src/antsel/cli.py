@@ -10,27 +10,13 @@ its rows in grid order, with the same bytes as formatting cell by cell
 (``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).
 
 The Monte Carlo work runs on a pool of worker threads, one per usable CPU
-(at least one), through ``_largest_first``: the ``mimo`` grid's jobs,
-costed by n m times the SINR count of their curves, and ``verify``'s two
-Monte Carlo families (the oracle checks and the MIMO check), costed by
-their normals per sample; ``verify``'s analytic checks run on the calling
-thread.  Jobs are submitted largest first, so that no long one starts last
-while a thread idles, and their results are read in grid or report order,
-so the output, and which error is reported, do not depend on the thread
-count.
-
-All samplers of one ``(samples, seed)`` read prefixes of the same chunk
-streams (see ``streams``), so the curves of a ``mimo`` run are correlated
-and can share their draws exactly.  Without ``--users`` a ``mimo`` job is
-one curve, whose ergodic and outage calls read one channel set.  With it,
-a job is a group of curves, taken largest first while their K-user
-best-rate tables (one value per sample and SINR) come to no more values
-than the grid's largest curve keeps alone, its r = min(n, m) coefficients
-and its table per sample.  The job draws the group's K-user sets in one
-``streams.prefetch`` pass, each chunk stream once, and then runs each
-curve's unchanged estimator calls, which find their sets through
-``streams.kept``.  Every curve's options are checked in grid order before
-any draw, so the first failing curve in grid order decides the error.
+(at least one), through ``_largest_first``: the ``mimo`` grid's jobs, which
+``mimo.grid_jobs`` builds and costs, and ``verify``'s two Monte Carlo
+families (the oracle checks and the MIMO check), costed by their normals
+per sample; ``verify``'s analytic checks run on the calling thread.  Jobs
+are submitted largest first, so that no long one starts last while a
+thread idles, and their results are read in grid or report order, so the
+output, and which error is reported, do not depend on the thread count.
 
 Importing this module registers ``gc.freeze`` to run at interpreter exit.
 Finalization would otherwise run full collections over the tens of
@@ -80,7 +66,7 @@ from .gumbel import (
     convergence_error,
     normalizing_constants,
 )
-from .mimo import mimo_ergodic, mimo_outage, mimo_scheduled_ergodic, scheduled_draw
+from .mimo import grid_jobs, mimo_ergodic
 from .oracle import empirical_ergodic, ks_against
 from .orderstats import (
     SelectionConfig,
@@ -90,7 +76,7 @@ from .orderstats import (
     tail_quantile,
 )
 from .scheduling import SchedulingScenario, gain_report, scheduling_gain
-from .streams import DEFAULT_SEED, McRun, Request, prefetch, sharing
+from .streams import DEFAULT_SEED, McRun, sharing
 
 SCHEMAS: dict[str, list[str]] = {
     "dist": ["n", "m", "strategy", "x", "exact_cdf", "approx_cdf"],
@@ -364,31 +350,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mimo_curve(args: argparse.Namespace, mc: McRun, curve: tuple) -> dict[str, object]:
-    n, m, _, dbs, links = curve
-    block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
-             "samples": args.samples, "seed": args.seed}
-    estimates = {"ergodic": mimo_ergodic(n, m, links, mc)}
-    if args.p0 is not None:
-        estimates["outage"] = mimo_outage(n, m, links, args.p0, mc)
-    if args.users is not None:
-        estimates["scheduled"] = mimo_scheduled_ergodic(n, m, args.users, links, mc)
-    for name, results in estimates.items():
-        block[name] = [r.value for r in results]
-        block[f"{name}_stderr"] = [r.error_estimate for r in results]
-    return block
-
-
-def _mimo_job(
-    args: argparse.Namespace, mc: McRun, curves: list[tuple], requests: list[Request]
-) -> list[dict[str, object]]:
-    """Blocks of ``curves``, whose K-user sets ``requests`` are drawn in one
-    pass and kept for their estimator calls until the job's block ends."""
-    with sharing():
-        prefetch(mc, requests)
-        return [_mimo_curve(args, mc, curve) for curve in curves]
-
-
 def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
     """Results of ``jobs``, (cost, call) pairs, in the order given.
 
@@ -410,53 +371,21 @@ def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
         pool.shutdown(cancel_futures=True)
 
 
-def _mimo_cost(curve: tuple) -> int:
-    n, m, _, _, links = curve
-    return n * m * len(links)
-
-
-def _mimo_jobs(curves: list[tuple], users: int | None) -> list[list[int]]:
-    """Grid indices of the curves of each pool job, the largest curves
-    (n m times the SINR count) first.
-
-    With ``users`` a job takes curves in that order while their K-user
-    best-rate tables, one value per sample and SINR, come to no more values
-    than the grid's largest curve keeps alone: its coefficients e_1..e_r,
-    r = min(n, m), and its table.  Without it each curve is a job.
-    """
-    order = sorted(range(len(curves)), key=lambda i: -_mimo_cost(curves[i]))
-    if users is None:
-        return [[i] for i in order]
-    budget = max((min(n, m) + len(links) for n, m, _, _, links in curves), default=0)
-    jobs: list[list[int]] = []
-    held = 0
-    for i in order:
-        width = len(curves[i][4])
-        if not jobs or held + width > budget:
-            jobs.append([])
-            held = 0
-        jobs[-1].append(i)
-        held += width
-    return jobs
-
-
 def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
     curves = list(_grid(args, configs=False))
-    # Every curve's options are checked in grid order before any draw, so
-    # the first failing curve in grid order decides the error.
-    draws = [scheduled_draw(n, m, links, mc, args.p0, args.users)
-             for n, m, _, _, links in curves]
-    jobs = _mimo_jobs(curves, args.users)
-    results = _largest_first([
-        (sum(_mimo_cost(curves[i]) for i in job),
-         partial(_mimo_job, args, mc, [curves[i] for i in job],
-                 [draws[i] for i in job if draws[i] is not None]))
-        for job in jobs])
-    blocks = {i: block for job, job_blocks in zip(jobs, results)
-              for i, block in zip(job, job_blocks)}
-    _emit(args, [blocks[i] for i in range(len(curves))])
+    jobs = grid_jobs([(n, m, links) for n, m, _, _, links in curves], mc, args.p0, args.users)
+    estimates = {i: curve for job in _largest_first(jobs) for i, curve in job.items()}
+    blocks = []
+    for i, (n, m, _, dbs, _) in enumerate(curves):
+        block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
+                 "samples": args.samples, "seed": args.seed}
+        for name, results in estimates[i].items():
+            block[name] = [r.value for r in results]
+            block[f"{name}_stderr"] = [r.error_estimate for r in results]
+        blocks.append(block)
+    _emit(args, blocks)
     return 0
 
 

@@ -19,16 +19,10 @@ once; an empty curve returns () before any draw.  The coefficients e_k do
 not depend on rho, so the ergodic and outage estimators each read the
 single-user channel set once per call, through ``streams.kept``: inside a
 caller's ``streams.sharing()`` block an ergodic and an outage call of one
-curve share a single draw.  The greedy-scheduled estimator reads its
-K-user set once per call, through ``streams.kept`` too, reduced slab by
-slab to every SINR's best rate per slot: the rate grows with det - 1, so a
-slot's best rate is one ``log1p`` of its users' largest det - 1.  That
-reduction compares by value, so a caller can draw the K-user sets of
-several curves in one ``streams.prefetch`` pass (``scheduled_draw`` gives
-a curve's request) and each call finds its own.  All samplers with one
-``McRun`` read prefixes of the same chunk streams, so the curves of one
-run share their normals (they are correlated), and a shared pass gives
-each call the bits of its own draw.  The reduction works in real
+curve share a single draw.  The greedy-scheduled estimator draws its
+K-user set once per call, reduced slab by slab to a table of every SINR's
+best rate per slot: the rate grows with det - 1, so a slot's best rate is
+one ``log1p`` of its users' largest det - 1.  The reduction works in real
 arithmetic on the real and imaginary parts of H, on the smaller of the
 two Gram matrices (H H† or H^T conj(H), which share their nonzero
 eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in
@@ -45,19 +39,32 @@ so a resample's quantile is the rate at a rank that depends only on (seed,
 sample count, quantile level); those ranks are drawn once and kept in a
 small cache.
 
-Channels are drawn through ``streams.draw_reduced``, or a caller's
-``streams.prefetch``, a slab of normals at a time, so memory stays bounded
-when the CLI runs several samplers on worker threads at once.  The
-estimators are safe to call from several threads.  The bootstrap ranks,
-which every (n, m) shares, are read once per outage call under a lock, so
-concurrent outage calls draw them once.
+``grid_jobs`` splits a grid of curves into jobs for a pool of worker
+threads and checks every curve, in grid order, before any draw, so the
+first failing curve in grid order decides the error.  All samplers with
+one ``McRun`` read prefixes of the same chunk streams, so the curves of
+one run share their normals (they are correlated) and can share their
+draws exactly.  Without K users a job is one curve, whose ergodic and
+outage calls read one single-user set in one ``sharing()`` block.  With
+them, a job is a group of curves, taken largest first (n m times the SINR
+count) while their best-rate tables, one value per sample and SINR, come
+to no more values than the grid's largest curve keeps alone: its r
+coefficients and its table, per sample.  The job draws the group's K-user
+sets in one ``streams.draw_shared`` pass, each chunk stream once, and
+hands each curve its own table, the bits of the curve's own draw.
+
+Channels are drawn a slab of normals at a time, so memory stays bounded
+when several jobs run on worker threads at once.  The estimators are safe
+to call from several threads.  The bootstrap ranks, which every (n, m)
+shares, are read once per outage call under a lock, so concurrent outage
+calls draw them once.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,9 +75,10 @@ from .capacity import (
     Links,
     _log2_1p_inplace,
     _points,
+    _sample_mean,
     _shaped,
 )
-from .streams import McRun, Request, _sample_mean, draw_reduced, kept, substream
+from .streams import McRun, Request, draw_reduced, draw_shared, kept, sharing, substream
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -230,7 +238,6 @@ def _det_rates(invariants: np.ndarray, t: float) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
 class _BestRates:
     """Reduction of a slab of K-user channel draws, (..., K, 2, n, m), to
     each slot's best rate at every SINR ``rhos``, one column per SINR.
@@ -238,12 +245,11 @@ class _BestRates:
     The rate is increasing in det - 1, so a slot's best rate is the rate of
     its largest det - 1: one log1p per slot and SINR.  A slot whose largest
     det - 1 overflows takes the best of its users' rates from
-    ``_det_rates``.  Compared by value, so the scheduled estimator's
-    ``kept`` key matches a prefetched draw of the same curve.
+    ``_det_rates``.
     """
 
-    m: int
-    rhos: tuple[float, ...]
+    def __init__(self, m: int, rhos: tuple[float, ...]) -> None:
+        self.m, self.rhos = m, rhos
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         invariants = _gram_invariants(z)
@@ -257,8 +263,12 @@ class _BestRates:
         return best
 
 
-def _check_ergodic(n: int, m: int, mc: McRun) -> None:
+def _check_ergodic(n: int, m: int, mc: McRun, users: int = 1) -> None:
+    """The checks of ``mimo_ergodic``, and with ``users`` those of
+    ``mimo_scheduled_ergodic``."""
     _validate(n, m)
+    if not isinstance(users, int) or users < 1:
+        raise ValueError(f"users must be a positive integer, got {users!r}")
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
 
@@ -271,39 +281,18 @@ def _check_outage(n: int, m: int, p0: float, mc: McRun) -> None:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
 
 
-def _check_scheduled(n: int, m: int, users: int, mc: McRun) -> None:
-    _validate(n, m)
-    if not isinstance(users, int) or users < 1:
-        raise ValueError(f"users must be a positive integer, got {users!r}")
-    _check_ergodic(n, m, mc)
+def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Request:
+    """The draw request of a curve's K-user channel sets: each slot's best
+    rate at every SINR."""
+    return (users, 2, n, m), _BestRates(m, tuple(point.rho for point in links))
 
 
-def _user_sets(n: int, m: int, users: int, rhos: tuple[float, ...]) -> Request:
-    """The K-user channel sets of a curve: each slot's best rate at every
-    SINR."""
-    return (users, 2, n, m), _BestRates(m, rhos)
-
-
-def scheduled_draw(
-    n: int, m: int, link: Links, mc: McRun, p0: float | None = None,
-    users: int | None = None,
-) -> Request | None:
-    """The ``streams.draw_reduced`` request that ``mimo_scheduled_ergodic``
-    reads through ``streams.kept`` for this curve, for ``streams.prefetch``;
-    None without ``users`` or SINRs.
-
-    First raises the error that the curve's ``mimo_ergodic`` call and, with
-    ``p0`` or ``users``, its ``mimo_outage`` and ``mimo_scheduled_ergodic``
-    calls, made in that order, would raise.
-    """
-    _check_ergodic(n, m, mc)
-    if p0 is not None:
-        _check_outage(n, m, p0, mc)
-    if users is None:
-        return None
-    _check_scheduled(n, m, users, mc)
-    rhos = tuple(point.rho for point in _points(link))
-    return _user_sets(n, m, users, rhos) if rhos else None
+def _table_means(
+    link: Links, table: np.ndarray
+) -> CapacityResult | tuple[CapacityResult, ...]:
+    """The scheduled estimates of a curve from its best-rate table."""
+    # One SINR at a time, copied contiguous, as a single SINR's rates would be.
+    return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))
 
 
 def mimo_ergodic(
@@ -369,12 +358,75 @@ def mimo_scheduled_ergodic(
     (a tuple of ``LinkParams`` gives a tuple of results).
 
     The K-user channels are drawn and reduced to each slot's best rate at
-    every SINR once per call, through ``streams.kept``.
+    every SINR once per call.
     """
-    _check_scheduled(n, m, users, mc)
-    rhos = tuple(point.rho for point in _points(link))
-    if not rhos:
+    _check_ergodic(n, m, mc, users)
+    links = _points(link)
+    if not links:
         return ()
-    table = kept(draw_reduced, mc, *_user_sets(n, m, users, rhos))
-    # One SINR at a time, copied contiguous, as a single SINR's rates would be.
-    return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))
+    return _table_means(link, draw_reduced(mc, *_user_sets(n, m, users, links)))
+
+
+# A curve of a grid: n, m and its SINRs.
+_Curve = tuple[int, int, tuple[LinkParams, ...]]
+# A curve's estimates by column: "ergodic", then "outage" and "scheduled"
+# where asked for.
+_Estimates = dict[str, tuple[CapacityResult, ...]]
+
+
+def grid_jobs(
+    curves: Sequence[_Curve], mc: McRun, p0: float | None = None, users: int | None = None
+) -> list[tuple[int, Callable[[], dict[int, _Estimates]]]]:
+    """(cost, call) pairs for a worker pool that together estimate every
+    curve of a grid: ergodic, with ``p0`` outage, and with ``users``
+    greedy-scheduled capacity.  A call returns its curves' estimates by
+    grid index, and its cost is n m times the SINR count of its curves.
+
+    The jobs come largest first, ties in grid order, grouped as the module
+    docstring says.  First raises the error that each curve's
+    ``mimo_ergodic``, ``mimo_outage`` and ``mimo_scheduled_ergodic`` calls,
+    made curve by curve in grid order, would raise.
+    """
+    for n, m, links in curves:
+        _check_ergodic(n, m, mc)
+        if p0 is not None:
+            _check_outage(n, m, p0, mc)
+        if users is not None:
+            _check_ergodic(n, m, mc, users)
+    costs = [n * m * len(links) for n, m, links in curves]
+    order = sorted(range(len(curves)), key=lambda i: -costs[i])
+    if users is None:
+        groups = [[i] for i in order]
+    else:
+        budget = max((min(n, m) + len(links) for n, m, links in curves), default=0)
+        groups, held = [], 0
+        for i in order:
+            width = len(curves[i][2])
+            if not groups or held + width > budget:
+                groups.append([])
+                held = 0
+            groups[-1].append(i)
+            held += width
+    return [(sum(costs[i] for i in group),
+             partial(_grid_job, {i: curves[i] for i in group}, mc, p0, users))
+            for group in groups]
+
+
+def _grid_job(
+    curves: dict[int, _Curve], mc: McRun, p0: float | None, users: int | None
+) -> dict[int, _Estimates]:
+    """Estimates of ``curves`` by grid index.  The K-user sets of the curves
+    with SINRs are drawn first, in one pass, and each curve's table is
+    released once its means are taken."""
+    requests = {i: _user_sets(n, m, users, links)
+                for i, (n, m, links) in curves.items() if users is not None and links}
+    tables = dict(zip(requests, draw_shared(mc, list(requests.values()))))
+    estimates: dict[int, _Estimates] = {}
+    with sharing():
+        for i, (n, m, links) in curves.items():
+            estimates[i] = {"ergodic": mimo_ergodic(n, m, links, mc)}
+            if p0 is not None:
+                estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc)
+            if users is not None:
+                estimates[i]["scheduled"] = _table_means(links, tables.pop(i)) if links else ()
+    return estimates

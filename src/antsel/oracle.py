@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import CapacityResult, LinkParams, _log2_1p_inplace
+from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _sample_mean
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, _sample_mean, draw_reduced, kept
+from .streams import McRun, draw_reduced, kept
 
 __all__ = [
     "DEFAULT_QUANTILES",

@@ -8,21 +8,19 @@ else, every sampler with one ``(samples, seed)`` reads a prefix of the same
 chunk streams, whatever its draw shape: the samplers of one run are
 correlated (common random numbers), and sharing their draws is exact.
 
-Every sampler draws through ``draw_reduced``, the one chunk -> slab ->
+Every sampler draws through ``draw_shared``, the one chunk -> slab ->
 reduce pipeline: within a chunk it draws and reduces consecutive slabs of
 about ``SLAB_ELEMENTS`` normals into one reused buffer, and writes each
 slab's reduction into the result, which is allocated once.  A generator's
 stream does not depend on how its draws are split, so the slabs hold the
 chunk's numbers bit for bit, while only one slab of normals, not a whole
 chunk, is alive at a time; that bound is what keeps concurrent samplers
-small.  ``draw_reduced`` is ``draw_shared`` with one request:
-``draw_shared`` serves several (shape, reduce) requests from one pass,
-drawing each chunk's stream once, as far as the longest request needs.
-Inside a ``sharing()`` block, ``kept`` keeps the thread's last sample,
-read-only, for the next estimator until another is drawn or the block
-ends, and ``prefetch`` keeps the samples of several requests, drawn in one
-``draw_shared`` pass, for ``kept`` until the block ends; outside a block
-nothing is kept.
+small.  ``draw_shared`` serves several (shape, reduce) requests from one
+pass, drawing each chunk's stream once, as far as the longest request
+needs; ``draw_reduced`` is its one-request case.  No array it allocates
+may exceed ``MAX_DRAW_BYTES``.  Inside a ``sharing()`` block, ``kept``
+keeps the thread's last sample, read-only, for the next estimator until
+another is drawn or the block ends; outside a block nothing is kept.
 """
 from __future__ import annotations
 
@@ -34,8 +32,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import CapacityResult
-
 __all__ = ["DEFAULT_SEED", "McRun", "sharing"]
 
 DEFAULT_SEED = 42
@@ -44,9 +40,12 @@ DEFAULT_SEED = 42
 CHUNK_ELEMENTS = 1 << 22
 # Normal draws per slab (1 MiB): bounds peak memory, not the results.
 SLAB_ELEMENTS = 1 << 17
+# Most bytes one array of a draw may take: its block of normals or a result.
+# Memory is committed lazily, so a larger array would not fail up front but
+# get the process killed while it is filled.
+MAX_DRAW_BYTES = 1 << 31
 
-# Inside a sharing() block, .slot holds the thread's last kept (key, sample)
-# and .prefetched its prefetched samples by key.
+# Inside a sharing() block, .slot holds the thread's last kept (key, sample).
 _KEPT = threading.local()
 
 
@@ -93,6 +92,15 @@ def chunk_generators(
         yield min(per_chunk, mc.samples - start), np.random.default_rng(seq)
 
 
+def _empty(shape: tuple[int, ...], dtype: np.dtype | type = float) -> np.ndarray:
+    """``np.empty(shape, dtype)``, or a ``MemoryError`` past ``MAX_DRAW_BYTES``."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size > MAX_DRAW_BYTES:
+        raise MemoryError(
+            f"an array of {size} bytes is over the limit of {MAX_DRAW_BYTES} (MAX_DRAW_BYTES)")
+    return np.empty(shape, dtype)
+
+
 # One draw request: the shape of a draw and the reduction of a slab of draws.
 Request = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
 
@@ -111,8 +119,12 @@ def draw_shared(mc: McRun, requests: Sequence[Request]) -> list[np.ndarray]:
     with the draws after it and no block is copied.  Each request's result
     is allocated at its first reduced slab and filled in order.
 
-    A ``MemoryError`` on the way is raised again with the draw named.
+    No requests draw nothing.  An array past ``MAX_DRAW_BYTES`` is refused
+    before it is allocated, and that ``MemoryError``, or one raised on the
+    way, is raised again with the draw named.
     """
+    if not requests:
+        return []
     sizes = [math.prod(shape) for shape, _ in requests]
     per_chunk = [_per_chunk(elems) for elems in sizes]
     try:
@@ -121,7 +133,7 @@ def draw_shared(mc: McRun, requests: Sequence[Request]) -> list[np.ndarray]:
             max(min(per, mc.samples) * elems for per, elems in zip(per_chunk, sizes)))
         # Room for the head of a draw that straddles a block edge.
         head = max((elems - 1 for elems in sizes if block % elems), default=0)
-        buf = np.empty(head + block)
+        buf = _empty((head + block,))
         results: list[np.ndarray] = [np.empty(0)] * len(requests)
         filled = [0] * len(requests)
         # The widest draw has the most chunks, as its chunks hold the fewest.
@@ -146,7 +158,7 @@ def draw_shared(mc: McRun, requests: Sequence[Request]) -> list[np.ndarray]:
                     lo = head + starts[i] - (drawn - width)
                     reduced = reduce(buf[lo : lo + stop - starts[i]].reshape(-1, *shape))
                     if not filled[i]:
-                        results[i] = np.empty((mc.samples, *reduced.shape[1:]), reduced.dtype)
+                        results[i] = _empty((mc.samples, *reduced.shape[1:]), reduced.dtype)
                     results[i][filled[i] : filled[i] + len(reduced)] = reduced
                     filled[i] += len(reduced)
                     starts[i] = stop
@@ -177,52 +189,24 @@ def draw_reduced(
 
 @contextmanager
 def sharing() -> Iterator[None]:
-    """Keep the thread's ``kept`` and prefetched samples until the outermost
-    block exits."""
+    """Keep the thread's ``kept`` sample until the outermost block exits."""
     if hasattr(_KEPT, "slot"):
         yield
         return
-    _KEPT.slot, _KEPT.prefetched = [], {}
+    _KEPT.slot = []
     try:
         yield
     finally:
-        del _KEPT.slot, _KEPT.prefetched
+        del _KEPT.slot
 
 
 def kept(sampler: Callable[..., np.ndarray], *args: object) -> np.ndarray:
     """``sampler(*args)``, read-only; inside a ``sharing()`` block, the one
-    prefetched or kept for the same sampler, arguments and
-    ``CHUNK_ELEMENTS`` if any."""
+    kept for the same sampler, arguments and ``CHUNK_ELEMENTS`` if any."""
     key = (sampler, args, CHUNK_ELEMENTS)
-    prefetched = getattr(_KEPT, "prefetched", None)
-    if prefetched and key in prefetched:
-        return prefetched[key]
     slot = getattr(_KEPT, "slot", [])
     if not slot or slot[0] != key:
         slot.clear()  # the kept sample is released before the next is drawn
         slot[:] = key, sampler(*args)
         slot[1].flags.writeable = False
     return slot[1]
-
-
-def prefetch(mc: McRun, requests: Sequence[Request]) -> None:
-    """Inside a ``sharing()`` block, draw every (shape, reduce) request in
-    one ``draw_shared`` pass and keep each as ``kept(draw_reduced, mc,
-    shape, reduce)`` until the outermost block ends; outside a block, do
-    nothing."""
-    prefetched = getattr(_KEPT, "prefetched", None)
-    if prefetched is None or not requests:
-        return
-    for (shape, reduce), sample in zip(requests, draw_shared(mc, requests)):
-        sample.flags.writeable = False
-        prefetched[draw_reduced, (mc, shape, reduce), CHUNK_ELEMENTS] = sample
-
-
-def _sample_mean(values: np.ndarray) -> CapacityResult:
-    """Monte Carlo mean of ``values``; error_estimate is the standard error.
-    Consumes ``values``: the squared deviations are formed in its buffer."""
-    mean = values.mean()
-    values -= mean
-    values *= values
-    se = math.sqrt(float(values.sum()) / (values.size - 1)) / math.sqrt(values.size)
-    return CapacityResult(float(mean), se)

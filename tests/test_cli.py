@@ -324,6 +324,21 @@ class TestMimo:
         assert threads and threading.get_ident() not in threads
 
 
+    def test_a_draw_over_the_array_limit_exits_two(self):
+        # The K-user block of one sample here is 6.4 GB.  Memory is committed
+        # lazily, so without the limit it would be allocated and the process
+        # killed while the block is filled; under the address-space cap a
+        # missing check fails fast, with numpy's message instead.
+        argv = ["mimo", "--n", "2", "--m", "2", "--rho-db", "0", "--users", "100000000",
+                "--samples", "1000"]
+        proc = run_python("-c", CAPPED % (argv, 1 << 30), check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: not enough memory to draw 1000 samples of (100000000, 2, 2, 2) normals: "
+            f"an array of 6400000000 bytes is over the limit of {streams.MAX_DRAW_BYTES} "
+            "(MAX_DRAW_BYTES)\n")
+
+
 class TestScheduling:
     def test_schema_and_consistency(self, tmp_path):
         out = tmp_path / "sched.csv"
@@ -428,14 +443,24 @@ class TestThreadedVerify:
             "error: ergodic estimate needs >= 1000 samples, got 999\n")
 
 
-def run_python(*args):
+def run_python(*args, check=True):
     """Run a fresh interpreter with ``args`` (``"-c", code`` or ``"-m", ...``)
-    that imports this antsel; a nonzero exit fails the test."""
+    that imports this antsel; with ``check``, a nonzero exit fails the test."""
     src = str(Path(antsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=check)
+
+
+# Runs the CLI on an argv with the address space capped: CAPPED % (argv, bytes).
+CAPPED = """
+import resource, sys
+argv, limit = %r, %d
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from antsel.cli import main
+sys.exit(main(argv))
+"""
 
 
 # Runs every subcommand on a small grid with the test-only dependencies

@@ -541,24 +541,25 @@ class TestReuse:
     def test_curve_calls_each_estimator_once(self, monkeypatch, tmp_path):
         # Two curves in one job on a pool thread; list.append is atomic, so
         # the recorders lose no call.
+        # The scheduled estimates come from the job's tables, not from
+        # mimo_scheduled_ergodic calls.
         draws = record_draws(monkeypatch)
         calls = []
         for name in ("mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"):
-            estimator = getattr(cli, name)
+            estimator = getattr(mimo, name)
 
             def recording(*args, name=name, estimator=estimator):
                 calls.append((name, args[0]))
                 return estimator(*args)
 
-            monkeypatch.setattr(cli, name, recording)
+            monkeypatch.setattr(mimo, name, recording)
         clear_caches()
         argv = ["mimo", "--n", "1,2", "--m", "3", "--p0", "0.1", "--rho-db=0,10",
                 "--users", "2", "--samples", "10000", "--seed", "406",
                 "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
         assert sorted(calls) == [("mimo_ergodic", 1), ("mimo_ergodic", 2),
-                                 ("mimo_outage", 1), ("mimo_outage", 2),
-                                 ("mimo_scheduled_ergodic", 1), ("mimo_scheduled_ergodic", 2)]
+                                 ("mimo_outage", 1), ("mimo_outage", 2)]
         # The two K-user sets come from one pass, laid out as the wider.
         assert sorted(draws) == [2 * 1 * 3, 2 * 2 * 3, 2 * 2 * 3 * 2]
 
@@ -638,12 +639,15 @@ class TestSharedGrid:
         # within the three values per sample a (2, m >= 2) curve keeps alone.
         args = cli.build_parser().parse_args(
             ["mimo", "--n", "1,2", "--m", "1..6", "--rho-db", "5", "--users", "16"])
-        curves = list(cli._grid(args, configs=False))
-        jobs = [[curves[i][:2] for i in job] for job in cli._mimo_jobs(curves, 16)]
-        assert jobs == [[(2, 6), (2, 5), (2, 4)], [(1, 6), (2, 3), (1, 5)],
-                        [(1, 4), (2, 2), (1, 3)], [(1, 2), (2, 1), (1, 1)]]
-        args.users = None
-        assert all(len(job) == 1 for job in cli._mimo_jobs(curves, None))
+        curves = [(n, m, links) for n, m, _, _, links in cli._grid(args, configs=False)]
+        mc = McRun(1_000, 3)
+        jobs = mimo.grid_jobs(curves, mc, None, 16)
+        # A job's call gives its curves' estimates in the job's order.
+        assert [[curves[i][:2] for i in call()] for _, call in jobs] == [
+            [(2, 6), (2, 5), (2, 4)], [(1, 6), (2, 3), (1, 5)],
+            [(1, 4), (2, 2), (1, 3)], [(1, 2), (2, 1), (1, 1)]]
+        assert [cost for cost, _ in jobs] == [12 + 10 + 8, 6 + 6 + 5, 4 + 4 + 3, 2 + 2 + 1]
+        assert all(len(call()) == 1 for _, call in mimo.grid_jobs(curves, mc))
 
 
 class TestBestRates:
@@ -667,11 +671,6 @@ class TestBestRates:
         reference = np.stack(
             [mimo._det_rates(invariants, rho / m).max(axis=1) for rho in rhos], axis=1)
         assert mimo._BestRates(m, rhos)(z).tobytes() == reference.tobytes()
-
-    def test_compares_by_value(self):
-        assert mimo._BestRates(3, (1.0, 2.0)) == mimo._BestRates(3, (1.0, 2.0))
-        assert hash(mimo._BestRates(3, (1.0,))) == hash(mimo._BestRates(3, (1.0,)))
-        assert mimo._BestRates(3, (1.0,)) != mimo._BestRates(2, (1.0,))
 
 
 class TestThreadedGrid:
@@ -713,13 +712,13 @@ class TestThreadedGrid:
         samples = int(argv[argv.index("--samples") + 1])
         assert len(list(chunk_generators(McRun(samples), smallest_draw))) >= 2
         threads = []
-        ergodic = cli.mimo_ergodic
+        ergodic = mimo.mimo_ergodic
 
         def recording(*args):
             threads.append(threading.get_ident())
             return ergodic(*args)
 
-        monkeypatch.setattr(cli, "mimo_ergodic", recording)
+        monkeypatch.setattr(mimo, "mimo_ergodic", recording)
         serial = self.run(monkeypatch, tmp_path, 1, argv)
         # One worker is still a pool of one thread, not the caller.
         assert len(set(threads)) == 1
@@ -757,16 +756,17 @@ class TestThreadedGrid:
         # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first curve
         # taken from the pool is the first one its thread runs; in grid
         # order that would be (1, 1).  One worker runs (3, 4) first, too.
+        # A curve starts with its mimo_ergodic call.
         argv = ["mimo", "--n", "1,3", "--m", "1,4", "--rho-db=0,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "36"]
         started: dict[int, tuple[int, int]] = {}
-        mimo_curve = cli._mimo_curve
+        ergodic = mimo.mimo_ergodic
 
-        def recording(args, mc, curve):
-            started.setdefault(threading.get_ident(), curve[:2])
-            return mimo_curve(args, mc, curve)
+        def recording(n, m, *args):
+            started.setdefault(threading.get_ident(), (n, m))
+            return ergodic(n, m, *args)
 
-        monkeypatch.setattr(cli, "_mimo_curve", recording)
+        monkeypatch.setattr(mimo, "mimo_ergodic", recording)
         calls = record_draws(monkeypatch)
         pooled = self.run(monkeypatch, tmp_path, 2, argv)
         assert (3, 4) in started.values()

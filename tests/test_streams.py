@@ -8,13 +8,12 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from antsel import LinkParams, McRun, SelectionConfig, cli
+from antsel import LinkParams, McRun, SelectionConfig, cli, mimo
 from antsel.mimo import (
     _det_rates,
     _gram_invariants,
     mimo_ergodic,
     mimo_scheduled_ergodic,
-    scheduled_draw,
 )
 from antsel.oracle import _draws, empirical_ergodic, sample_selection_gain
 from antsel import streams
@@ -25,7 +24,6 @@ from antsel.streams import (
     draw_reduced,
     draw_shared,
     kept,
-    prefetch,
     sharing,
     substream,
 )
@@ -163,6 +161,32 @@ class TestSharedPass:
         draw_shared(mc, [((3,), self.whole), ((40,), self.whole), ((7,), self.whole)])
         # The widest draw's layout has the most chunks; each is drawn once.
         assert calls == [40]
+        assert draw_shared(mc, []) == []
+        assert calls == [40]  # no requests, no draw
+
+    def test_an_array_over_the_limit_is_refused_before_it_is_drawn(self, monkeypatch):
+        calls = []
+
+        def counting(mc, elems_per_draw):
+            calls.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw)
+
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 100)
+        monkeypatch.setattr(streams, "MAX_DRAW_BYTES", 8 * 999)
+        mc = McRun(1_000, 7)
+        # A block of one 1,000-normal draw, and a result of 1,000 values
+        # after blocks of 100 normals.
+        for shape, reduce in (((1_000,), self.row_sums), ((1,), self.whole)):
+            with pytest.raises(MemoryError, match=(
+                    rf"^not enough memory to draw 1000 samples of \({shape[0]},\) normals: "
+                    r"an array of 8000 bytes is over the limit of 7992 \(MAX_DRAW_BYTES\)$")):
+                draw_reduced(mc, shape, reduce)
+        # The block is refused before the first chunk, the result before
+        # the second.
+        assert calls == [1]
+        # At the limit itself: a block of 999 normals and 999 values.
+        assert draw_reduced(McRun(999, 7), (999,), self.row_sums).shape == (999,)
 
 
 class TestSlabMemory:
@@ -228,7 +252,7 @@ class TestSlabMemory:
         assert len(results) == 2
         assert peak < 2 * self.bound(600_000)
 
-    def test_prefetched_multi_curve_job(self):
+    def test_multi_curve_job(self):
         # The bench scheduled grid's largest job: the K-user sets of (2, 6),
         # (2, 5) and (2, 4), 16 users, drawn in one pass and kept while
         # each curve also draws its single-user set (two values per sample).
@@ -236,11 +260,11 @@ class TestSlabMemory:
             ["mimo", "--n", "2", "--m", "6,5,4", "--rho-db", "5", "--users", "16",
              "--samples", "20000", "--seed", "3"])
         mc = McRun(args.samples, args.seed)
-        curves = list(cli._grid(args, configs=False))
-        requests = [scheduled_draw(n, m, links, mc, None, 16) for n, m, _, _, links in curves]
-        assert len(cli._mimo_jobs(curves, 16)) == 1
+        curves = [(n, m, links) for n, m, _, _, links in cli._grid(args, configs=False)]
+        jobs = mimo.grid_jobs(curves, mc, None, 16)
+        assert len(jobs) == 1
         kept_results = mc.samples * (len(curves) + 2)
-        peak = self.traced_peak(lambda: cli._mimo_job(args, mc, curves, requests))
+        peak = self.traced_peak(jobs[0][1])
         assert peak < self.bound(kept_results)
 
     def test_key_change_releases_the_kept_sample_first(self):
@@ -295,43 +319,6 @@ class TestSharing:
             monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
             kept(sampler, 4)
         assert calls == [4, 4]
-
-    def test_prefetched_samples_are_read_without_a_draw(self, monkeypatch):
-        calls = []
-
-        def counting(mc, elems_per_draw):
-            calls.append(elems_per_draw)
-            return chunk_generators(mc, elems_per_draw)
-
-        monkeypatch.setattr(streams, "chunk_generators", counting)
-        mc = McRun(1_000, 6)
-        requests = [((4,), TestSharedPass.row_sums), ((9,), TestSharedPass.row_sums)]
-        prefetch(mc, requests)  # outside a block: nothing is drawn or kept
-        assert calls == []
-        with sharing():
-            prefetch(mc, requests)
-            first = kept(draw_reduced, mc, *requests[0])
-            kept(draw_reduced, mc, (5,), TestSharedPass.row_sums)  # a miss
-            assert kept(draw_reduced, mc, *requests[0]) is first
-            second = kept(draw_reduced, mc, *requests[1])
-        assert calls == [9, 5]
-        assert not first.flags.writeable and not second.flags.writeable
-        assert first.tobytes() == draw_reduced(mc, *requests[0]).tobytes()
-
-    def test_prefetched_samples_end_with_the_outermost_block(self):
-        mc = McRun(100_000, 4)
-        requests = [((4,), TestSharedPass.row_sums), ((6,), TestSharedPass.row_sums)]
-        tracemalloc.start()
-        try:
-            with sharing():
-                with sharing():  # joins the outer block
-                    prefetch(mc, requests)
-                inside = tracemalloc.get_traced_memory()[0]
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert inside >= 8 * 2 * 100_000
-        assert after < 8 * 1_000
 
     def test_no_sample_outlives_its_block(self):
         def block():
