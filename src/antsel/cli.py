@@ -9,14 +9,15 @@ block of columns; ``_emit`` formats a block a column at a time and writes
 its rows in grid order, with the same bytes as formatting cell by cell
 (``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).
 
-The Monte Carlo work runs on a pool of worker threads, one per usable CPU
-(at least one), through ``_largest_first``: the ``mimo`` grid's jobs, which
-``mimo.grid_jobs`` builds and costs, and ``verify``'s two Monte Carlo
-families (the oracle checks and the MIMO check), costed by their normals
-per sample; ``verify``'s analytic checks run on the calling thread.  Jobs
-are submitted largest first, so that no long one starts last while a
-thread idles, and their results are read in grid or report order, so the
-output, and which error is reported, do not depend on the thread count.
+The Monte Carlo work of a run is one pipelined pass over the chunk
+streams (``streams.draw_passes``): the ``mimo`` grid's K-user tables and
+single-user sets (``mimo.grid_estimates``), or ``verify``'s seven samplers,
+three oracle selection-gain samples and four MIMO channel sets.  The
+calling thread and, on more than one usable CPU, one helper thread share
+the pass's reductions and estimates; ``verify``'s analytic checks run on
+the calling thread after it.  The results are read in grid or report
+order, and an error is the pass's earliest, so the output, and which error
+is reported, do not depend on the threads.
 
 Importing this module registers ``gc.freeze`` to run at interpreter exit.
 Finalization would otherwise run full collections over the tens of
@@ -24,7 +25,7 @@ thousands of objects the imports create and tear their cycles down one
 object at a time, about 27 ms after the last statement of every run; frozen,
 they are left to the OS with the rest of the heap.  Nothing here needs a
 finalizer at exit: ``_emit`` closes ``--out`` itself, the interpreter
-flushes stdout, and ``_largest_first`` shuts its pool down.  ``import
+flushes stdout, and a pass joins its helper before it returns.  ``import
 antsel`` alone registers nothing, and in-process callers of ``main`` are
 unaffected until their interpreter exits.
 
@@ -41,15 +42,14 @@ import csv
 import gc
 import io
 import math
-import os
 import sys
-from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .capacity import (
+    CapacityResult,
     LinkParams,
     db_to_linear,
     ergodic_approx,
@@ -66,8 +66,8 @@ from .gumbel import (
     convergence_error,
     normalizing_constants,
 )
-from .mimo import grid_jobs, mimo_ergodic
-from .oracle import empirical_ergodic, ks_against
+from .mimo import _channels, _kept_channels, grid_estimates, mimo_ergodic
+from .oracle import _gains, _kept_gains, empirical_ergodic, ks_against
 from .orderstats import (
     SelectionConfig,
     SolverError,
@@ -76,7 +76,7 @@ from .orderstats import (
     tail_quantile,
 )
 from .scheduling import SchedulingScenario, gain_report, scheduling_gain
-from .streams import DEFAULT_SEED, McRun, sharing
+from .streams import DEFAULT_SEED, McRun, draw_passes
 
 SCHEMAS: dict[str, list[str]] = {
     "dist": ["n", "m", "strategy", "x", "exact_cdf", "approx_cdf"],
@@ -97,17 +97,11 @@ _FORMATS = {"table1": {"exact_gain": ".4f", "approx_gain": ".2f"}}
 
 _STRATEGIES = {s.value: s for s in FitStrategy}
 
-# Threads for the Monte Carlo work of mimo and verify: the CPUs this
-# process may use.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
 # Leave the heap to the OS at exit (see the module docstring).
 atexit.register(gc.freeze)
 
 # Most values one range of a grid option, or --points, may ask for.
 MAX_GRID_VALUES = 10**6
-
-_T = TypeVar("_T")
 
 
 def _check_grid_size(text: str, count: float) -> None:
@@ -350,38 +344,17 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _largest_first(jobs: Sequence[tuple[float, Callable[[], _T]]]) -> list[_T]:
-    """Results of ``jobs``, (cost, call) pairs, in the order given.
-
-    The calls run on a pool of up to ``_WORKERS`` threads (one worker is
-    still a pool thread, not the caller), submitted largest cost first, ties
-    in the order given, so that no long call starts last and leaves the
-    other threads idle.  The results are read in the order given, so the
-    first failing job in that order decides the error, and the jobs not yet
-    started are cancelled.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
-    pool = ThreadPoolExecutor(max(1, min(len(jobs), _WORKERS)))
-    try:
-        futures = {i: pool.submit(jobs[i][1]) for i in order}
-        return [futures[i].result() for i in range(len(jobs))]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def cmd_mimo(args: argparse.Namespace) -> int:
     _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
     curves = list(_grid(args, configs=False))
-    jobs = grid_jobs([(n, m, links) for n, m, _, _, links in curves], mc, args.p0, args.users)
-    estimates = {i: curve for job in _largest_first(jobs) for i, curve in job.items()}
+    estimates = grid_estimates([(n, m, links) for n, m, _, _, links in curves], mc,
+                               args.p0, args.users)
     blocks = []
-    for i, (n, m, _, dbs, _) in enumerate(curves):
+    for (n, m, _, dbs, _), curve in zip(curves, estimates):
         block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
                  "samples": args.samples, "seed": args.seed}
-        for name, results in estimates[i].items():
+        for name, results in curve.items():
             block[name] = [r.value for r in results]
             block[f"{name}_stderr"] = [r.error_estimate for r in results]
         blocks.append(block)
@@ -394,40 +367,58 @@ def cmd_mimo(args: argparse.Namespace) -> int:
 _Check = tuple[str, bool, str]
 
 
-def _oracle_checks(mc: McRun) -> list[_Check]:
-    """Monte Carlo vs quadrature, and the KS distance of the sample against
-    the exact distribution.  One (n=1, m=5) sample serves both checks, and
-    it is released before the (2, 5) sample is drawn."""
+def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
+    """The oracle checks, Monte Carlo vs quadrature and the KS distance of
+    the sample against the exact distribution, and the MIMO check, the
+    Jensen ceiling and agreement with quadrature at n = m = 1.
+
+    The seven samplers, the oracle's (1, 1), (1, 5) and (2, 5) selection
+    gains and the MIMO (1, 2), (2, 2), (3, 4) and (1, 1) channel sets, are
+    drawn in one ``streams.draw_passes`` pass, and each is estimated as soon
+    as it is whole and released; the (1, 5) sample serves both oracle
+    checks.
+    """
     link = LinkParams(10**0.5)
     configs = (SelectionConfig(1, 1), SelectionConfig(1, 5), SelectionConfig(2, 5))
-    with sharing():
-        estimates = [empirical_ergodic(cfg, link, mc) for cfg in configs[:2]]
-        ks = ks_against(configs[1], mc, lambda x: max_cdf(configs[1], x))
-        estimates.append(empirical_ergodic(configs[2], link, mc))
+    points = ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0), (1, 1, 1.0))
+    estimates: dict[int, CapacityResult] = {}
+    ks: list[float] = []
+
+    def consume(k: int, sample: np.ndarray) -> None:
+        if k < len(configs):
+            cfg = configs[k]
+            with _kept_gains(cfg, mc, sample):
+                estimates[k] = empirical_ergodic(cfg, link, mc)
+                if k == 1:
+                    ks.append(ks_against(cfg, mc, lambda x: max_cdf(cfg, x)))
+        else:
+            n, m, rho = points[k - len(configs)]
+            with _kept_channels(n, m, mc, sample):
+                estimates[k] = mimo_ergodic(n, m, LinkParams(rho), mc)
+
+    draw_passes(mc, [*map(_gains, configs), *(_channels(n, m) for n, m, _ in points)],
+                [1] * len(configs) + [min(n, m) for n, m, _ in points], consume)
     ok = True
     detail = []
-    for cfg, est in zip(configs, estimates):
+    for k, cfg in enumerate(configs):
+        est = estimates[k]
         ref = ergodic_capacity(cfg, link).value
         z = (est.value - ref) / est.error_estimate
         detail.append(f"(n={cfg.n},m={cfg.m}) z={z:+.2f}")
         ok &= abs(z) <= 3.0
     limit = 1.95 / math.sqrt(mc.samples)
-    return [("mc-vs-quadrature", ok, "; ".join(detail)),
-            ("ks-exact-fit", ks <= limit, f"KS = {ks:.5f}, limit = {limit:.5f}")]
+    oracle_checks = [("mc-vs-quadrature", ok, "; ".join(detail)),
+                     ("ks-exact-fit", ks[0] <= limit, f"KS = {ks[0]:.5f}, limit = {limit:.5f}")]
 
-
-def _mimo_check(mc: McRun) -> _Check:
-    """MIMO: Jensen ceiling and agreement with quadrature at n = m = 1."""
     ok = True
-    for n, m, rho in ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0)):
-        est = mimo_ergodic(n, m, LinkParams(rho), mc)
+    for k, (n, m, rho) in enumerate(points[:-1], len(configs)):
         ceiling = n * math.log2(1 + rho)
-        ok &= est.value <= ceiling + 3 * est.error_estimate
-    est = mimo_ergodic(1, 1, LinkParams(1.0), mc)
+        ok &= estimates[k].value <= ceiling + 3 * estimates[k].error_estimate
+    est = estimates[len(configs) + len(points) - 1]
     ref = ergodic_capacity(SelectionConfig(1, 1), LinkParams(1.0)).value
     z = (est.value - ref) / est.error_estimate
     ok &= abs(z) <= 3.0
-    return ("mimo-baseline", ok, f"Jensen ceiling respected; point z={z:+.2f}")
+    return oracle_checks, ("mimo-baseline", ok, f"Jensen ceiling respected; point z={z:+.2f}")
 
 
 def _verify_checks(samples: int, seed: int) -> list[_Check]:
@@ -465,14 +456,7 @@ def _verify_checks(samples: int, seed: int) -> list[_Check]:
                 worst = max(worst, abs(outage_probability(cfg, link, c0) - p0))
     record("outage-round-trip", worst <= 1e-9, f"max |P(C(p0)) - p0| = {worst:.2e}")
 
-    # The two Monte Carlo families run on the pool at once, each costed by
-    # its normals per sample: the oracle's (1,1), (1,5) and (2,5) selection
-    # draws, and the (1,2), (2,2), (3,4) and (1,1) MIMO channels.
-    mc = McRun(samples, seed)
-    oracle_checks, mimo_check = _largest_first([
-        (2 * (1 + 5 + 10), partial(_oracle_checks, mc)),
-        (2 * (2 + 4 + 12 + 1), partial(_mimo_check, mc)),
-    ])
+    oracle_checks, mimo_check = _sampled_checks(McRun(samples, seed))
     results += oracle_checks
 
     # Convergence-rate probe for the reference constants (n = 1).

@@ -39,32 +39,33 @@ so a resample's quantile is the rate at a rank that depends only on (seed,
 sample count, quantile level); those ranks are drawn once and kept in a
 small cache.
 
-``grid_jobs`` splits a grid of curves into jobs for a pool of worker
-threads and checks every curve, in grid order, before any draw, so the
-first failing curve in grid order decides the error.  All samplers with
-one ``McRun`` read prefixes of the same chunk streams, so the curves of
-one run share their normals (they are correlated) and can share their
-draws exactly.  Without K users a job is one curve, whose ergodic and
-outage calls read one single-user set in one ``sharing()`` block.  With
-them, a job is a group of curves, taken largest first (n m times the SINR
-count) while their best-rate tables, one value per sample and SINR, come
-to no more values than the grid's largest curve keeps alone: its r
-coefficients and its table, per sample.  The job draws the group's K-user
-sets in one ``streams.draw_shared`` pass, each chunk stream once, and
-hands each curve its own table, the bits of the curve's own draw.
+``grid_estimates`` estimates a whole grid of curves.  It checks every
+curve, in grid order, before any draw, so the first failing curve in grid
+order decides the error.  All samplers with one ``McRun`` read prefixes of
+the same chunk streams, so the curves of one run share their normals (they
+are correlated) and can share their draws exactly: the grid's K-user
+best-rate tables and single-user sets are drawn in one pipelined
+``streams.draw_passes`` pass, each chunk stream once, in consecutive passes
+only when their results would pass ``streams.MAX_PASS_BYTES``.  Each set
+is estimated as soon as it is whole, on whichever thread of the pass
+completed it: a single-user set goes to the curve's ``mimo_ergodic`` and
+``mimo_outage`` calls as the kept sample of a ``streams.keeping`` block,
+a table to the curve's scheduled means, and then it is released.
 
-Channels are drawn a slab of normals at a time, so memory stays bounded
-when several jobs run on worker threads at once.  The estimators are safe
-to call from several threads.  The bootstrap ranks, which every (n, m)
-shares, are read once per outage call under a lock, so concurrent outage
-calls draw them once.
+Channels are drawn a block of normals at a time, so memory stays bounded
+however many curves a pass serves.  The estimators are safe to call from
+several threads.  The bootstrap ranks, which every (n, m) shares, are read
+once per outage call under a lock, so concurrent outage calls draw them
+once; they are refused, before any draw, when one resample's indices
+would pass ``streams.MAX_DRAW_BYTES``.
 """
 from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache, partial
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,7 +79,16 @@ from .capacity import (
     _sample_mean,
     _shaped,
 )
-from .streams import McRun, Request, draw_reduced, draw_shared, kept, sharing, substream
+from .streams import (
+    McRun,
+    Request,
+    _check_size,
+    draw_passes,
+    draw_reduced,
+    keeping,
+    kept,
+    substream,
+)
 
 __all__ = ["MAX_RX_ANTENNAS", "mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"]
 
@@ -281,6 +291,19 @@ def _check_outage(n: int, m: int, p0: float, mc: McRun) -> None:
         raise ValueError(f"outage probability must lie in (0, 1), got {p0!r}")
 
 
+def _channels(n: int, m: int) -> Request:
+    """The draw request of a single-user channel set: each channel's e_k."""
+    return (2, n, m), _gram_invariants
+
+
+@contextmanager
+def _kept_channels(n: int, m: int, mc: McRun, invariants: np.ndarray) -> Iterator[None]:
+    """A block in which ``mimo_ergodic`` and ``mimo_outage`` at (n, m) and
+    ``mc`` read ``invariants``, a pass's result of ``_channels(n, m)``."""
+    with keeping(invariants, draw_reduced, mc, *_channels(n, m)):
+        yield
+
+
 def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Request:
     """The draw request of a curve's K-user channel sets: each slot's best
     rate at every SINR."""
@@ -305,7 +328,7 @@ def mimo_ergodic(
     links = _points(link)
     if not links:
         return ()
-    invariants = kept(draw_reduced, mc, (2, n, m), _gram_invariants)
+    invariants = kept(draw_reduced, mc, *_channels(n, m))
     return _shaped(link, tuple(
         _sample_mean(_det_rates(invariants, point.rho / m)) for point in links
     ))
@@ -317,6 +340,10 @@ def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
     """For each bootstrap resample of ``size`` indices, its k-th smallest
     index.  On sorted data that index holds the resample's k-th smallest
     value, so the resample itself is never gathered or partitioned."""
+    try:
+        _check_size((size,), np.int64)  # the indices of one resample
+    except MemoryError as exc:
+        raise MemoryError(f"not enough memory to resample {size} samples: {exc}") from None
     boot_rng = substream(seed, _BOOTSTRAP_TAG)
     ranks = np.empty(_BOOTSTRAP_RESAMPLES, dtype=np.intp)
     for i in range(_BOOTSTRAP_RESAMPLES):
@@ -339,7 +366,7 @@ def mimo_outage(
     # lru_cache alone would let two threads compute the same ranks at once.
     with _RANKS_LOCK:
         ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
-    invariants = kept(draw_reduced, mc, (2, n, m), _gram_invariants)
+    invariants = kept(draw_reduced, mc, *_channels(n, m))
 
     def quantile(point: LinkParams) -> CapacityResult:
         rates = _det_rates(invariants, point.rho / m)
@@ -374,18 +401,19 @@ _Curve = tuple[int, int, tuple[LinkParams, ...]]
 _Estimates = dict[str, tuple[CapacityResult, ...]]
 
 
-def grid_jobs(
+def grid_estimates(
     curves: Sequence[_Curve], mc: McRun, p0: float | None = None, users: int | None = None
-) -> list[tuple[int, Callable[[], dict[int, _Estimates]]]]:
-    """(cost, call) pairs for a worker pool that together estimate every
-    curve of a grid: ergodic, with ``p0`` outage, and with ``users``
-    greedy-scheduled capacity.  A call returns its curves' estimates by
-    grid index, and its cost is n m times the SINR count of its curves.
+) -> list[_Estimates]:
+    """Estimates of every curve of a grid, in grid order: ergodic, with
+    ``p0`` outage, and with ``users`` greedy-scheduled capacity.
 
-    The jobs come largest first, ties in grid order, grouped as the module
-    docstring says.  First raises the error that each curve's
-    ``mimo_ergodic``, ``mimo_outage`` and ``mimo_scheduled_ergodic`` calls,
-    made curve by curve in grid order, would raise.
+    First raises the error that each curve's ``mimo_ergodic``,
+    ``mimo_outage`` and ``mimo_scheduled_ergodic`` calls, made curve by
+    curve in grid order, would raise.  Then the K-user tables and the
+    single-user sets of the curves with SINRs are drawn in one
+    ``streams.draw_passes`` pass (consecutive passes past
+    ``MAX_PASS_BYTES``), and each is estimated as soon as it is whole, on
+    whichever thread of the pass completed it, and released.
     """
     for n, m, links in curves:
         _check_ergodic(n, m, mc)
@@ -393,40 +421,27 @@ def grid_jobs(
             _check_outage(n, m, p0, mc)
         if users is not None:
             _check_ergodic(n, m, mc, users)
-    costs = [n * m * len(links) for n, m, links in curves]
-    order = sorted(range(len(curves)), key=lambda i: -costs[i])
-    if users is None:
-        groups = [[i] for i in order]
-    else:
-        budget = max((min(n, m) + len(links) for n, m, links in curves), default=0)
-        groups, held = [], 0
-        for i in order:
-            width = len(curves[i][2])
-            if not groups or held + width > budget:
-                groups.append([])
-                held = 0
-            groups[-1].append(i)
-            held += width
-    return [(sum(costs[i] for i in group),
-             partial(_grid_job, {i: curves[i] for i in group}, mc, p0, users))
-            for group in groups]
+    columns = ["ergodic", *["outage"] * (p0 is not None), *["scheduled"] * (users is not None)]
+    estimates: list[_Estimates] = [dict.fromkeys(columns, ()) for _ in curves]
+    sampled = [(i, n, m, links) for i, (n, m, links) in enumerate(curves) if links]
+    # The K-user tables first, then the single-user sets: (grid index,
+    # request, values per sample).
+    draws = [(i, _user_sets(n, m, users, links), len(links))
+             for i, n, m, links in sampled if users is not None]
+    tables = len(draws)
+    draws += [(i, _channels(n, m), min(n, m)) for i, n, m, _ in sampled]
 
-
-def _grid_job(
-    curves: dict[int, _Curve], mc: McRun, p0: float | None, users: int | None
-) -> dict[int, _Estimates]:
-    """Estimates of ``curves`` by grid index.  The K-user sets of the curves
-    with SINRs are drawn first, in one pass, and each curve's table is
-    released once its means are taken."""
-    requests = {i: _user_sets(n, m, users, links)
-                for i, (n, m, links) in curves.items() if users is not None and links}
-    tables = dict(zip(requests, draw_shared(mc, list(requests.values()))))
-    estimates: dict[int, _Estimates] = {}
-    with sharing():
-        for i, (n, m, links) in curves.items():
-            estimates[i] = {"ergodic": mimo_ergodic(n, m, links, mc)}
+    def consume(k: int, result: np.ndarray) -> None:
+        i = draws[k][0]
+        n, m, links = curves[i]
+        if k < tables:
+            estimates[i]["scheduled"] = _table_means(links, result)
+            return
+        with _kept_channels(n, m, mc, result):
+            estimates[i]["ergodic"] = mimo_ergodic(n, m, links, mc)
             if p0 is not None:
                 estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc)
-            if users is not None:
-                estimates[i]["scheduled"] = _table_means(links, tables.pop(i)) if links else ()
+
+    draw_passes(mc, [request for _, request, _ in draws], [width for *_, width in draws],
+                consume)
     return estimates

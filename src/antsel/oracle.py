@@ -13,14 +13,15 @@ analytic modules is a genuine two-route check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _sample_mean
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, draw_reduced, kept
+from .streams import McRun, Request, draw_reduced, keeping, kept
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -47,17 +48,32 @@ class EmpiricalSummary:
     seed: int
 
 
+def _best_gains(z: np.ndarray) -> np.ndarray:
+    """The selection gain of each draw of (m, 2n) normals: its largest branch."""
+    # Halving is exact and keeps the order, so halve the maxima only.
+    return 0.5 * np.einsum("ijk,ijk->ij", z, z).max(axis=1)
+
+
+def _gains(cfg: SelectionConfig) -> Request:
+    """The draw request of a selection-gain sample."""
+    return (cfg.m, 2 * cfg.n), _best_gains
+
+
 def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
     """Sorted selection-gain sample via squared complex-Gaussian branch sums,
     drawn and reduced a slab at a time; read through ``streams.kept``."""
-
-    def best_gains(z: np.ndarray) -> np.ndarray:
-        # Halving is exact and keeps the order, so halve the maxima only.
-        return 0.5 * np.einsum("ijk,ijk->ij", z, z).max(axis=1)
-
-    gains = draw_reduced(mc, (cfg.m, 2 * cfg.n), best_gains)
+    gains = draw_reduced(mc, *_gains(cfg))
     gains.sort()
     return gains
+
+
+@contextmanager
+def _kept_gains(cfg: SelectionConfig, mc: McRun, gains: np.ndarray) -> Iterator[None]:
+    """A block in which the estimators at ``cfg`` and ``mc`` read
+    ``gains``, a pass's result of ``_gains(cfg)``, sorted in place."""
+    gains.sort()
+    with keeping(gains, _draws, cfg, mc):
+        yield
 
 
 def _ks_statistic(sorted_draws: np.ndarray, reference_cdf: _ArrayCdf) -> float:

@@ -296,18 +296,20 @@ class TestMimo:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
     @pytest.mark.parametrize("argv,draw", [
         (["mimo", "--n", "2", "--m", "3", "--samples", "1000"], "(2, 2, 3)"),
+        # The K-user table comes before the single-user set in the pass.
         (["mimo", "--n", "2", "--m", "3", "--users", "4", "--samples", "1000"],
          "(4, 2, 2, 3)"),
-        # verify's MIMO family fails at its first point, (n, m) = (1, 2).
+        # verify's first MIMO point, (n, m) = (1, 2), is its first draw to fail.
         (["verify", "--samples", "1000"], "(2, 1, 2)"),
     ])
-    def test_out_of_memory_in_a_draw_exits_two(self, monkeypatch, capsys, workers,
+    def test_out_of_memory_in_a_draw_exits_two(self, monkeypatch, capsys, helpers,
                                                argv, draw):
-        # A Monte Carlo draw that runs out of memory on a pool thread gives
-        # one line naming the draw, and exit 2 instead of a traceback.
+        # A Monte Carlo draw that runs out of memory on any thread of the
+        # pass gives one line naming the draw, and exit 2 instead of a
+        # traceback; no helper thread is left behind.
         threads = []
 
         def failing(z):
@@ -315,13 +317,40 @@ class TestMimo:
             raise MemoryError("Unable to allocate 6 GiB")
 
         monkeypatch.setattr(antsel.mimo, "_gram_invariants", failing)
-        monkeypatch.setattr(cli, "_WORKERS", workers)
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        before = threading.active_count()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: not enough memory to draw 1000 samples of {draw} "
                                 "normals: Unable to allocate 6 GiB\n")
-        assert threads and threading.get_ident() not in threads
+        assert threads
+        if not helpers:
+            assert set(threads) == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_a_failure_on_the_helper_exits_two(self, monkeypatch, capsys):
+        # The reductions on the calling thread wait until the helper has
+        # failed one, so the error surely comes from the helper.
+        caller, failed = threading.get_ident(), threading.Event()
+        invariants = antsel.mimo._gram_invariants
+
+        def failing_on_the_helper(z):
+            if threading.get_ident() == caller:
+                assert failed.wait(timeout=60)
+                return invariants(z)
+            failed.set()
+            raise MemoryError("Unable to allocate 6 GiB")
+
+        monkeypatch.setattr(antsel.mimo, "_gram_invariants", failing_on_the_helper)
+        monkeypatch.setattr(streams, "_helpers", lambda: 1)
+        before = threading.active_count()
+        assert main(["mimo", "--n", "1,2", "--m", "3", "--samples", "100000"]) == 2
+        assert failed.is_set()
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory to draw 100000 samples of (2, ")
+        assert err.endswith(" normals: Unable to allocate 6 GiB\n")
+        assert threading.active_count() == before
 
 
     def test_a_draw_over_the_array_limit_exits_two(self):
@@ -366,8 +395,8 @@ class TestVerify:
 
 
 class TestThreadedVerify:
-    """verify runs its two Monte Carlo families on the worker pool; the
-    report must not tell."""
+    """verify draws its seven samplers in one pass shared with helper
+    threads; the report must not tell."""
 
     ESTIMATORS = ("empirical_ergodic", "ks_against", "mimo_ergodic")
 
@@ -384,9 +413,9 @@ class TestThreadedVerify:
         finally:
             sys.setswitchinterval(interval)
 
-    def run(self, monkeypatch, capsys, tmp_path, workers, argv):
-        monkeypatch.setattr(cli, "_WORKERS", workers)
-        out = tmp_path / f"w{workers}.csv"
+    def run(self, monkeypatch, capsys, tmp_path, helpers, argv):
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        out = tmp_path / f"h{helpers}.csv"
         code = main([*argv, "--out", str(out)])
         return code, capsys.readouterr(), out.read_bytes()
 
@@ -400,47 +429,54 @@ class TestThreadedVerify:
                 return estimator(*args)
             monkeypatch.setattr(cli, name, recording)
         argv = ["verify", "--samples", "20000", "--seed", "5"]
-        serial = self.run(monkeypatch, capsys, tmp_path, 1, argv)
-        pooled = self.run(monkeypatch, capsys, tmp_path, 2, argv)
-        assert pooled == serial
+        before = threading.active_count()
+        serial = self.run(monkeypatch, capsys, tmp_path, 0, argv)
+        # With no helper, every estimate runs on the calling thread.
+        for name in self.ESTIMATORS:
+            assert threads[name] == {threading.get_ident()}
+        for helpers in (1, 2):
+            assert self.run(monkeypatch, capsys, tmp_path, helpers, argv) == serial
+        assert threading.active_count() == before
         # A report of all eight checks (at this layout some may fail).
         assert serial[0] in (0, 3)
         assert len(serial[2].splitlines()) == 2 + 8
-        for name in self.ESTIMATORS:
-            assert threads[name] and threading.get_ident() not in threads[name]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_too_few_samples_is_the_serial_error(self, monkeypatch, capsys, workers):
-        monkeypatch.setattr(cli, "_WORKERS", workers)
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_too_few_samples_is_the_serial_error(self, monkeypatch, capsys, helpers):
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
         assert main(["verify", "--samples", "999"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ergodic estimate needs >= 1000 samples, got 999\n"
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
     def test_first_failing_check_in_report_order_decides(
-        self, monkeypatch, capsys, workers
+        self, monkeypatch, capsys, helpers
     ):
-        # The MIMO family draws more normals per sample, so it starts first,
-        # and here it fails at once.  The oracle family fails well after it,
-        # but its checks come first in the report, so its error is the one.
+        # All seven samples are whole after the one block of 999 draws.
+        # With a helper, the MIMO estimates fail first, and the oracle's
+        # first, at (1, 1), well after them; the oracle samplers come first
+        # in the pass, as their checks do in the report, so the oracle's
+        # error is the one.
         mimo_failed = threading.Event()
 
         def failing(*args):
             mimo_failed.set()
             raise ValueError("the MIMO family failed")
 
-        def after_mimo(*args, estimator=cli.empirical_ergodic):
-            assert mimo_failed.wait(timeout=60)
-            time.sleep(0.2)
-            return estimator(*args)
+        def after_mimo(cfg, *args, estimator=cli.empirical_ergodic):
+            if helpers and cfg.m == 1:
+                assert mimo_failed.wait(timeout=60)
+                time.sleep(0.2)
+            return estimator(cfg, *args)
 
         monkeypatch.setattr(cli, "mimo_ergodic", failing)
         monkeypatch.setattr(cli, "empirical_ergodic", after_mimo)
-        monkeypatch.setattr(cli, "_WORKERS", workers)
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
         assert main(["verify", "--samples", "999"]) == 2
         assert capsys.readouterr().err == (
             "error: ergodic estimate needs >= 1000 samples, got 999\n")
+        assert mimo_failed.is_set()
 
 
 def run_python(*args, check=True):

@@ -465,6 +465,18 @@ class TestRankBootstrap:
         assert est.error_estimate == float(resample_loop(rates, p0, seed).std(ddof=1))
 
 
+    def test_resamples_over_the_array_limit_are_refused_before_any_draw(self, monkeypatch):
+        # One resample of 10,000 int64 indices takes 80,000 bytes.
+        draws = record_draws(monkeypatch)
+        clear_caches()
+        monkeypatch.setattr(streams, "MAX_DRAW_BYTES", 8 * 9_999)
+        with pytest.raises(MemoryError, match=(
+                r"^not enough memory to resample 10000 samples: an array of 80000 bytes "
+                r"is over the limit of 79992 \(MAX_DRAW_BYTES\)$")):
+            mimo_outage(1, 1, LinkParams(1.0), 0.1, McRun(10_000, 3))
+        assert draws == []
+
+
 class TestReuse:
     RHOS = (10.0**-1.5, 1.0, 10.0**2)
     MC = McRun(10_000, 61)
@@ -525,23 +537,23 @@ class TestReuse:
 
     def test_cli_draws_each_channel_set_once(self, monkeypatch, tmp_path):
         # Each curve's ergodic and outage calls read one single-user set, and
-        # one job draws both curves' K-user sets in one pass: each chunk
-        # stream is drawn once per job.
+        # one pass draws both curves' single-user and K-user sets: each chunk
+        # stream is drawn once per run, laid out as the widest draw.
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 16)
         calls = record_chunks(monkeypatch)
         clear_caches()
         argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=5", "--p0", "0.1", "--users", "4",
                 "--samples", "10000", "--seed", "404", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
-        assert sorted(elems for elems, _ in calls) == [6, 12, 2 * 2 * 3 * 4]
+        assert [elems for elems, _ in calls] == [2 * 2 * 3 * 4]
         for elems, chunks in calls:
             assert chunks == list(range(len(list(chunk_generators(McRun(10_000), elems)))))
         assert len(dict(calls)[2 * 2 * 3 * 4]) > 1
 
     def test_curve_calls_each_estimator_once(self, monkeypatch, tmp_path):
-        # Two curves in one job on a pool thread; list.append is atomic, so
-        # the recorders lose no call.
-        # The scheduled estimates come from the job's tables, not from
+        # Two curves in one pass, estimated on its threads; list.append is
+        # atomic, so the recorders lose no call.
+        # The scheduled estimates come from the pass's tables, not from
         # mimo_scheduled_ergodic calls.
         draws = record_draws(monkeypatch)
         calls = []
@@ -560,8 +572,8 @@ class TestReuse:
         assert main(argv) == 0
         assert sorted(calls) == [("mimo_ergodic", 1), ("mimo_ergodic", 2),
                                  ("mimo_outage", 1), ("mimo_outage", 2)]
-        # The two K-user sets come from one pass, laid out as the wider.
-        assert sorted(draws) == [2 * 1 * 3, 2 * 2 * 3, 2 * 2 * 3 * 2]
+        # Every set comes from one pass, laid out as the widest.
+        assert draws == [2 * 2 * 3 * 2]
 
     def test_scheduled_curve_draws_the_user_set_once(self, monkeypatch, tmp_path):
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 16)
@@ -584,9 +596,9 @@ class TestReuse:
 
 
 class TestSharedGrid:
-    """With --users, cmd_mimo's jobs draw their curves' K-user sets in one
-    pass; the CSV holds the bytes that per-curve library calls give, at one
-    worker and at two."""
+    """cmd_mimo draws its curves' single-user and K-user sets in one pass;
+    the CSV holds the bytes that per-curve library calls give, with no,
+    one and two helper threads."""
 
     @staticmethod
     def library_csv(argv, path):
@@ -608,7 +620,7 @@ class TestSharedGrid:
 
     # The bench scheduled grid's shapes at test size: 8 to 384 normals per
     # K-user draw against 8192 per chunk and 1024 per slab, so the curves of
-    # one job have from 1 to 47 chunks each.
+    # one pass have from 1 to 47 chunks each.
     @settings(max_examples=10, deadline=None, derandomize=True, database=None,
               phases=(Phase.explicit, Phase.generate, Phase.shrink),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -628,26 +640,40 @@ class TestSharedGrid:
                 f"--rho-db={','.join(map(str, dbs))}", "--users", str(users),
                 "--samples", str(samples), "--seed", str(seed)]
         expected = self.library_csv(argv, tmp_path / "library.csv")
-        for workers in (1, 2):
-            monkeypatch.setattr(cli, "_WORKERS", workers)
-            out = tmp_path / f"w{workers}.csv"
+        for helpers in (0, 1, 2):
+            monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+            out = tmp_path / f"h{helpers}.csv"
             assert main([*argv, "--out", str(out)]) == 0
             assert out.read_bytes() == expected
 
-    def test_bench_grid_jobs(self):
-        # Largest first (ties in grid order), each job's best-rate tables
-        # within the three values per sample a (2, m >= 2) curve keeps alone.
-        args = cli.build_parser().parse_args(
-            ["mimo", "--n", "1,2", "--m", "1..6", "--rho-db", "5", "--users", "16"])
-        curves = [(n, m, links) for n, m, _, _, links in cli._grid(args, configs=False)]
-        mc = McRun(1_000, 3)
-        jobs = mimo.grid_jobs(curves, mc, None, 16)
-        # A job's call gives its curves' estimates in the job's order.
-        assert [[curves[i][:2] for i in call()] for _, call in jobs] == [
-            [(2, 6), (2, 5), (2, 4)], [(1, 6), (2, 3), (1, 5)],
-            [(1, 4), (2, 2), (1, 3)], [(1, 2), (2, 1), (1, 1)]]
-        assert [cost for cost, _ in jobs] == [12 + 10 + 8, 6 + 6 + 5, 4 + 4 + 3, 2 + 2 + 1]
-        assert all(len(call()) == 1 for _, call in mimo.grid_jobs(curves, mc))
+    def test_bench_grid_passes(self, monkeypatch, tmp_path):
+        # The bench scheduled grid is one pass: its K-user tables in grid
+        # order, then its single-user sets.  Under a smaller byte budget it
+        # runs as consecutive passes, in the same order, with the same bytes.
+        passes = []
+        draw_shared = streams.draw_shared
+
+        def recording(mc, requests, consume=None):
+            passes.append([shape for shape, _ in requests])
+            return draw_shared(mc, requests, consume)
+
+        monkeypatch.setattr(streams, "draw_shared", recording)
+        argv = ["mimo", "--n", "1,2", "--m", "1..6", "--rho-db", "5", "--users", "16",
+                "--samples", "20000", "--seed", "3"]
+        pairs = [(n, m) for n in (1, 2) for m in range(1, 7)]
+        shapes = [(16, 2, n, m) for n, m in pairs] + [(2, n, m) for n, m in pairs]
+        one = tmp_path / "one.csv"
+        assert main([*argv, "--out", str(one)]) == 0
+        assert passes == [shapes]
+        # Each table holds one value per sample and each set min(n, m).
+        values = [1] * len(pairs) + [min(pair) for pair in pairs]
+        assert 8 * 20_000 * sum(values) <= streams.MAX_PASS_BYTES
+        passes.clear()
+        monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * 20_000 * 10)
+        split = tmp_path / "split.csv"
+        assert main([*argv, "--out", str(split)]) == 0
+        assert passes == [shapes[:10], shapes[10:19], shapes[19:]]
+        assert split.read_bytes() == one.read_bytes()
 
 
 class TestBestRates:
@@ -674,7 +700,8 @@ class TestBestRates:
 
 
 class TestThreadedGrid:
-    """cmd_mimo runs its (n, m) points on threads; the output must not tell."""
+    """cmd_mimo draws and estimates its (n, m) points on the threads of a
+    pass; the output must not tell."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
@@ -693,11 +720,13 @@ class TestThreadedGrid:
         finally:
             sys.setswitchinterval(interval)
 
-    def run(self, monkeypatch, tmp_path, workers, argv):
-        monkeypatch.setattr(cli, "_WORKERS", workers)
+    def run(self, monkeypatch, tmp_path, helpers, argv):
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
         clear_caches()
-        out = tmp_path / f"w{workers}.csv"
+        out = tmp_path / f"h{helpers}.csv"
+        before = threading.active_count()
         assert main([*argv, "--out", str(out)]) == 0
+        assert threading.active_count() == before
         return out.read_bytes()
 
     @pytest.mark.parametrize("argv,smallest_draw", [
@@ -719,24 +748,24 @@ class TestThreadedGrid:
             return ergodic(*args)
 
         monkeypatch.setattr(mimo, "mimo_ergodic", recording)
-        serial = self.run(monkeypatch, tmp_path, 1, argv)
-        # One worker is still a pool of one thread, not the caller.
-        assert len(set(threads)) == 1
-        assert threading.get_ident() not in threads
-        threads.clear()
-        pooled = self.run(monkeypatch, tmp_path, 2, argv)
-        assert threading.get_ident() not in threads
-        assert pooled == serial
+        serial = self.run(monkeypatch, tmp_path, 0, argv)
+        # With no helper, the calling thread estimates every curve.
+        assert set(threads) == {threading.get_ident()}
+        curves = len(threads)
+        for helpers in (1, 2):
+            threads.clear()
+            assert self.run(monkeypatch, tmp_path, helpers, argv) == serial
+            assert len(threads) == curves
 
     def test_repeated_points_keep_grid_order(self, monkeypatch, tmp_path):
-        def data_rows(workers, n):
+        def data_rows(helpers, n):
             argv = ["mimo", "--n", n, "--m", "1", "--rho-db=0,5", "--p0", "0.1",
                     "--samples", "10000", "--seed", "35"]
-            return self.run(monkeypatch, tmp_path, workers, argv).splitlines()[2:]
+            return self.run(monkeypatch, tmp_path, helpers, argv).splitlines()[2:]
 
-        two, one = data_rows(1, "2"), data_rows(1, "1")
-        assert data_rows(2, "2,1,2") == two + one + two
+        two, one = data_rows(0, "2"), data_rows(0, "1")
         assert data_rows(1, "2,1,2") == two + one + two
+        assert data_rows(0, "2,1,2") == two + one + two
 
     def test_bootstrap_ranks_drawn_once(self, monkeypatch, tmp_path, fast_switching):
         tags = []
@@ -751,38 +780,37 @@ class TestThreadedGrid:
             "--samples", "10000", "--seed", "33"])
         assert tags == [mimo._BOOTSTRAP_TAG]
 
-    def test_largest_group_starts_first(self, monkeypatch, tmp_path):
-        # Curves go to the pool largest first (n m times the SINR count):
-        # here (3, 4), then (1, 4), (3, 1) and (1, 1).  The first curve
-        # taken from the pool is the first one its thread runs; in grid
-        # order that would be (1, 1).  One worker runs (3, 4) first, too.
-        # A curve starts with its mimo_ergodic call.
+    def test_curves_are_estimated_as_their_sets_complete(self, monkeypatch, tmp_path):
+        # One pass draws every single-user set, laid out as the widest, and a
+        # curve is estimated as soon as its set is whole: the narrowest
+        # first.  With no helper, the order is (1, 1) and (3, 1), both
+        # whole in the first block, then (1, 4) and (3, 4).
         argv = ["mimo", "--n", "1,3", "--m", "1,4", "--rho-db=0,10", "--p0", "0.1",
                 "--samples", "10000", "--seed", "36"]
-        started: dict[int, tuple[int, int]] = {}
+        started: list[tuple[int, int]] = []
         ergodic = mimo.mimo_ergodic
 
         def recording(n, m, *args):
-            started.setdefault(threading.get_ident(), (n, m))
+            started.append((n, m))
             return ergodic(n, m, *args)
 
         monkeypatch.setattr(mimo, "mimo_ergodic", recording)
         calls = record_draws(monkeypatch)
-        pooled = self.run(monkeypatch, tmp_path, 2, argv)
-        assert (3, 4) in started.values()
-        assert threading.get_ident() not in started
-        assert sorted(calls) == sorted(2 * n * m for n in (1, 3) for m in (1, 4))
+        serial = self.run(monkeypatch, tmp_path, 0, argv)
+        assert started == [(1, 1), (3, 1), (1, 4), (3, 4)]
+        assert calls == [2 * 3 * 4]
         started.clear()
-        assert self.run(monkeypatch, tmp_path, 1, argv) == pooled
-        assert list(started.values()) == [(3, 4)]
+        assert self.run(monkeypatch, tmp_path, 2, argv) == serial
+        assert sorted(started) == [(1, 1), (1, 4), (3, 1), (3, 4)]
 
     def test_running_points_keep_their_channel_sets(
         self, monkeypatch, tmp_path, fast_switching
     ):
-        # Six points at once, each holding its own channel set.
-        workers = 6
+        # Six points in one pass, on more helper threads than CPUs, each
+        # estimated from its own channel set.
+        argv = ["mimo", "--n", "1,2,3", "--m", "1,2", "--rho-db=0,5,10", "--p0", "0.1",
+                "--samples", "10000", "--seed", "34"]
         calls = record_draws(monkeypatch)
-        self.run(monkeypatch, tmp_path, workers, [
-            "mimo", "--n", "1,2,3", "--m", "1,2", "--rho-db=0,5,10", "--p0", "0.1",
-            "--samples", "10000", "--seed", "34"])
-        assert sorted(calls) == sorted(2 * n * m for n in (1, 2, 3) for m in (1, 2))
+        crowded = self.run(monkeypatch, tmp_path, 6, argv)
+        assert calls == [2 * 3 * 2]
+        assert self.run(monkeypatch, tmp_path, 0, argv) == crowded

@@ -1,5 +1,6 @@
 """Deterministic chunked sampling and reported-error invariants."""
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -60,7 +61,9 @@ class TestChunkPlan:
 
 
 class TestSlabs:
-    """draw_reduced's slabs are the chunks' draws, bit for bit."""
+    """draw_reduced's slabs are the chunks' draws, bit for bit.  A slab is
+    the draws of one block, which holds half of ``SLAB_ELEMENTS`` (the pass
+    draws the next block into a second buffer while one is reduced)."""
 
     @staticmethod
     def slabs(mc, shape, reduce=lambda z: z):
@@ -78,9 +81,9 @@ class TestSlabs:
                                for count, rng in chunk_generators(mc, math.prod(shape))])
 
     @pytest.mark.parametrize("slab,shape,samples", [
-        (1 << 10, (2, 3, 4), 1_000),  # 24 per draw: 42 per slab, 1000 = 23 x 42 + 34
-        (1 << 10, (3, 2, 7), 500),    # 42 per draw: 24 per slab, 500 = 20 x 24 + 20
-        (1 << 4, (2, 3, 4), 400),     # a draw of 24 normals is larger than a slab
+        (1 << 10, (2, 3, 4), 1_000),  # 24 per draw: 21 per slab, 170 per chunk
+        (1 << 10, (3, 2, 7), 500),    # 42 per draw: 12 per slab, 97 per chunk
+        (1 << 4, (2, 3, 4), 400),     # a draw of 24 normals is larger than a block
     ])
     def test_slabs_equal_whole_chunks(self, monkeypatch, slab, shape, samples):
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
@@ -89,18 +92,18 @@ class TestSlabs:
         elems = math.prod(shape)
         counts = [count for count, _ in chunk_generators(mc, elems)]
         assert len(counts) > 1
-        per_slab = max(1, slab // elems)
+        per_slab = max(1, slab // 2 // elems)
         # Slabs never straddle a chunk: each chunk ends in its own remainder.
         expected = [min(per_slab, count - start)
                     for count in counts for start in range(0, count, per_slab)]
         slabs, whole = self.slabs(mc, shape)
-        assert all(z.size <= max(slab, elems) for z in slabs)
+        assert all(z.size <= max(slab // 2, elems) for z in slabs)
         assert [len(z) for z in slabs] == expected
         assert np.array_equal(whole, self.chunk_draws(mc, shape))
 
     def test_remainder_slab_at_full_size(self):
         shape = (2, 3, 4)
-        per_slab = SLAB_ELEMENTS // 24
+        per_slab = SLAB_ELEMENTS // 2 // 24
         mc = McRun(2 * per_slab + 5, 9)
         assert len(list(chunk_generators(mc, 24))) == 1
         slabs, whole = self.slabs(mc, shape)
@@ -189,6 +192,133 @@ class TestSharedPass:
         assert draw_reduced(McRun(999, 7), (999,), self.row_sums).shape == (999,)
 
 
+class TestPipelinedPass:
+    """draw_shared's pass shares its blocks' reductions and its consumers
+    with helper threads; what each request gets must not tell, and no
+    helper may outlive the pass."""
+
+    @pytest.fixture
+    def small_chunks_fast_switching(self, monkeypatch):
+        # Many chunks and blocks at test-sized counts, and threads that
+        # switch far more often than by default.
+        monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
+        monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    # Up to 400 normals per draw against 4096 per chunk and 256 per block:
+    # many chunks and blocks, draws larger than a block, and draws that
+    # straddle block edges.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate, Phase.shrink),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(1, 400), st.booleans()), min_size=1, max_size=6),
+           st.integers(1, 300), st.integers(0, 2**64 - 1))
+    def test_each_request_is_handed_over_once(
+        self, monkeypatch, small_chunks_fast_switching, draws, samples, seed
+    ):
+        mc = McRun(samples, seed)
+        requests = [((elems,), TestSharedPass.row_sums if summed else TestSharedPass.whole)
+                    for elems, summed in draws]
+        alone = [draw_reduced(mc, shape, reduce) for shape, reduce in requests]
+        before = threading.active_count()
+        for helpers in (0, 1, 2):
+            monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+            handed = []
+            assert draw_shared(mc, requests, lambda i, result: handed.append((i, result))) == []
+            assert sorted(i for i, _ in handed) == list(range(len(requests)))
+            for i, result in handed:
+                assert result.dtype == alone[i].dtype and result.shape == alone[i].shape
+                assert result.tobytes() == alone[i].tobytes()
+            assert threading.active_count() == before
+
+    def test_consecutive_passes_hand_over_the_same_bytes(self, monkeypatch):
+        mc = McRun(5_000, 11)
+        requests = [((3,), TestSharedPass.row_sums), ((40,), TestSharedPass.whole),
+                    ((7,), TestSharedPass.whole)]
+        values = [1, 40, 7]
+        alone = [draw_reduced(mc, shape, reduce) for shape, reduce in requests]
+        passes = []
+        shared = streams.draw_shared
+
+        def recording(mc, requests, consume=None):
+            passes.append([shape for shape, _ in requests])
+            return shared(mc, requests, consume)
+
+        monkeypatch.setattr(streams, "draw_shared", recording)
+        # 41 values per sample fit in a pass: the first two requests, then
+        # the third alone.
+        monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * mc.samples * 41)
+        handed = {}
+        streams.draw_passes(mc, requests, values, handed.__setitem__)
+        assert passes == [[(3,), (40,)], [(7,)]]
+        assert [handed[i].tobytes() for i in range(3)] == [a.tobytes() for a in alone]
+        # A request over the budget gets a pass alone.
+        passes.clear()
+        monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * mc.samples * 5)
+        streams.draw_passes(mc, requests, values, handed.__setitem__)
+        assert passes == [[(3,)], [(40,)], [(7,)]]
+
+    @pytest.mark.parametrize("helpers", [1, 2])
+    def test_a_failure_on_a_helper_reaches_the_caller(self, monkeypatch, helpers):
+        # Reductions on the calling thread wait until a helper has failed
+        # one, so the error surely comes from a helper.
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        caller, failed = threading.get_ident(), threading.Event()
+
+        def reduce(z):
+            if threading.get_ident() == caller:
+                assert failed.wait(timeout=60)
+            else:
+                failed.set()
+                streams._empty((1 << 40,))  # the named MemoryError
+            return z.sum(axis=1)
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=(
+                r"^not enough memory to draw 2000 samples of \((100|90),\) normals: an array "
+                rf"of {8 << 40} bytes is over the limit of {streams.MAX_DRAW_BYTES} "
+                r"\(MAX_DRAW_BYTES\)$")):
+            draw_shared(McRun(2_000, 5), [((100,), reduce), ((90,), reduce)])
+        assert failed.is_set()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_a_consumer_that_stops_early_stops_the_pass(self, monkeypatch, helpers):
+        # The first result handed over stops the pass: drawing stops, the
+        # helpers are joined, and the caller gets the consumer's exception.
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        calls = []
+
+        def counting(mc, elems_per_draw):
+            for chunk in chunk_generators(mc, elems_per_draw):
+                calls.append(chunk[0])
+                yield chunk
+
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+
+        class Stop(Exception):
+            pass
+
+        def consume(i, result):
+            raise Stop(i)
+
+        before = threading.active_count()
+        mc = McRun(1_000_000, 8)
+        with pytest.raises(Stop) as stopped:
+            draw_shared(mc, [((2,), TestSharedPass.row_sums), ((12,), TestSharedPass.row_sums)],
+                        consume)
+        # The narrower request is whole first; its chunk 0 is also the
+        # wider's, which spans chunks the pass never reaches.
+        assert stopped.value.args == (0,)
+        assert len(calls) < len(list(chunk_generators(mc, 12)))
+        assert threading.active_count() == before
+
+
 class TestSlabMemory:
     """A sampler holds one slab of normals and its reductions, never two
     slabs or a whole chunk, besides its result: numpy reports its buffers to
@@ -253,18 +383,17 @@ class TestSlabMemory:
         assert peak < 2 * self.bound(600_000)
 
     def test_multi_curve_job(self):
-        # The bench scheduled grid's largest job: the K-user sets of (2, 6),
-        # (2, 5) and (2, 4), 16 users, drawn in one pass and kept while
-        # each curve also draws its single-user set (two values per sample).
+        # The widest curves of the bench scheduled grid: the K-user sets of
+        # (2, 6), (2, 5) and (2, 4), 16 users, and their single-user sets
+        # (two values per sample), all drawn in one pass and kept together.
         args = cli.build_parser().parse_args(
             ["mimo", "--n", "2", "--m", "6,5,4", "--rho-db", "5", "--users", "16",
              "--samples", "20000", "--seed", "3"])
         mc = McRun(args.samples, args.seed)
         curves = [(n, m, links) for n, m, _, _, links in cli._grid(args, configs=False)]
-        jobs = mimo.grid_jobs(curves, mc, None, 16)
-        assert len(jobs) == 1
-        kept_results = mc.samples * (len(curves) + 2)
-        peak = self.traced_peak(jobs[0][1])
+        kept_results = mc.samples * (len(curves) + 2 * len(curves))
+        assert 8 * kept_results <= streams.MAX_PASS_BYTES
+        peak = self.traced_peak(lambda: mimo.grid_estimates(curves, mc, None, 16))
         assert peak < self.bound(kept_results)
 
     def test_key_change_releases_the_kept_sample_first(self):
