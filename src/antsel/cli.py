@@ -12,7 +12,8 @@ its rows in grid order, with the same bytes as formatting cell by cell
 The Monte Carlo work of a run is one pipelined pass over the chunk
 streams (``streams.draw_passes``): the ``mimo`` grid's K-user tables and
 single-user sets (``mimo.grid_estimates``), or ``verify``'s seven samplers,
-three oracle selection-gain samples and four MIMO channel sets.  The
+three oracle selection-gain samples and four MIMO channel sets, checked
+first; each sample is passed, read-only, to its estimators.  The
 calling thread and, on more than one usable CPU, one helper thread share
 the pass's reductions and estimates; ``verify``'s analytic checks run on
 the calling thread after it.  The results are read in grid or report
@@ -66,8 +67,8 @@ from .gumbel import (
     convergence_error,
     normalizing_constants,
 )
-from .mimo import _channels, _kept_channels, grid_estimates, mimo_ergodic
-from .oracle import _gains, _kept_gains, empirical_ergodic, ks_against
+from .mimo import _channels, grid_estimates, mimo_ergodic
+from .oracle import _gains, _ks_statistic, empirical_ergodic
 from .orderstats import (
     SelectionConfig,
     SolverError,
@@ -374,10 +375,12 @@ def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
 
     The seven samplers, the oracle's (1, 1), (1, 5) and (2, 5) selection
     gains and the MIMO (1, 2), (2, 2), (3, 4) and (1, 1) channel sets, are
-    drawn in one ``streams.draw_passes`` pass, and each is estimated as soon
-    as it is whole and released; the (1, 5) sample serves both oracle
-    checks.
+    drawn in one ``streams.draw_passes`` pass after the sample floor is
+    checked.  Each, sorted if a selection gain, goes read-only to its
+    estimators as soon as it is whole; the (1, 5) sample serves both.
     """
+    if mc.samples < 1_000:
+        raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
     link = LinkParams(10**0.5)
     configs = (SelectionConfig(1, 1), SelectionConfig(1, 5), SelectionConfig(2, 5))
     points = ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0), (1, 1, 1.0))
@@ -387,14 +390,15 @@ def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
     def consume(k: int, sample: np.ndarray) -> None:
         if k < len(configs):
             cfg = configs[k]
-            with _kept_gains(cfg, mc, sample):
-                estimates[k] = empirical_ergodic(cfg, link, mc)
-                if k == 1:
-                    ks.append(ks_against(cfg, mc, lambda x: max_cdf(cfg, x)))
+            sample.sort()
+            sample.flags.writeable = False
+            estimates[k] = empirical_ergodic(cfg, link, mc, sample)
+            if k == 1:
+                ks.append(_ks_statistic(sample, lambda x: max_cdf(cfg, x)))
         else:
             n, m, rho = points[k - len(configs)]
-            with _kept_channels(n, m, mc, sample):
-                estimates[k] = mimo_ergodic(n, m, LinkParams(rho), mc)
+            sample.flags.writeable = False
+            estimates[k] = mimo_ergodic(n, m, LinkParams(rho), mc, sample)
 
     draw_passes(mc, [*map(_gains, configs), *(_channels(n, m) for n, m, _ in points)],
                 [1] * len(configs) + [min(n, m) for n, m, _ in points], consume)

@@ -16,10 +16,10 @@ Each estimator takes one ``LinkParams`` or a whole SINR curve (a tuple of
 them gives a tuple of results), validates its arguments once per call and
 computes the rates one SINR at a time, so one SINR's rates are alive at
 once; an empty curve returns () before any draw.  The coefficients e_k do
-not depend on rho, so the ergodic and outage estimators each read the
-single-user channel set once per call, through ``streams.kept``: inside a
-caller's ``streams.sharing()`` block an ergodic and an outage call of one
-curve share a single draw.  The greedy-scheduled estimator draws its
+not depend on rho, so the ergodic and outage estimators each draw the
+single-user channel set once per call, or read the (samples, r) set a
+caller passes them last: an ergodic and an outage call of one curve given
+one set share a single draw.  The greedy-scheduled estimator draws its
 K-user set once per call, reduced slab by slab to a table of every SINR's
 best rate per slot: the rate grows with det - 1, so a slot's best rate is
 one ``log1p`` of its users' largest det - 1.  The reduction works in real
@@ -48,9 +48,9 @@ best-rate tables and single-user sets are drawn in one pipelined
 ``streams.draw_passes`` pass, each chunk stream once, in consecutive passes
 only when their results would pass ``streams.MAX_PASS_BYTES``.  Each set
 is estimated as soon as it is whole, on whichever thread of the pass
-completed it: a single-user set goes to the curve's ``mimo_ergodic`` and
-``mimo_outage`` calls as the kept sample of a ``streams.keeping`` block,
-a table to the curve's scheduled means, and then it is released.
+completed it: a single-user set, made read-only, is passed to the curve's
+``mimo_ergodic`` and ``mimo_outage`` calls, a table goes to the curve's
+scheduled means, and then it is released.
 
 Channels are drawn a block of normals at a time, so memory stays bounded
 however many curves a pass serves.  The estimators are safe to call from
@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,11 +81,10 @@ from .capacity import (
 from .streams import (
     McRun,
     Request,
+    _check_sample,
     _check_size,
     draw_passes,
     draw_reduced,
-    keeping,
-    kept,
     substream,
 )
 
@@ -296,14 +294,6 @@ def _channels(n: int, m: int) -> Request:
     return (2, n, m), _gram_invariants
 
 
-@contextmanager
-def _kept_channels(n: int, m: int, mc: McRun, invariants: np.ndarray) -> Iterator[None]:
-    """A block in which ``mimo_ergodic`` and ``mimo_outage`` at (n, m) and
-    ``mc`` read ``invariants``, a pass's result of ``_channels(n, m)``."""
-    with keeping(invariants, draw_reduced, mc, *_channels(n, m)):
-        yield
-
-
 def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Request:
     """The draw request of a curve's K-user channel sets: each slot's best
     rate at every SINR."""
@@ -319,16 +309,20 @@ def _table_means(
 
 
 def mimo_ergodic(
-    n: int, m: int, link: Links, mc: McRun
+    n: int, m: int, link: Links, mc: McRun, invariants: np.ndarray | None = None
 ) -> CapacityResult | tuple[CapacityResult, ...]:
     """Monte Carlo mean rate, at one SINR or along a curve (a tuple of
     ``LinkParams`` gives a tuple of results); error_estimate is the
-    standard error."""
+    standard error; read from ``invariants``, if given, the channel set
+    ``draw_reduced(mc, *_channels(n, m))`` draws."""
     _check_ergodic(n, m, mc)
     links = _points(link)
     if not links:
         return ()
-    invariants = kept(draw_reduced, mc, *_channels(n, m))
+    if invariants is None:
+        invariants = draw_reduced(mc, *_channels(n, m))
+    else:
+        _check_sample(invariants, (mc.samples, min(n, m)))
     return _shaped(link, tuple(
         _sample_mean(_det_rates(invariants, point.rho / m)) for point in links
     ))
@@ -354,10 +348,10 @@ def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
 
 
 def mimo_outage(
-    n: int, m: int, link: Links, p0: float, mc: McRun
+    n: int, m: int, link: Links, p0: float, mc: McRun, invariants: np.ndarray | None = None
 ) -> CapacityResult | tuple[CapacityResult, ...]:
     """Empirical p0-quantile rate (nearest rank), bootstrap standard error,
-    at one SINR or along a curve."""
+    at one SINR or along a curve; ``invariants`` as for ``mimo_ergodic``."""
     _check_outage(n, m, p0, mc)
     links = _points(link)
     if not links:
@@ -366,7 +360,10 @@ def mimo_outage(
     # lru_cache alone would let two threads compute the same ranks at once.
     with _RANKS_LOCK:
         ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
-    invariants = kept(draw_reduced, mc, *_channels(n, m))
+    if invariants is None:
+        invariants = draw_reduced(mc, *_channels(n, m))
+    else:
+        _check_sample(invariants, (mc.samples, min(n, m)))
 
     def quantile(point: LinkParams) -> CapacityResult:
         rates = _det_rates(invariants, point.rho / m)
@@ -437,10 +434,10 @@ def grid_estimates(
         if k < tables:
             estimates[i]["scheduled"] = _table_means(links, result)
             return
-        with _kept_channels(n, m, mc, result):
-            estimates[i]["ergodic"] = mimo_ergodic(n, m, links, mc)
-            if p0 is not None:
-                estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc)
+        result.flags.writeable = False
+        estimates[i]["ergodic"] = mimo_ergodic(n, m, links, mc, result)
+        if p0 is not None:
+            estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc, result)
 
     draw_passes(mc, [request for _, request, _ in draws], [width for *_, width in draws],
                 consume)

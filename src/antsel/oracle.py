@@ -5,23 +5,21 @@ a sum of squared magnitudes of unit-variance complex Gaussians, and the
 selection gain is the maximum over m branches.  Each draw is one channel's
 2nm normals, drawn and reduced by ``streams.draw_reduced`` as the MIMO
 sampler draws its channels, and sorted once; every estimator reads it
-sorted, the mean included, and in one ``streams.sharing()`` block the
-estimators of one (cfg, McRun) read one sample.  Nothing here reuses the
-closed-form distribution theory, so agreement between this module and the
-analytic modules is a genuine two-route check.
+sorted, the mean included, and ``empirical_ergodic`` can be given it.
+Nothing here reuses the closed-form distribution theory, so agreement
+between this module and the analytic modules is a genuine two-route check.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _sample_mean
 from .orderstats import SelectionConfig, max_cdf
-from .streams import McRun, Request, draw_reduced, keeping, kept
+from .streams import McRun, Request, _check_sample, draw_reduced
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -61,19 +59,10 @@ def _gains(cfg: SelectionConfig) -> Request:
 
 def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:
     """Sorted selection-gain sample via squared complex-Gaussian branch sums,
-    drawn and reduced a slab at a time; read through ``streams.kept``."""
+    drawn and reduced a slab at a time."""
     gains = draw_reduced(mc, *_gains(cfg))
     gains.sort()
     return gains
-
-
-@contextmanager
-def _kept_gains(cfg: SelectionConfig, mc: McRun, gains: np.ndarray) -> Iterator[None]:
-    """A block in which the estimators at ``cfg`` and ``mc`` read
-    ``gains``, a pass's result of ``_gains(cfg)``, sorted in place."""
-    gains.sort()
-    with keeping(gains, _draws, cfg, mc):
-        yield
 
 
 def _ks_statistic(sorted_draws: np.ndarray, reference_cdf: _ArrayCdf) -> float:
@@ -107,7 +96,7 @@ def sample_selection_gain(
     """
     if mc.samples < 1_000:
         raise ValueError(f"summary needs >= 1000 samples, got {mc.samples}")
-    draws = kept(_draws, cfg, mc)
+    draws = _draws(cfg, mc)
     if reference_cdf is None:
         reference_cdf = lambda x: max_cdf(cfg, x)  # noqa: E731
     quantiles = tuple(
@@ -129,13 +118,18 @@ def ks_against(cfg: SelectionConfig, mc: McRun, reference_cdf: _ArrayCdf) -> flo
     which maps the sorted sample, an array, to one cdf value per point."""
     if mc.samples < 1_000:
         raise ValueError(f"KS estimate needs >= 1000 samples, got {mc.samples}")
-    return _ks_statistic(kept(_draws, cfg, mc), reference_cdf)
+    return _ks_statistic(_draws(cfg, mc), reference_cdf)
 
 
 def empirical_ergodic(
-    cfg: SelectionConfig, link: LinkParams, mc: McRun
+    cfg: SelectionConfig, link: LinkParams, mc: McRun, draws: np.ndarray | None = None
 ) -> CapacityResult:
-    """Sample-mean estimate of E[log2(1 + rho X)] with its standard error."""
+    """Sample-mean estimate of E[log2(1 + rho X)] with its standard error,
+    from ``draws``, the sorted sample ``_draws(cfg, mc)`` draws, if given."""
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
-    return _sample_mean(_log2_1p_inplace(link.rho * kept(_draws, cfg, mc)))
+    if draws is None:
+        draws = _draws(cfg, mc)
+    else:
+        _check_sample(draws, (mc.samples,))
+    return _sample_mean(_log2_1p_inplace(link.rho * draws))

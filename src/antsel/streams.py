@@ -23,10 +23,9 @@ case.  A pass of several requests is pipelined: the calling thread draws
 the next block while it and a helper thread reduce the last one and run
 the consumers.  ``draw_passes`` splits requests whose results would take
 more than ``MAX_PASS_BYTES`` into consecutive passes.  No array a pass
-allocates may exceed ``MAX_DRAW_BYTES``.  Inside a ``sharing()`` block,
-``kept`` keeps the thread's last sample, read-only, for the next estimator
-until another is drawn or the block ends; outside a block nothing is kept,
-and ``keeping`` opens a block whose kept sample is a pass's result.
+allocates may exceed ``MAX_DRAW_BYTES``.  Nothing is kept between
+calls: an estimator draws its own sample, or reads one a caller passes it,
+such as a pass's result, which ``_check_sample`` checks for its shape.
 """
 from __future__ import annotations
 
@@ -34,14 +33,13 @@ import math
 import os
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "McRun", "sharing"]
+__all__ = ["DEFAULT_SEED", "McRun"]
 
 DEFAULT_SEED = 42
 
@@ -57,9 +55,6 @@ MAX_DRAW_BYTES = 1 << 31
 # Most bytes of results one pass of ``draw_passes`` holds; more run as
 # consecutive passes.
 MAX_PASS_BYTES = 1 << 24
-
-# Inside a sharing() block, .slot holds the thread's last kept (key, sample).
-_KEPT = threading.local()
 
 
 @dataclass(frozen=True)
@@ -351,39 +346,8 @@ def draw_reduced(
     return draw_shared(mc, [(shape, reduce)])[0]
 
 
-@contextmanager
-def sharing() -> Iterator[None]:
-    """Keep the thread's ``kept`` sample until the outermost block exits."""
-    if hasattr(_KEPT, "slot"):
-        yield
-        return
-    _KEPT.slot = []
-    try:
-        yield
-    finally:
-        del _KEPT.slot
-
-
-def kept(sampler: Callable[..., np.ndarray], *args: object) -> np.ndarray:
-    """``sampler(*args)``, read-only; inside a ``sharing()`` block, the one
-    kept for the same sampler, arguments and ``CHUNK_ELEMENTS`` if any."""
-    key = (sampler, args, CHUNK_ELEMENTS)
-    slot = getattr(_KEPT, "slot", [])
-    if not slot or slot[0] != key:
-        slot.clear()  # the kept sample is released before the next is drawn
-        slot[:] = key, sampler(*args)
-        slot[1].flags.writeable = False
-    return slot[1]
-
-
-@contextmanager
-def keeping(
-    sample: np.ndarray, sampler: Callable[..., np.ndarray], *args: object
-) -> Iterator[None]:
-    """A ``sharing()`` block whose kept sample is ``sample``, read-only, as
-    ``kept(sampler, *args)`` would draw it: how a pass hands a result to
-    the estimators that read it through ``kept``."""
-    with sharing():
-        sample.flags.writeable = False
-        _KEPT.slot[:] = (sampler, args, CHUNK_ELEMENTS), sample
-        yield
+def _check_sample(sample: np.ndarray, shape: tuple[int, ...]) -> None:
+    """A ``ValueError`` unless a given sample has the ``shape`` drawn."""
+    if sample.shape != shape:
+        raise ValueError(f"a sample of shape {sample.shape} was given where one of "
+                         f"shape {shape} is drawn")

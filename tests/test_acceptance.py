@@ -34,8 +34,8 @@ from antsel import (
     sample_selection_gain,
     scheduling_gain,
     selection_gain_variance,
-    sharing,
 )
+from antsel.oracle import _draws
 
 RHO_DBS = (-5.0, 0.0, 5.0, 10.0)
 USERS = 32
@@ -262,12 +262,12 @@ def test_c05_oracle_equivalence():
     for n in (1, 2):
         for m in (1, 5, 20):
             cfg = SelectionConfig(n, m)
-            with sharing():  # both SINRs read one sample of the configuration
-                for db in (-5.0, 5.0):
-                    link = LinkParams(10.0 ** (db / 10.0))
-                    est = empirical_ergodic(cfg, link, mc)
-                    ref = ergodic_capacity(cfg, link).value
-                    worst_z = max(worst_z, abs(est.value - ref) / est.error_estimate)
+            draws = _draws(cfg, mc)  # both SINRs read one sample of the configuration
+            for db in (-5.0, 5.0):
+                link = LinkParams(10.0 ** (db / 10.0))
+                est = empirical_ergodic(cfg, link, mc, draws)
+                ref = ergodic_capacity(cfg, link).value
+                worst_z = max(worst_z, abs(est.value - ref) / est.error_estimate)
     report(
         "criterion-05-oracle-equivalence",
         worst_z <= 3.0,
@@ -371,15 +371,15 @@ def test_c09_mimo_comparison_trends():
         if not sel > mimo.value + 3.0 * mimo.error_estimate:
             problems.append(f"selection not above open loop at m={m}")
 
+    rhos = (10.0**-0.5, 10.0**0.5, 10.0)
     for n in (1, 2, 4):
         for m in (1, 2, 8):
-            with sharing():  # the three SINRs read one channel set
-                for rho in (10.0**-0.5, 10.0**0.5, 10.0):
-                    est = mimo_ergodic(n, m, LinkParams(rho), mc)
-                    ceiling = n * math.log2(1.0 + rho)
-                    if est.value > ceiling + 3.0 * est.error_estimate:
-                        problems.append(
-                            f"ceiling violated at n={n}, m={m}, rho={rho:.2f}")
+            # One curve call: the three SINRs read one channel set.
+            curve = mimo_ergodic(n, m, tuple(map(LinkParams, rhos)), mc)
+            for rho, est in zip(rhos, curve):
+                ceiling = n * math.log2(1.0 + rho)
+                if est.value > ceiling + 3.0 * est.error_estimate:
+                    problems.append(f"ceiling violated at n={n}, m={m}, rho={rho:.2f}")
     report(
         "criterion-09-mimo-trends",
         not problems,

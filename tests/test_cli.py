@@ -393,12 +393,44 @@ class TestVerify:
         assert header == SCHEMAS["verify"]
         assert all(r[1] == "PASS" for r in rows)
 
+    def test_too_few_samples_exit_before_any_draw(self, monkeypatch, capsys):
+        draws = []
+        chunk_generators = streams.chunk_generators
+
+        def counting(mc, elems_per_draw):
+            draws.append(elems_per_draw)
+            return chunk_generators(mc, elems_per_draw)
+
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+        assert main(["verify", "--samples", "999"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ergodic estimate needs >= 1000 samples, got 999\n")
+        assert draws == []
+
+    def test_samples_are_handed_over_read_only(self, monkeypatch, tmp_path):
+        # The selection-gain samples sorted, the channel sets as drawn.
+        given = []
+        for name in ("empirical_ergodic", "mimo_ergodic"):
+            def recording(*args, name=name, estimator=getattr(cli, name)):
+                sample = args[-1]
+                given.append((name, sample.shape, bool(np.all(sample[1:] >= sample[:-1]))))
+                with pytest.raises(ValueError, match="read-only"):
+                    sample[0] = 0.0
+                return estimator(*args)
+
+            monkeypatch.setattr(cli, name, recording)
+        assert main(["verify", "--samples", "20000", "--out", str(tmp_path / "v.csv")]) == 0
+        oracle = sorted(entry for entry in given if entry[0] == "empirical_ergodic")
+        assert oracle == [("empirical_ergodic", (20_000,), True)] * 3
+        assert sorted(shape for name, shape, _ in given if name == "mimo_ergodic") == [
+            (20_000, 1), (20_000, 1), (20_000, 2), (20_000, 3)]
+
 
 class TestThreadedVerify:
     """verify draws its seven samplers in one pass shared with helper
     threads; the report must not tell."""
 
-    ESTIMATORS = ("empirical_ergodic", "ks_against", "mimo_ergodic")
+    ESTIMATORS = ("empirical_ergodic", "_ks_statistic", "mimo_ergodic")
 
     @pytest.fixture(autouse=True)
     def small_chunks_fast_switching(self, monkeypatch):
@@ -453,7 +485,7 @@ class TestThreadedVerify:
     def test_first_failing_check_in_report_order_decides(
         self, monkeypatch, capsys, helpers
     ):
-        # All seven samples are whole after the one block of 999 draws.
+        # All seven samples are whole after the one block of 1000 draws.
         # With a helper, the MIMO estimates fail first, and the oracle's
         # first, at (1, 1), well after them; the oracle samplers come first
         # in the pass, as their checks do in the report, so the oracle's
@@ -465,17 +497,18 @@ class TestThreadedVerify:
             raise ValueError("the MIMO family failed")
 
         def after_mimo(cfg, *args, estimator=cli.empirical_ergodic):
-            if helpers and cfg.m == 1:
-                assert mimo_failed.wait(timeout=60)
-                time.sleep(0.2)
+            if cfg.m == 1:
+                if helpers:
+                    assert mimo_failed.wait(timeout=60)
+                    time.sleep(0.2)
+                raise ValueError("the oracle family failed")
             return estimator(cfg, *args)
 
         monkeypatch.setattr(cli, "mimo_ergodic", failing)
         monkeypatch.setattr(cli, "empirical_ergodic", after_mimo)
         monkeypatch.setattr(streams, "_helpers", lambda: helpers)
-        assert main(["verify", "--samples", "999"]) == 2
-        assert capsys.readouterr().err == (
-            "error: ergodic estimate needs >= 1000 samples, got 999\n")
+        assert main(["verify", "--samples", "1000"]) == 2
+        assert capsys.readouterr().err == "error: the oracle family failed\n"
         assert mimo_failed.is_set()
 
 

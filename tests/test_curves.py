@@ -26,16 +26,17 @@ from antsel import (
     fractional_gain,
     gain_report,
     greedy_capacity,
+    mimo,
     mimo_ergodic,
     mimo_outage,
     outage_capacity,
     round_robin_capacity,
     scheduling,
     scheduling_gain,
-    sharing,
 )
 from antsel.capacity import QUAD_BLOCK_ELEMENTS, db_to_linear
 from antsel.cli import main
+from antsel.streams import draw_reduced
 
 MIMO_SIZES = st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 5]))
 configs = st.builds(
@@ -126,19 +127,18 @@ class TestCurveEqualsPoints:
             lambda link: estimator(SchedulingScenario(cfg, users, link)), links
         )
 
-    # Every example draws its own channel set; in one sharing() block the
-    # curve and point calls then share it, as the CLI's ergodic and outage
-    # calls of a curve do.
+    # Every example draws its own channel set, which the curve and point
+    # calls are given, as the CLI's ergodic and outage calls of a curve are.
     @settings(CURVE_SETTINGS, max_examples=30)
     @given(MIMO_SIZES, curves, st.floats(1e-3, 1.0 - 1e-3), st.integers(0, 2**32))
     def test_mimo(self, size, links, p0, seed):
         n, m = size
         mc = McRun(10_000, seed)
-        with sharing():
-            assert_curve_matches_points(lambda link: mimo_ergodic(n, m, link, mc), links)
-            assert_curve_matches_points(
-                lambda link: mimo_outage(n, m, link, p0, mc), links
-            )
+        invariants = draw_reduced(mc, *mimo._channels(n, m))
+        assert_curve_matches_points(
+            lambda link: mimo_ergodic(n, m, link, mc, invariants), links)
+        assert_curve_matches_points(
+            lambda link: mimo_outage(n, m, link, p0, mc, invariants), links)
 
     def test_single_link_gives_single_result(self):
         cfg, link = SelectionConfig(2, 3), LinkParams(2.0)

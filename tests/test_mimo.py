@@ -1,5 +1,6 @@
 """Open-loop MIMO Monte Carlo baseline: determinism, oracles, and trends."""
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -23,7 +24,6 @@ from antsel import (
     mimo_outage,
     mimo_scheduled_ergodic,
     outage_capacity,
-    sharing,
 )
 from antsel import cli, streams
 from antsel.capacity import db_to_linear
@@ -158,6 +158,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             McRun(1000, 2**64)
 
+    @pytest.mark.parametrize("shape", [(10_000, 3), (9_999, 2), (10_000,)])
+    def test_a_given_set_of_another_shape_is_refused(self, monkeypatch, shape):
+        calls = record_draws(monkeypatch)
+        monkeypatch.setattr(mimo, "_det_rates", None)  # no estimate is made
+        mc, link, bad = McRun(10_000, 7), LinkParams(1.0), np.ones(shape)
+        message = re.escape(
+            f"a sample of shape {shape} was given where one of shape (10000, 2) is drawn")
+        with pytest.raises(ValueError, match=message):
+            mimo_ergodic(2, 3, link, mc, bad)
+        with pytest.raises(ValueError, match=message):
+            mimo_outage(3, 2, (link, link), 0.1, mc, bad)
+        assert calls == []
+
     def test_empty_curve_draws_nothing(self, monkeypatch):
         calls = record_draws(monkeypatch)
         clear_caches()
@@ -275,17 +288,17 @@ class TestEigenvalueRoute:
         # m < n leaves the Gram matrix rank-deficient
         mc = McRun(10_000, 100 + n)
         for m in sorted({1, max(n - 1, 1), n, n + 2}):
-            with sharing():  # every SINR's calls read one channel set
-                for db in (-30, -10, 10, 40):
-                    rho = 10.0 ** (db / 10)
-                    ref = slogdet_rates(n, m, rho, mc)
-                    est = mimo_ergodic(n, m, LinkParams(rho), mc)
-                    out = mimo_outage(n, m, LinkParams(rho), 0.1, mc)
-                    ref_se = ref.std(ddof=1) / math.sqrt(ref.size)
-                    assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
-                    assert est.error_estimate == pytest.approx(ref_se, rel=1e-12, abs=0.0)
-                    assert out.value == pytest.approx(
-                        np.sort(ref)[999], rel=1e-12, abs=0.0)
+            # Every SINR's calls read one channel set.
+            invariants = draw_reduced(mc, *mimo._channels(n, m))
+            for db in (-30, -10, 10, 40):
+                rho = 10.0 ** (db / 10)
+                ref = slogdet_rates(n, m, rho, mc)
+                est = mimo_ergodic(n, m, LinkParams(rho), mc, invariants)
+                out = mimo_outage(n, m, LinkParams(rho), 0.1, mc, invariants)
+                ref_se = ref.std(ddof=1) / math.sqrt(ref.size)
+                assert est.value == pytest.approx(ref.mean(), rel=1e-12, abs=0.0)
+                assert est.error_estimate == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+                assert out.value == pytest.approx(np.sort(ref)[999], rel=1e-12, abs=0.0)
 
     def test_small_eigenvalue_keeps_relative_accuracy(self):
         # Rows of very different norm, nearly orthogonal.  The small
@@ -481,10 +494,10 @@ class TestReuse:
     RHOS = (10.0**-1.5, 1.0, 10.0**2)
     MC = McRun(10_000, 61)
 
-    def point(self, n, m, rho):
+    def point(self, n, m, rho, invariants=None):
         link = LinkParams(rho)
-        erg = mimo_ergodic(n, m, link, self.MC)
-        out = mimo_outage(n, m, link, 0.05, self.MC)
+        erg = mimo_ergodic(n, m, link, self.MC, invariants)
+        out = mimo_outage(n, m, link, 0.05, self.MC, invariants)
         return erg.value, erg.error_estimate, out.value, out.error_estimate
 
     @pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (3, 5), (4, 2)])
@@ -501,13 +514,31 @@ class TestReuse:
         after_scheduled = [self.point(n, m, rho) for rho in self.RHOS]
         assert ascending == descending == after_other == after_scheduled
 
-    def test_one_thread_draws_a_point_once(self, monkeypatch):
+    def test_a_given_set_draws_nothing(self, monkeypatch):
+        # Every SINR's calls read the set they are given, and return the
+        # bytes of the calls that draw it.
+        expected = [self.point(2, 3, rho) for rho in self.RHOS]
+        invariants = draw_reduced(self.MC, *mimo._channels(2, 3))
+        invariants.flags.writeable = False
         calls = record_draws(monkeypatch)
         clear_caches()
-        with sharing():
-            for rho in self.RHOS:
-                self.point(2, 3, rho)
-        assert calls == [2 * 2 * 3]
+        assert [self.point(2, 3, rho, invariants) for rho in self.RHOS] == expected
+        assert calls == []
+
+    def test_the_grid_hands_each_set_over_read_only(self, monkeypatch, tmp_path):
+        given = []
+        for name in ("mimo_ergodic", "mimo_outage"):
+            def recording(*args, estimator=getattr(mimo, name)):
+                given.append(args[-1])
+                with pytest.raises(ValueError, match="read-only"):
+                    args[-1][0] = 0.0
+                return estimator(*args)
+
+            monkeypatch.setattr(mimo, name, recording)
+        argv = ["mimo", "--n", "1,2", "--m", "3", "--rho-db=0,10", "--p0", "0.1",
+                "--samples", "10000", "--seed", "407", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 0
+        assert sorted(sample.shape for sample in given) == [(10_000, 1)] * 2 + [(10_000, 2)] * 2
 
     def test_outside_a_block_every_call_draws(self, monkeypatch):
         calls = record_draws(monkeypatch)

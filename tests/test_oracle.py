@@ -1,5 +1,6 @@
 """Channel-level sampling oracle vs the analytic machinery."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from antsel import (
     oracle,
     quantile,
     sample_selection_gain,
-    sharing,
+    streams,
     tail_quantile,
 )
-from antsel.oracle import _draws
+from antsel.oracle import _draws, _ks_statistic
 
 MC = McRun(200_000, 99)
 
@@ -174,7 +175,9 @@ class TestEmpiricalErgodic:
 
 
 class TestSharedSample:
-    """Estimators in one sharing() block read one sorted sample."""
+    """An estimator given its sorted sample draws nothing and returns the
+    bytes of its call that draws; the KS distance of that sample is
+    ``ks_against``'s."""
 
     @pytest.mark.parametrize("n,m,rho", [(1, 5, 10.0**0.5), (2, 3, 1e-4)])
     def test_equals_the_two_calls_from_one_draw(self, monkeypatch, n, m, rho):
@@ -183,30 +186,35 @@ class TestSharedSample:
         def reference(x):
             return max_cdf(cfg, x)
 
-        def estimates():
-            return (empirical_ergodic(cfg, link, mc), ks_against(cfg, mc, reference),
-                    sample_selection_gain(cfg, mc, reference))
-
-        expected = estimates()
+        expected = (empirical_ergodic(cfg, link, mc), ks_against(cfg, mc, reference))
+        sample = _draws(cfg, mc)
+        sample.flags.writeable = False
         draws = []
-        draw_reduced = oracle.draw_reduced
+        chunk_generators = streams.chunk_generators
 
         def counting(*args):
             draws.append(args[1])
-            return draw_reduced(*args)
+            return chunk_generators(*args)
 
-        monkeypatch.setattr(oracle, "draw_reduced", counting)
-        with sharing():
-            assert estimates() == expected
-        assert draws == [(m, 2 * n)]
-        estimates()
-        assert draws == [(m, 2 * n)] * 4
+        monkeypatch.setattr(streams, "chunk_generators", counting)
+        given = (empirical_ergodic(cfg, link, mc, sample), _ks_statistic(sample, reference))
+        assert given == expected
+        assert draws == []
+        empirical_ergodic(cfg, link, mc)
+        assert draws == [2 * n * m]
+
+    @pytest.mark.parametrize("shape", [(1_999,), (2_000, 1), (2_001,)])
+    def test_a_sample_of_another_shape_is_refused(self, monkeypatch, shape):
+        cfg, link = SelectionConfig(1, 5), LinkParams(1.0)
+        monkeypatch.setattr(oracle, "_sample_mean", None)  # no estimate is made
+        with pytest.raises(ValueError, match=re.escape(
+                f"a sample of shape {shape} was given where one of shape (2000,) is drawn")):
+            empirical_ergodic(cfg, link, McRun(2_000), np.ones(shape))
 
     def test_sample_floor(self):
         cfg, link = SelectionConfig(1, 5), LinkParams(1.0)
-        with sharing():
-            empirical_ergodic(cfg, link, McRun(1_000))
-            with pytest.raises(ValueError, match="ergodic estimate needs >= 1000"):
-                empirical_ergodic(cfg, link, McRun(999))
-            with pytest.raises(ValueError, match="KS estimate needs >= 1000"):
-                ks_against(cfg, McRun(999), lambda x: max_cdf(cfg, x))
+        empirical_ergodic(cfg, link, McRun(1_000))
+        with pytest.raises(ValueError, match="ergodic estimate needs >= 1000"):
+            empirical_ergodic(cfg, link, McRun(999))
+        with pytest.raises(ValueError, match="KS estimate needs >= 1000"):
+            ks_against(cfg, McRun(999), lambda x: max_cdf(cfg, x))

@@ -24,8 +24,6 @@ from antsel.streams import (
     chunk_generators,
     draw_reduced,
     draw_shared,
-    kept,
-    sharing,
     substream,
 )
 
@@ -402,67 +400,10 @@ class TestSlabMemory:
         mc = McRun(400_000, 3)
 
         def two_samples():
-            with sharing():
-                for cfg in (SelectionConfig(2, 5), SelectionConfig(1, 5)):
-                    empirical_ergodic(cfg, LinkParams(3.0), mc)
+            for cfg in (SelectionConfig(2, 5), SelectionConfig(1, 5)):
+                empirical_ergodic(cfg, LinkParams(3.0), mc)
 
         assert self.traced_peak(two_samples) < self.bound(mc.samples)
-
-
-class TestSharing:
-    """kept reuses a sample only inside a sharing() block."""
-
-    @staticmethod
-    def counting_sampler():
-        calls = []
-
-        def sampler(size):
-            calls.append(size)
-            return np.arange(float(size))
-
-        return calls, sampler
-
-    def test_outside_a_block_every_call_draws(self):
-        calls, sampler = self.counting_sampler()
-        a, b = kept(sampler, 4), kept(sampler, 4)
-        assert calls == [4, 4] and a is not b
-        assert not a.flags.writeable
-
-    def test_a_block_keeps_the_last_sample_only(self):
-        calls, sampler = self.counting_sampler()
-        with sharing():
-            a = kept(sampler, 4)
-            assert kept(sampler, 4) is a
-            kept(sampler, 5)
-            kept(sampler, 4)
-            with sharing():  # an inner block joins the outer one
-                kept(sampler, 4)
-            kept(sampler, 4)
-        assert calls == [4, 5, 4]
-        assert not a.flags.writeable
-
-    def test_the_chunk_layout_is_part_of_the_key(self, monkeypatch):
-        calls, sampler = self.counting_sampler()
-        with sharing():
-            kept(sampler, 4)
-            monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 13)
-            kept(sampler, 4)
-        assert calls == [4, 4]
-
-    def test_no_sample_outlives_its_block(self):
-        def block():
-            with sharing():
-                empirical_ergodic(SelectionConfig(1, 5), LinkParams(1.0), McRun(10**5, 4))
-                return tracemalloc.get_traced_memory()[0]
-
-        tracemalloc.start()
-        try:
-            inside = block()
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert inside >= 8 * 100_000
-        assert after < 8 * 1_000
 
 
 class TestReportedErrors:
