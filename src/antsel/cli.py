@@ -9,16 +9,14 @@ block of columns; ``_emit`` formats a block a column at a time and writes
 its rows in grid order, with the same bytes as formatting cell by cell
 (``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).
 
-The Monte Carlo work of a run is one pipelined pass over the chunk
-streams (``streams.draw_passes``): the ``mimo`` grid's K-user tables and
-single-user sets (``mimo.grid_estimates``), or ``verify``'s seven samplers,
-three oracle selection-gain samples and four MIMO channel sets, checked
-first; each sample is passed, read-only, to its estimators.  The
-calling thread and, on more than one usable CPU, one helper thread share
-the pass's reductions and estimates; ``verify``'s analytic checks run on
-the calling thread after it.  The results are read in grid or report
-order, and an error is the pass's earliest, so the output, and which error
-is reported, do not depend on the threads.
+The Monte Carlo work of a run is one ``streams.draw_shared`` call: the
+``mimo`` grid's K-user tables and single-user sets
+(``mimo.grid_estimates``), or ``verify``'s three oracle selection-gain
+samples and four MIMO channel sets, checked first.  Each sample goes,
+read-only, to its estimators on whichever thread of the pass completed it;
+``verify``'s analytic checks run on the calling thread after it.  Results
+are read in grid or report order, and an error is the pass's earliest, so
+the output, and which error is reported, do not depend on the threads.
 
 Importing this module registers ``gc.freeze`` to run at interpreter exit.
 Finalization would otherwise run full collections over the tens of
@@ -77,7 +75,7 @@ from .orderstats import (
     tail_quantile,
 )
 from .scheduling import SchedulingScenario, gain_report, scheduling_gain
-from .streams import DEFAULT_SEED, McRun, draw_passes
+from .streams import DEFAULT_SEED, McRun, draw_shared
 
 SCHEMAS: dict[str, list[str]] = {
     "dist": ["n", "m", "strategy", "x", "exact_cdf", "approx_cdf"],
@@ -375,7 +373,7 @@ def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
 
     The seven samplers, the oracle's (1, 1), (1, 5) and (2, 5) selection
     gains and the MIMO (1, 2), (2, 2), (3, 4) and (1, 1) channel sets, are
-    drawn in one ``streams.draw_passes`` pass after the sample floor is
+    drawn in one ``streams.draw_shared`` pass after the sample floor is
     checked.  Each, sorted if a selection gain, goes read-only to its
     estimators as soon as it is whole; the (1, 5) sample serves both.
     """
@@ -400,8 +398,7 @@ def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
             sample.flags.writeable = False
             estimates[k] = mimo_ergodic(n, m, LinkParams(rho), mc, sample)
 
-    draw_passes(mc, [*map(_gains, configs), *(_channels(n, m) for n, m, _ in points)],
-                [1] * len(configs) + [min(n, m) for n, m, _ in points], consume)
+    draw_shared(mc, [*map(_gains, configs), *(_channels(n, m) for n, m, _ in points)], consume)
     ok = True
     detail = []
     for k, cfg in enumerate(configs):

@@ -36,33 +36,27 @@ rate is then one Horner pass and one ``log1p`` per channel.  Past about
 r log t + log(e_r + u(e_{r-1} + ... + u)) with u = 1/t, which stays finite
 at every SINR a float holds.  The outage bootstrap resamples sorted rates,
 so a resample's quantile is the rate at a rank that depends only on (seed,
-sample count, quantile level); those ranks are drawn once and kept in a
-small cache.
+sample count, quantile level); those ranks are drawn once, kept in a small
+cache, and refused before any draw when one resample's indices would pass
+``streams.MAX_DRAW_BYTES``.
 
 ``grid_estimates`` estimates a whole grid of curves.  It checks every
-curve, in grid order, before any draw, so the first failing curve in grid
-order decides the error.  All samplers with one ``McRun`` read prefixes of
-the same chunk streams, so the curves of one run share their normals (they
-are correlated) and can share their draws exactly: the grid's K-user
-best-rate tables and single-user sets are drawn in one pipelined
-``streams.draw_passes`` pass, each chunk stream once, in consecutive passes
-only when their results would pass ``streams.MAX_PASS_BYTES``.  Each set
-is estimated as soon as it is whole, on whichever thread of the pass
-completed it: a single-user set, made read-only, is passed to the curve's
-``mimo_ergodic`` and ``mimo_outage`` calls, a table goes to the curve's
-scheduled means, and then it is released.
-
-Channels are drawn a block of normals at a time, so memory stays bounded
-however many curves a pass serves.  The estimators are safe to call from
-several threads.  The bootstrap ranks, which every (n, m) shares, are read
-once per outage call under a lock, so concurrent outage calls draw them
-once; they are refused, before any draw, when one resample's indices
-would pass ``streams.MAX_DRAW_BYTES``.
+curve, in grid order, and then computes the outage bootstrap ranks, before
+any draw, so the first failing curve in grid order decides the error.  All
+samplers with one ``McRun`` read prefixes of the same chunk streams, so the
+curves of one run share their normals (they are correlated) and can share
+their draws exactly: the grid's K-user best-rate tables and single-user
+sets are drawn by one ``streams.draw_shared`` call.  Each set is estimated
+as soon as it is whole, on whichever thread of the pass completed it: a
+single-user set, made read-only, is passed to the curve's ``mimo_ergodic``
+and ``mimo_outage`` calls, a table goes to the curve's scheduled means, and
+then it is released.  Channels are drawn a block of normals at a time, so
+memory stays bounded however many curves a pass serves.  The estimators
+are safe to call from several threads.
 """
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from typing import Sequence
 
@@ -83,8 +77,8 @@ from .streams import (
     Request,
     _check_sample,
     _check_size,
-    draw_passes,
     draw_reduced,
+    draw_shared,
     substream,
 )
 
@@ -94,7 +88,6 @@ MAX_RX_ANTENNAS = 8
 
 _BOOTSTRAP_RESAMPLES = 100
 _BOOTSTRAP_TAG = 1
-_RANKS_LOCK = threading.Lock()
 
 
 def _validate(n: int, m: int) -> None:
@@ -291,13 +284,13 @@ def _check_outage(n: int, m: int, p0: float, mc: McRun) -> None:
 
 def _channels(n: int, m: int) -> Request:
     """The draw request of a single-user channel set: each channel's e_k."""
-    return (2, n, m), _gram_invariants
+    return (2, n, m), _gram_invariants, (min(n, m),)
 
 
 def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Request:
     """The draw request of a curve's K-user channel sets: each slot's best
     rate at every SINR."""
-    return (users, 2, n, m), _BestRates(m, tuple(point.rho for point in links))
+    return (users, 2, n, m), _BestRates(m, tuple(point.rho for point in links)), (len(links),)
 
 
 def _table_means(
@@ -328,6 +321,11 @@ def mimo_ergodic(
     ))
 
 
+def _rank(p0: float, samples: int) -> int:
+    """The nearest rank of the p0-quantile among ``samples`` sorted rates."""
+    return max(math.ceil(p0 * samples) - 1, 0)
+
+
 # A CLI grid needs one rank set at a time.
 @lru_cache(maxsize=4)
 def _bootstrap_ranks(seed: int, size: int, k: int) -> np.ndarray:
@@ -356,10 +354,8 @@ def mimo_outage(
     links = _points(link)
     if not links:
         return ()
-    k = max(math.ceil(p0 * mc.samples) - 1, 0)
-    # lru_cache alone would let two threads compute the same ranks at once.
-    with _RANKS_LOCK:
-        ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
+    k = _rank(p0, mc.samples)
+    ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
     if invariants is None:
         invariants = draw_reduced(mc, *_channels(n, m))
     else:
@@ -406,11 +402,11 @@ def grid_estimates(
 
     First raises the error that each curve's ``mimo_ergodic``,
     ``mimo_outage`` and ``mimo_scheduled_ergodic`` calls, made curve by
-    curve in grid order, would raise.  Then the K-user tables and the
-    single-user sets of the curves with SINRs are drawn in one
-    ``streams.draw_passes`` pass (consecutive passes past
-    ``MAX_PASS_BYTES``), and each is estimated as soon as it is whole, on
-    whichever thread of the pass completed it, and released.
+    curve in grid order, would raise.  Then, with ``p0``, the bootstrap
+    ranks are drawn, and the K-user tables and the single-user sets of the
+    curves with SINRs are drawn by one ``streams.draw_shared`` call; each
+    is estimated as soon as it is whole, on whichever thread of the pass
+    completed it, and released.
     """
     for n, m, links in curves:
         _check_ergodic(n, m, mc)
@@ -421,12 +417,14 @@ def grid_estimates(
     columns = ["ergodic", *["outage"] * (p0 is not None), *["scheduled"] * (users is not None)]
     estimates: list[_Estimates] = [dict.fromkeys(columns, ()) for _ in curves]
     sampled = [(i, n, m, links) for i, (n, m, links) in enumerate(curves) if links]
-    # The K-user tables first, then the single-user sets: (grid index,
-    # request, values per sample).
-    draws = [(i, _user_sets(n, m, users, links), len(links))
+    if p0 is not None and sampled:
+        # Drawn before the pass, so that none of its outage calls draws them.
+        _bootstrap_ranks(mc.seed, mc.samples, _rank(p0, mc.samples))
+    # The K-user tables first, then the single-user sets: (grid index, request).
+    draws = [(i, _user_sets(n, m, users, links))
              for i, n, m, links in sampled if users is not None]
     tables = len(draws)
-    draws += [(i, _channels(n, m), min(n, m)) for i, n, m, _ in sampled]
+    draws += [(i, _channels(n, m)) for i, n, m, _ in sampled]
 
     def consume(k: int, result: np.ndarray) -> None:
         i = draws[k][0]
@@ -439,6 +437,5 @@ def grid_estimates(
         if p0 is not None:
             estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc, result)
 
-    draw_passes(mc, [request for _, request, _ in draws], [width for *_, width in draws],
-                consume)
+    draw_shared(mc, [request for _, request in draws], consume)
     return estimates

@@ -54,7 +54,7 @@ def _best_gains(z: np.ndarray) -> np.ndarray:
 
 def _gains(cfg: SelectionConfig) -> Request:
     """The draw request of a selection-gain sample."""
-    return (cfg.m, 2 * cfg.n), _best_gains
+    return (cfg.m, 2 * cfg.n), _best_gains, ()
 
 
 def _draws(cfg: SelectionConfig, mc: McRun) -> np.ndarray:

@@ -11,21 +11,16 @@ correlated (common random numbers), and sharing their draws is exact.
 Every sampler draws through ``draw_shared``, the one chunk -> block ->
 reduce pipeline: within a chunk it draws consecutive blocks of about half
 ``SLAB_ELEMENTS`` normals into two reused buffers, and writes each block's
-reductions into the results, each allocated once.  A generator's stream
-does not depend on how its draws are split, so the blocks hold the chunk's
-numbers bit for bit, while only the two buffers, one slab of normals in
-all, not a whole chunk, are alive at a time; that bound is what keeps
-concurrent samplers small.  ``draw_shared`` serves several (shape, reduce)
-requests from one pass, drawing each chunk's stream once, as far as the
-longest request needs, and can hand each result to a consumer as soon as
-it is whole instead of keeping it; ``draw_reduced`` is its one-request
-case.  A pass of several requests is pipelined: the calling thread draws
-the next block while it and a helper thread reduce the last one and run
-the consumers.  ``draw_passes`` splits requests whose results would take
-more than ``MAX_PASS_BYTES`` into consecutive passes.  No array a pass
-allocates may exceed ``MAX_DRAW_BYTES``.  Nothing is kept between
-calls: an estimator draws its own sample, or reads one a caller passes it,
-such as a pass's result, which ``_check_sample`` checks for its shape.
+reductions into the results.  A generator's stream does not depend on how
+its draws are split, so the blocks hold the chunk's numbers bit for bit,
+while only the two buffers, one slab of normals in all, are alive at a
+time.  One call serves several (shape, reduce, row) requests, drawing each
+chunk's stream once per pass; each request declares the row of its result,
+so every array is sized before the first draw.  The calling thread draws
+the next block while it and a helper thread reduce the last one and hand
+whole results to the caller's consumer.  Nothing is kept between calls: an
+estimator draws its own sample, or reads one a caller passes it, such as a
+pass's result, which ``_check_sample`` checks for its shape.
 """
 from __future__ import annotations
 
@@ -34,7 +29,6 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,7 +46,7 @@ SLAB_ELEMENTS = 1 << 17
 # Memory is committed lazily, so a larger array would not fail up front but
 # get the process killed while it is filled.
 MAX_DRAW_BYTES = 1 << 31
-# Most bytes of results one pass of ``draw_passes`` holds; more run as
+# Most bytes of results one pass of ``draw_shared`` holds; more run as
 # consecutive passes.
 MAX_PASS_BYTES = 1 << 24
 
@@ -109,14 +103,9 @@ def _check_size(shape: tuple[int, ...], dtype: np.dtype | type = float) -> None:
             f"an array of {size} bytes is over the limit of {MAX_DRAW_BYTES} (MAX_DRAW_BYTES)")
 
 
-def _empty(shape: tuple[int, ...], dtype: np.dtype | type = float) -> np.ndarray:
-    """``np.empty(shape, dtype)``, or a ``MemoryError`` past ``MAX_DRAW_BYTES``."""
-    _check_size(shape, dtype)
-    return np.empty(shape, dtype)
-
-
-# One draw request: the shape of a draw and the reduction of a slab of draws.
-Request = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
+# One draw request: the shape of a draw, the reduction of a slab of draws,
+# and the shape each draw reduces to, the trailing shape of a float64 result.
+Request = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray], tuple[int, ...]]
 # Takes request i's result, ``consume(i, result)``, as soon as it is whole.
 Consumer = Callable[[int, np.ndarray], None]
 
@@ -127,112 +116,155 @@ def _helpers() -> int:
     return min(1, (cpus or 1) - 1)
 
 
-def _named(mc: McRun, shape: tuple[int, ...], exc: MemoryError) -> MemoryError:
-    return MemoryError(f"not enough memory to draw {mc.samples} samples of {shape} normals: {exc}")
+def _naming(mc: McRun, shape: tuple[int, ...], call: Callable, arg: object):
+    """``call(arg)``, its ``MemoryError`` raised again naming the draw of ``shape``."""
+    try:
+        return call(arg)
+    except MemoryError as exc:
+        raise MemoryError(f"not enough memory to draw {mc.samples} samples of {shape} "
+                          f"normals: {exc}") from None
+
+
+def _layout(mc: McRun, requests: Sequence[Request]) -> tuple:
+    """The layout of one pass over ``requests``: normals per draw of each,
+    normals per block (the largest one-request slab of half ``SLAB_ELEMENTS``,
+    or chunk 0's longest prefix if shorter), room for the head of a draw that
+    straddles a block edge, and its arrays as (draw shape, array shape), each
+    refused past ``MAX_DRAW_BYTES`` with a ``MemoryError`` naming the draw."""
+    sizes = [math.prod(shape) for shape, _, _ in requests]
+    longest = max(min(_per_chunk(elems), mc.samples) * elems for elems in sizes)
+    block = min(max(max(1, SLAB_ELEMENTS // 2 // elems) * elems for elems in sizes), longest)
+    head = max((elems - 1 for elems in sizes if block % elems), default=0)
+    widest = requests[sizes.index(max(sizes))][0]
+    arrays = [(widest, (head + block,))] * 2
+    arrays += [(shape, (mc.samples, *row)) for shape, _, row in requests]
+    for shape, dims in arrays:
+        _naming(mc, shape, _check_size, dims)
+    return sizes, block, head, arrays
+
+
+def _blocks(
+    mc: McRun, sizes: list[int], block: int, head: int, buffers: Sequence[np.ndarray]
+) -> Iterator[list[tuple[int, np.ndarray, int]]]:
+    """Draw the chunk streams a block at a time, the two ``buffers`` taking
+    turns, and yield each block's reductions: (request, view of its whole
+    draws, first result row), one per request with draws in the block."""
+    per_chunk = [_per_chunk(elems) for elems in sizes]
+    at = [0] * len(sizes)  # draws of each request handed out
+    blocks = width = 0
+    # The widest draw has the most chunks, as its chunks hold the fewest.
+    for index, (_, rng) in enumerate(chunk_generators(mc, max(sizes))):
+        ends = [max(0, min(per, mc.samples - index * per)) * elems
+                for per, elems in zip(per_chunk, sizes)]
+        starts = [0] * len(sizes)  # stream offset of each next draw
+        drawn = 0
+        while drawn < max(ends):
+            # Every request has its whole draws up to ``drawn``; the tail
+            # left, under one draw of each, goes before the block, in the
+            # buffer whose block is reduced already.
+            tail = drawn - min((start for start, end in zip(starts, ends) if start < end),
+                               default=drawn)
+            buf, previous = buffers[blocks % 2], buffers[1 - blocks % 2]
+            buf[head - tail : head] = previous[head + width - tail : head + width]
+            width = min(block, max(ends) - drawn)
+            rng.standard_normal(out=buf[head : head + width])
+            drawn += width
+            items = []
+            for i, (elems, end) in enumerate(zip(sizes, ends)):
+                stop = min(end, drawn) // elems * elems
+                if stop > starts[i]:
+                    lo = head + starts[i] - (drawn - width)
+                    items.append((i, buf[lo : lo + stop - starts[i]], at[i]))
+                    at[i] += (stop - starts[i]) // elems
+                    starts[i] = stop
+            yield items
+            blocks += 1
 
 
 def draw_shared(
     mc: McRun, requests: Sequence[Request], consume: Consumer | None = None
 ) -> list[np.ndarray]:
-    """``draw_reduced(mc, shape, reduce)`` of each (shape, reduce) request,
-    all from one pass over the chunk streams; with ``consume``, each result
-    goes to ``consume(i, result)`` as soon as it is whole, is not kept, and
-    the list returned is empty.
+    """``draw_reduced(mc, shape, reduce, row)`` of each (shape, reduce, row)
+    request; with ``consume``, each result goes to ``consume(i, result)`` as
+    soon as it is whole, is not kept, and the list returned is empty.
 
-    Chunk c of every request is a prefix of the one stream keyed by
-    (seed, c), so the pass draws each chunk's stream once, up to the longest
-    prefix a request needs, a block at a time, and each request reduces the
-    whole draws of its own prefix as they arrive.  A block holds the largest
-    one-request slab of half ``SLAB_ELEMENTS``, or chunk 0's longest prefix
-    if that is shorter, and two buffers take turns: the calling thread draws
-    the next block into one while the block in the other is reduced, and
-    queues its reductions once those of the last block are done.  The
-    head of a draw that straddles a block edge is copied into room before
-    the next block, so the draw is reduced whole with the draws after it.
+    The requests run in consecutive passes, each of as many in order as
+    ``MAX_PASS_BYTES`` holds the results of (a request over it gets a pass
+    alone), and every array of every pass is refused past ``MAX_DRAW_BYTES``
+    before the first draw.  Chunk c of every request is a prefix of the one
+    stream keyed by (seed, c), so a pass draws each chunk's stream once, up
+    to the longest prefix it needs, a block at a time, and the results do
+    not depend on the split.  The calling thread draws the next block while
+    the last one is reduced; the head of a draw that straddles a block edge
+    is copied before the next block, so the draw is reduced whole.
 
-    A block's reductions, one per request with draws in it, and the
-    consumers of the results they complete go to a queue that the calling
-    thread and, with two requests or more, ``_helpers()`` helper threads
-    share; a request's reductions run one at a time, in stream order, and
-    its result is allocated at the first.  No thread outlives the call.
-    An exception raised on any thread stops the drawing; the work already
-    queued still runs, and the exception of the earliest block, ties in
-    request order, is raised, so which one does not depend on the threads.
-    An array past ``MAX_DRAW_BYTES`` is refused before it is allocated, and
-    a ``MemoryError`` of a draw is raised again naming the draw: the widest
+    A block's reductions, one per request with draws in it, go to a queue
+    that the calling thread and, with two requests or more, ``_helpers()``
+    helper threads share; the reduction that completes a result hands it to
+    ``consume`` on its own thread.  The next block is queued once none of
+    the last one's is busy, so a request's reductions run in stream order.
+    No thread outlives the call.  A failed block stops the pass and raises
+    the exception of its first failing request, whatever the threads.  A
+    reduction whose rows are not of shape ``row`` is a ``ValueError``; a
+    ``MemoryError`` of a draw is raised again naming the draw: the widest
     request's for the buffers, the request's own for a reduction or result.
     """
     if consume is None:
         collected: list[np.ndarray] = [np.empty(0)] * len(requests)
         draw_shared(mc, requests, collected.__setitem__)
         return collected
-    if not requests:
-        return []
-    sizes = [math.prod(shape) for shape, _ in requests]
-    per_chunk = [_per_chunk(elems) for elems in sizes]
-    longest = max(min(per, mc.samples) * elems for per, elems in zip(per_chunk, sizes))
-    block = min(max(max(1, SLAB_ELEMENTS // 2 // elems) * elems for elems in sizes), longest)
-    # Room for the head of a draw that straddles a block edge.
-    head = max((elems - 1 for elems in sizes if block % elems), default=0)
-    widest = sizes.index(max(sizes))
-    try:
-        buffers = (_empty((head + block,)), _empty((head + block,)))
-    except MemoryError as exc:
-        raise _named(mc, requests[widest][0], exc) from None
+    passes: list[list[int]] = []
+    held = 0
+    for i, (_, _, row) in enumerate(requests):
+        size = 8 * mc.samples * math.prod(row)
+        if not passes or held + size > MAX_PASS_BYTES:
+            passes.append([])
+            held = 0
+        passes[-1].append(i)
+        held += size
+    layouts = [_layout(mc, [requests[i] for i in indices]) for indices in passes]
+    for indices, layout in zip(passes, layouts):
+        _draw_pass(mc, [requests[i] for i in indices], layout,
+                   lambda k, result, indices=indices: consume(indices[k], result))
+    return []
 
+
+def _draw_pass(mc: McRun, requests: Sequence[Request], layout: tuple, consume: Consumer) -> None:
+    """One pass of ``draw_shared`` over ``requests``, laid out as ``layout``."""
+    sizes, block, head, arrays = layout
+    first, second, *results = [_naming(mc, shape, np.empty, dims) for shape, dims in arrays]
     cond = threading.Condition()
-    # Work items: (block, request) key, whether it is a reduction, the call.
-    queue: deque[tuple[tuple[int, int], bool, Callable[[], None]]] = deque()
-    pending = 0  # unfinished reductions of the last block queued
-    outstanding = 0  # unfinished items of every kind
-    results: list[np.ndarray | None] = [None] * len(requests)
-    failures: list[tuple[tuple[int, int], BaseException]] = []
+    queue: deque[tuple[int, np.ndarray, int]] = deque()
+    busy = 0  # unfinished reductions of the last block queued
+    failures: list[tuple[int, BaseException]] = []
     closed = False
 
-    def reduction(key: tuple[int, int], view: np.ndarray, row: int) -> None:
-        nonlocal outstanding
-        i = key[1]
-        shape, reduce = requests[i]
+    def reduction(i: int, view: np.ndarray, at: int) -> None:
+        nonlocal busy
+        shape, reduce, row = requests[i]
         try:
-            reduced = reduce(view.reshape(-1, *shape))
-            if results[i] is None:
-                results[i] = _empty((mc.samples, *reduced.shape[1:]), reduced.dtype)
-        except MemoryError as exc:
-            raise _named(mc, shape, exc) from None
-        results[i][row : row + len(reduced)] = reduced
-        if row + len(reduced) == mc.samples:
-            with cond:
-                queue.append((key, False, partial(hand_over, i)))
-                outstanding += 1
-                cond.notify()
-
-    def hand_over(i: int) -> None:
-        result, results[i] = results[i], None
-        consume(i, result)
-
-    def run(item: tuple[tuple[int, int], bool, Callable[[], None]]) -> None:
-        nonlocal pending, outstanding
-        key, reduces, call = item
-        try:
-            call()
+            reduced = _naming(mc, shape, reduce, view.reshape(-1, *shape))
+            _check_sample(reduced, (len(view) // sizes[i], *row))
+            results[i][at : at + len(reduced)] = reduced
+            if at + len(reduced) == mc.samples:
+                result, results[i] = results[i], None
+                consume(i, result)
         except BaseException as exc:  # the calling thread raises it again
-            failures.append((key, exc))
+            failures.append((i, exc))
         with cond:
-            if reduces:
-                pending -= 1
-            outstanding -= 1
+            busy -= 1
             cond.notify_all()
 
-    def run_until(done: Callable[[], bool]) -> None:
-        """Run queued work on the calling thread until ``done()``."""
+    def settle() -> None:
+        """Reduce on the calling thread too until the last block is done."""
         while True:
             with cond:
-                while not done() and not queue:
+                while busy and not queue:
                     cond.wait()
-                if done():
+                if not busy:
                     return
                 item = queue.popleft()
-            run(item)
+            reduction(*item)
 
     def helper() -> None:
         while True:
@@ -242,7 +274,7 @@ def draw_shared(
                 if closed:
                     return
                 item = queue.popleft()
-            run(item)
+            reduction(*item)
 
     # One request's reductions run one at a time: a helper could only
     # overlap them with the draws, and its hand-offs of the interpreter lock
@@ -252,46 +284,16 @@ def draw_shared(
     for thread in threads:
         thread.start()
     try:
-        rows = [0] * len(requests)  # draws of each request queued for reduction
-        blocks = width = 0
-        # The widest draw has the most chunks, as its chunks hold the fewest.
-        for index, (_, rng) in enumerate(chunk_generators(mc, max(sizes))):
-            ends = [max(0, min(per, mc.samples - index * per)) * elems
-                    for per, elems in zip(per_chunk, sizes)]
-            starts = [0] * len(requests)  # stream offset of each next draw
-            drawn = 0
-            while drawn < max(ends) and not failures:
-                # Every request has queued its whole draws up to ``drawn``;
-                # the tail left, under one draw of each, goes before the
-                # block, in the buffer whose block is reduced already.
-                tail = drawn - min((start for start, end in zip(starts, ends) if start < end),
-                                   default=drawn)
-                buf, previous = buffers[blocks % 2], buffers[1 - blocks % 2]
-                buf[head - tail : head] = previous[head + width - tail : head + width]
-                width = min(block, max(ends) - drawn)
-                rng.standard_normal(out=buf[head : head + width])
-                drawn += width
-                items = []
-                for i, (elems, end) in enumerate(zip(sizes, ends)):
-                    stop = min(end, drawn) // elems * elems
-                    if stop > starts[i]:
-                        lo = head + starts[i] - (drawn - width)
-                        view = buf[lo : lo + stop - starts[i]]
-                        items.append(((blocks, i), True,
-                                      partial(reduction, (blocks, i), view, rows[i])))
-                        rows[i] += (stop - starts[i]) // elems
-                        starts[i] = stop
-                # The last block's reductions finish before this one's start.
-                run_until(lambda: pending == 0)
-                with cond:
-                    queue.extend(items)
-                    pending = len(items)
-                    outstanding += len(items)
-                    cond.notify_all()
-                blocks += 1
+        # The next block is drawn while the last one is reduced.
+        for items in _blocks(mc, sizes, block, head, (first, second)):
+            settle()
             if failures:
                 break
-        run_until(lambda: outstanding == 0)
+            with cond:
+                queue.extend(items)
+                busy = len(items)
+                cond.notify_all()
+        settle()
     finally:
         with cond:
             closed = True
@@ -301,49 +303,23 @@ def draw_shared(
             thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return []
-
-
-def draw_passes(
-    mc: McRun, requests: Sequence[Request], values: Sequence[int], consume: Consumer
-) -> None:
-    """``draw_shared(mc, requests, consume)``, in consecutive passes when
-    the results, ``values[i]`` float64 values per sample for request i,
-    would take more than ``MAX_PASS_BYTES`` together.
-
-    The passes take the requests in order, each as many as fit (a request
-    over the limit gets a pass alone).  Every pass reads the same chunk
-    streams, so the results do not depend on the split.
-    """
-    passes: list[list[int]] = [[]]
-    held = 0
-    for i, width in enumerate(values):
-        size = 8 * mc.samples * width
-        if passes[-1] and held + size > MAX_PASS_BYTES:
-            passes.append([])
-            held = 0
-        passes[-1].append(i)
-        held += size
-    for indices in passes:
-        draw_shared(mc, [requests[i] for i in indices],
-                    lambda k, result, indices=indices: consume(indices[k], result))
 
 
 def draw_reduced(
-    mc: McRun, shape: tuple[int, ...], reduce: Callable[[np.ndarray], np.ndarray]
+    mc: McRun, shape: tuple[int, ...], reduce: Callable[[np.ndarray], np.ndarray],
+    row: tuple[int, ...],
 ) -> np.ndarray:
     """``reduce`` applied to ``mc.samples`` draws of ``shape`` standard
-    normals each, concatenated along the first axis.
+    normals each, concatenated along the first axis: a float64 array of
+    shape ``(mc.samples, *row)``; ``draw_shared`` with one request.
 
     The draws come chunk by chunk from ``chunk_generators`` and are reduced
     in consecutive slabs of at most half ``SLAB_ELEMENTS`` normals (one
     draw, if a draw is larger), so the result equals ``reduce`` of the whole
-    draw bit for bit wherever ``reduce`` treats draws independently.  The
-    slabs are views of two buffers that take turns; a slab's reduction is
-    copied into the result before its buffer is drawn into again.  This is
-    ``draw_shared`` with one request.
+    draw bit for bit wherever ``reduce`` treats draws independently.  A
+    slab is a view of a buffer, copied into the result before its reuse.
     """
-    return draw_shared(mc, [(shape, reduce)])[0]
+    return draw_shared(mc, [(shape, reduce, row)])[0]
 
 
 def _check_sample(sample: np.ndarray, shape: tuple[int, ...]) -> None:

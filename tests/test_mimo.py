@@ -447,7 +447,8 @@ class TestReductionReference:
             for shape in ((2, n, m), (3, 2, n, m)):
                 elems = math.prod(shape)
                 mc = McRun(3 * streams.SLAB_ELEMENTS // elems + 7, 100 * n + m)
-                new = streams.draw_reduced(mc, shape, mimo._gram_invariants)
+                row = (*shape[:-3], min(n, m))
+                new = streams.draw_reduced(mc, shape, mimo._gram_invariants, row)
                 whole = np.concatenate([rng.standard_normal((count, *shape))
                                         for count, rng in chunk_generators(mc, elems)])
                 self.assert_matches(new, whole)
@@ -472,7 +473,7 @@ class TestRankBootstrap:
 
         mc = McRun(samples, seed)
         est = mimo_outage(2, 3, LinkParams(1.0), p0, mc)
-        invariants = draw_reduced(mc, (2, 2, 3), mimo._gram_invariants)
+        invariants = draw_reduced(mc, (2, 2, 3), mimo._gram_invariants, (2,))
         rates = np.sort(mimo._det_rates(invariants, 1.0 / 3))
         assert est.value == rates[k]
         assert est.error_estimate == float(resample_loop(rates, p0, seed).std(ddof=1))
@@ -682,13 +683,13 @@ class TestSharedGrid:
         # order, then its single-user sets.  Under a smaller byte budget it
         # runs as consecutive passes, in the same order, with the same bytes.
         passes = []
-        draw_shared = streams.draw_shared
+        draw_pass = streams._draw_pass
 
-        def recording(mc, requests, consume=None):
-            passes.append([shape for shape, _ in requests])
-            return draw_shared(mc, requests, consume)
+        def recording(mc, requests, layout, consume):
+            passes.append([shape for shape, _, _ in requests])
+            return draw_pass(mc, requests, layout, consume)
 
-        monkeypatch.setattr(streams, "draw_shared", recording)
+        monkeypatch.setattr(streams, "_draw_pass", recording)
         argv = ["mimo", "--n", "1,2", "--m", "1..6", "--rho-db", "5", "--users", "16",
                 "--samples", "20000", "--seed", "3"]
         pairs = [(n, m) for n in (1, 2) for m in range(1, 7)]

@@ -28,6 +28,18 @@ from antsel.streams import (
 )
 
 
+def record_draws(monkeypatch):
+    """Per-draw element counts handed to chunk_generators, call by call."""
+    calls = []
+
+    def counting(mc, elems_per_draw):
+        calls.append(elems_per_draw)
+        return chunk_generators(mc, elems_per_draw)
+
+    monkeypatch.setattr(streams, "chunk_generators", counting)
+    return calls
+
+
 class TestChunkPlan:
     def test_counts_cover_exactly(self):
         mc = McRun(10_000, 1)
@@ -64,14 +76,14 @@ class TestSlabs:
     draws the next block into a second buffer while one is reduced)."""
 
     @staticmethod
-    def slabs(mc, shape, reduce=lambda z: z):
+    def slabs(mc, shape, reduce=lambda z: z, row=None):
         slabs = []
 
         def keep(z):
             slabs.append(z)
             return reduce(z)
 
-        return slabs, draw_reduced(mc, shape, keep)
+        return slabs, draw_reduced(mc, shape, keep, shape if row is None else row)
 
     @staticmethod
     def chunk_draws(mc, shape):
@@ -111,7 +123,7 @@ class TestSlabs:
     def test_draws_larger_than_a_slab_come_one_at_a_time(self):
         shape = (SLAB_ELEMENTS + 1,)
         mc = McRun(3, 2)
-        slabs, heads = self.slabs(mc, shape, lambda z: z[:, :4])
+        slabs, heads = self.slabs(mc, shape, lambda z: z[:, :4], (4,))
         assert [z.shape for z in slabs] == [(1, *shape)] * 3
         assert np.array_equal(heads, self.chunk_draws(mc, shape)[:, :4])
 
@@ -127,6 +139,11 @@ class TestSharedPass:
     def whole(z):
         return z  # a view of the block, copied into the result before reuse
 
+    @classmethod
+    def request(cls, elems, summed):
+        """The request of a draw of ``elems`` normals, summed or kept whole."""
+        return ((elems,), cls.row_sums, ()) if summed else ((elems,), cls.whole, (elems,))
+
     # Up to 400 normals per draw against 4096 per chunk and 512 per slab:
     # up to 30 chunks, draws larger than a slab, and draws straddling blocks.
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -138,11 +155,10 @@ class TestSharedPass:
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 9)
         mc = McRun(samples, seed)
-        requests = [((elems,), self.row_sums if summed else self.whole)
-                    for elems, summed in draws]
+        requests = [self.request(elems, summed) for elems, summed in draws]
         shared = draw_shared(mc, requests)
-        for (shape, reduce), result in zip(requests, shared):
-            alone = draw_reduced(mc, shape, reduce)
+        for (shape, reduce, row), result in zip(requests, shared):
+            alone = draw_reduced(mc, shape, reduce, row)
             assert result.dtype == alone.dtype and result.shape == alone.shape
             assert result.tobytes() == alone.tobytes()
             # And both are the reduction of the chunks' whole draws.
@@ -151,43 +167,31 @@ class TestSharedPass:
     def test_each_chunk_stream_is_drawn_once(self, monkeypatch):
         monkeypatch.setattr(streams, "CHUNK_ELEMENTS", 1 << 12)
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", 1 << 9)
-        calls = []
-
-        def counting(mc, elems_per_draw):
-            calls.append(elems_per_draw)
-            return chunk_generators(mc, elems_per_draw)
-
-        monkeypatch.setattr(streams, "chunk_generators", counting)
+        calls = record_draws(monkeypatch)
         mc = McRun(200, 5)
-        draw_shared(mc, [((3,), self.whole), ((40,), self.whole), ((7,), self.whole)])
+        draw_shared(mc, [self.request(3, False), self.request(40, False),
+                         self.request(7, False)])
         # The widest draw's layout has the most chunks; each is drawn once.
         assert calls == [40]
         assert draw_shared(mc, []) == []
         assert calls == [40]  # no requests, no draw
 
     def test_an_array_over_the_limit_is_refused_before_it_is_drawn(self, monkeypatch):
-        calls = []
-
-        def counting(mc, elems_per_draw):
-            calls.append(elems_per_draw)
-            return chunk_generators(mc, elems_per_draw)
-
-        monkeypatch.setattr(streams, "chunk_generators", counting)
+        calls = record_draws(monkeypatch)
         monkeypatch.setattr(streams, "SLAB_ELEMENTS", 100)
         monkeypatch.setattr(streams, "MAX_DRAW_BYTES", 8 * 999)
         mc = McRun(1_000, 7)
         # A block of one 1,000-normal draw, and a result of 1,000 values
         # after blocks of 100 normals.
-        for shape, reduce in (((1_000,), self.row_sums), ((1,), self.whole)):
+        for elems, summed in ((1_000, True), (1, False)):
             with pytest.raises(MemoryError, match=(
-                    rf"^not enough memory to draw 1000 samples of \({shape[0]},\) normals: "
+                    rf"^not enough memory to draw 1000 samples of \({elems},\) normals: "
                     r"an array of 8000 bytes is over the limit of 7992 \(MAX_DRAW_BYTES\)$")):
-                draw_reduced(mc, shape, reduce)
-        # The block is refused before the first chunk, the result before
-        # the second.
-        assert calls == [1]
+                draw_reduced(mc, *self.request(elems, summed))
+        # Both are refused before the first chunk.
+        assert calls == []
         # At the limit itself: a block of 999 normals and 999 values.
-        assert draw_reduced(McRun(999, 7), (999,), self.row_sums).shape == (999,)
+        assert draw_reduced(McRun(999, 7), *self.request(999, True)).shape == (999,)
 
 
 class TestPipelinedPass:
@@ -220,9 +224,8 @@ class TestPipelinedPass:
         self, monkeypatch, small_chunks_fast_switching, draws, samples, seed
     ):
         mc = McRun(samples, seed)
-        requests = [((elems,), TestSharedPass.row_sums if summed else TestSharedPass.whole)
-                    for elems, summed in draws]
-        alone = [draw_reduced(mc, shape, reduce) for shape, reduce in requests]
+        requests = [TestSharedPass.request(elems, summed) for elems, summed in draws]
+        alone = [draw_reduced(mc, *request) for request in requests]
         before = threading.active_count()
         for helpers in (0, 1, 2):
             monkeypatch.setattr(streams, "_helpers", lambda: helpers)
@@ -236,30 +239,54 @@ class TestPipelinedPass:
 
     def test_consecutive_passes_hand_over_the_same_bytes(self, monkeypatch):
         mc = McRun(5_000, 11)
-        requests = [((3,), TestSharedPass.row_sums), ((40,), TestSharedPass.whole),
-                    ((7,), TestSharedPass.whole)]
-        values = [1, 40, 7]
-        alone = [draw_reduced(mc, shape, reduce) for shape, reduce in requests]
+        # 1, 40 and 7 values per sample.
+        requests = [TestSharedPass.request(3, True), TestSharedPass.request(40, False),
+                    TestSharedPass.request(7, False)]
+        alone = [draw_reduced(mc, *request) for request in requests]
         passes = []
-        shared = streams.draw_shared
+        draw_pass = streams._draw_pass
 
-        def recording(mc, requests, consume=None):
-            passes.append([shape for shape, _ in requests])
-            return shared(mc, requests, consume)
+        def recording(mc, requests, layout, consume):
+            passes.append([shape for shape, _, _ in requests])
+            return draw_pass(mc, requests, layout, consume)
 
-        monkeypatch.setattr(streams, "draw_shared", recording)
+        monkeypatch.setattr(streams, "_draw_pass", recording)
         # 41 values per sample fit in a pass: the first two requests, then
         # the third alone.
         monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * mc.samples * 41)
         handed = {}
-        streams.draw_passes(mc, requests, values, handed.__setitem__)
+        assert draw_shared(mc, requests, handed.__setitem__) == []
         assert passes == [[(3,), (40,)], [(7,)]]
         assert [handed[i].tobytes() for i in range(3)] == [a.tobytes() for a in alone]
         # A request over the budget gets a pass alone.
         passes.clear()
         monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * mc.samples * 5)
-        streams.draw_passes(mc, requests, values, handed.__setitem__)
+        assert [a.tobytes() for a in draw_shared(mc, requests)] == [a.tobytes() for a in alone]
         assert passes == [[(3,)], [(40,)], [(7,)]]
+
+    def test_a_later_pass_is_refused_before_the_first_draws(self, monkeypatch):
+        # Two passes of 1 and 40 values per sample; the second's result is
+        # over the array limit, and nothing is drawn.
+        calls = record_draws(monkeypatch)
+        mc = McRun(1_000, 7)
+        monkeypatch.setattr(streams, "MAX_PASS_BYTES", 8 * mc.samples * 5)
+        monkeypatch.setattr(streams, "MAX_DRAW_BYTES", 8 * mc.samples * 39)
+        with pytest.raises(MemoryError, match=(
+                r"^not enough memory to draw 1000 samples of \(40,\) normals: "
+                r"an array of 320000 bytes is over the limit of 312000 \(MAX_DRAW_BYTES\)$")):
+            draw_shared(mc, [TestSharedPass.request(3, True), TestSharedPass.request(40, False)],
+                        lambda i, result: pytest.fail("a result was handed over"))
+        assert calls == []
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    def test_a_reduction_of_another_row_is_refused(self, monkeypatch, helpers):
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        mc = McRun(100, 3)
+        with pytest.raises(ValueError, match=(
+                r"^a sample of shape \(100, 6\) was given where one of shape \(100, 5\) "
+                r"is drawn$")):
+            draw_shared(mc, [TestSharedPass.request(2, True),
+                             ((6,), TestSharedPass.whole, (5,))])
 
     @pytest.mark.parametrize("helpers", [1, 2])
     def test_a_failure_on_a_helper_reaches_the_caller(self, monkeypatch, helpers):
@@ -273,7 +300,7 @@ class TestPipelinedPass:
                 assert failed.wait(timeout=60)
             else:
                 failed.set()
-                streams._empty((1 << 40,))  # the named MemoryError
+                streams._check_size((1 << 40,))  # the named MemoryError
             return z.sum(axis=1)
 
         before = threading.active_count()
@@ -281,7 +308,7 @@ class TestPipelinedPass:
                 r"^not enough memory to draw 2000 samples of \((100|90),\) normals: an array "
                 rf"of {8 << 40} bytes is over the limit of {streams.MAX_DRAW_BYTES} "
                 r"\(MAX_DRAW_BYTES\)$")):
-            draw_shared(McRun(2_000, 5), [((100,), reduce), ((90,), reduce)])
+            draw_shared(McRun(2_000, 5), [((100,), reduce, ()), ((90,), reduce, ())])
         assert failed.is_set()
         assert threading.active_count() == before
 
@@ -308,7 +335,7 @@ class TestPipelinedPass:
         before = threading.active_count()
         mc = McRun(1_000_000, 8)
         with pytest.raises(Stop) as stopped:
-            draw_shared(mc, [((2,), TestSharedPass.row_sums), ((12,), TestSharedPass.row_sums)],
+            draw_shared(mc, [TestSharedPass.request(2, True), TestSharedPass.request(12, True)],
                         consume)
         # The narrower request is whole first; its chunk 0 is also the
         # wider's, which spans chunks the pass never reaches.
@@ -356,7 +383,7 @@ class TestSlabMemory:
     def test_draw_reduced(self):
         # 384 normals per draw, reduced to one number each: two chunks.
         mc = McRun(20_000, 4)
-        peak = self.traced_peak(lambda: draw_reduced(mc, (384,), lambda z: z.sum(axis=1)))
+        peak = self.traced_peak(lambda: draw_reduced(mc, (384,), lambda z: z.sum(axis=1), ()))
         assert peak < self.bound(mc.samples)
 
     def test_two_samplers_on_two_threads(self):
@@ -411,7 +438,7 @@ class TestReportedErrors:
         mc = McRun(5_000, 21)
         link = LinkParams(1.0)
         res = mimo_ergodic(2, 2, link, mc)
-        rates = _det_rates(draw_reduced(mc, (2, 2, 2), _gram_invariants), link.rho / 2)
+        rates = _det_rates(draw_reduced(mc, (2, 2, 2), _gram_invariants, (2,)), link.rho / 2)
         assert res.value == float(rates.mean())
         assert res.error_estimate == float(rates.std(ddof=1) / math.sqrt(rates.size))
 
