@@ -149,6 +149,11 @@ def _sample_mean(values: np.ndarray) -> CapacityResult:
     return CapacityResult(float(mean), se)
 
 
+def _rank(p: float, samples: int) -> int:
+    """The index of the nearest-rank p-quantile among ``samples`` sorted values."""
+    return max(math.ceil(p * samples) - 1, 0)
+
+
 Links = LinkParams | tuple[LinkParams, ...]
 Bounds = tuple[CapacityResult, CapacityResult]
 _T = TypeVar("_T")

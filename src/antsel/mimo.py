@@ -26,7 +26,8 @@ one ``log1p`` of its users' largest det - 1.  The reduction works in real
 arithmetic on the real and imaginary parts of H, on the smaller of the
 two Gram matrices (H H† or H^T conj(H), which share their nonzero
 eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in
-the Gram entries, each of which is one dot product along a row: e_1 is the
+the Gram entries, written as plain array expressions: an entry's real and
+imaginary parts are each a sum of two dot products along rows; e_1 is the
 trace (at r = 1 a squared norm over all 2 max(n, m) numbers of a channel),
 e_2 the sum of the 2 x 2 minors and e_3 the determinant.  Larger r forms
 the Gram matrix by matmul, takes its eigenvalues from
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +71,7 @@ from .capacity import (
     Links,
     _log2_1p_inplace,
     _points,
+    _rank,
     _sample_mean,
     _shaped,
 )
@@ -97,31 +100,8 @@ def _validate(n: int, m: int) -> None:
         raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
-# Real and imaginary parts of one Gram matrix entry across a batch.
-_Entry = tuple[np.ndarray, np.ndarray]
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", x, y)
-
-
-def _gram_entry(a: np.ndarray, b: np.ndarray, i: int, j: int) -> _Entry:
-    """Real and imaginary parts of entry (i, j) of H H†, H = (a + i b)/sqrt(2):
-    0.5 * (ai.aj + bi.bj) and 0.5 * (bi.aj - ai.bj), each formed in place."""
-    ai, aj, bi, bj = a[..., i, :], a[..., j, :], b[..., i, :], b[..., j, :]
-    re, im = _dot(ai, aj), _dot(bi, aj)
-    re += _dot(bi, bj)
-    re *= 0.5
-    im -= _dot(ai, bj)
-    im *= 0.5
-    return re, im
-
-
-def _squared_norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re * re + im * im."""
-    norm = re * re
-    norm += im * im
-    return norm
 
 
 def _gram_invariants(z: np.ndarray) -> np.ndarray:
@@ -131,9 +111,8 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
 
     Returns (..., r), r = min(n, m).  For m < n the coefficients come from
     the m x m matrix H^T conj(H), which has the same nonzero eigenvalues.
-    Up to r = 3 each slab-sized value is formed in place where it can be,
-    in the order the expressions in the comments evaluate, so the bits are
-    theirs with fewer temporaries alive at once.
+    Up to r = 3 they are polynomials in the Gram entries, each evaluated
+    in the order it is written: another grouping moves the last bits.
     """
     n, m = z.shape[-2:]
     if n == 1 or m == 1:
@@ -147,53 +126,24 @@ def _gram_invariants(z: np.ndarray) -> np.ndarray:
     a, b = z[..., 0, :, :], z[..., 1, :, :]
     if r <= 3:
         # The diagonal: half the squared norm of each row, over a and b.
-        g = _dot(a, a)
-        g += _dot(b, b)
-        g *= 0.5
-        g11, g22 = g[..., 0], g[..., 1]
+        g = (_dot(a, a) + _dot(b, b)) * 0.5
+        # Entry (i, j) off it, i < j, is re + i im, of squared modulus s.
+        pairs = list(combinations([(a[..., i, :], b[..., i, :]) for i in range(r)], 2))
+        re = [(_dot(ai, aj) + _dot(bi, bj)) * 0.5 for (ai, bi), (aj, bj) in pairs]
+        im = [(_dot(bi, aj) - _dot(ai, bj)) * 0.5 for (ai, bi), (aj, bj) in pairs]
+        s = [x * x + y * y for x, y in zip(re, im)]
+        g1, g2 = g[..., 0], g[..., 1]
         e = np.empty_like(g)
         e[..., 0] = g.sum(axis=-1)
-        r12, i12 = _gram_entry(a, b, 0, 1)
-        # s12 = r12 * r12 + i12 * i12, and so on.
-        s12 = _squared_norm(r12, i12)
         if r == 2:
-            # g11 * g22 - s12
-            np.multiply(g11, g22, out=e[..., 1])
-            e[..., 1] -= s12
+            e[..., 1] = g1 * g2 - s[0]
             return e
-        (r13, i13), (r23, i23) = _gram_entry(a, b, 0, 2), _gram_entry(a, b, 1, 2)
-        # The middle term of the determinant is 2 Re(g12 g23 conj(g13)):
-        # triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
-        triple = r12 * r23
-        triple -= i12 * i23
-        triple *= r13
-        r12 *= i23
-        i12 *= r23
-        r12 += i12
-        r12 *= i13
-        triple += r12
-        del r12, i12
-        g33, s13, s23 = g[..., 2], _squared_norm(r13, i13), _squared_norm(r23, i23)
-        del r13, i13, r23, i23
-        # (g11 * g22 - s12) + (g11 * g33 - s13) + (g22 * g33 - s23)
-        e1, term = e[..., 1], np.empty_like(g11)
-        np.multiply(g11, g22, out=e1)
-        e1 -= s12
-        np.multiply(g11, g33, out=term)
-        term -= s13
-        e1 += term
-        np.multiply(g22, g33, out=term)
-        term -= s23
-        e1 += term
-        # g11 * g22 * g33 + 2 * triple - g11 * s23 - g22 * s13 - g33 * s12
-        e3 = e[..., 2]
-        np.multiply(g11, g22, out=e3)
-        e3 *= g33
-        triple *= 2
-        e3 += triple
-        for gkk, skk in ((g11, s23), (g22, s13), (g33, s12)):
-            np.multiply(gkk, skk, out=term)
-            e3 -= term
+        g3 = g[..., 2]
+        (r12, r13, r23), (i12, i13, i23), (s12, s13, s23) = re, im, s
+        # The middle term of the determinant is 2 Re(g12 g23 conj(g13)).
+        triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13
+        e[..., 1] = (g1 * g2 - s12) + (g1 * g3 - s13) + (g2 * g3 - s23)
+        e[..., 2] = g1 * g2 * g3 + 2 * triple - g1 * s23 - g2 * s13 - g3 * s12
         return e
     at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     gram = np.empty(z.shape[:-3] + (r, r), dtype=complex)
@@ -319,11 +269,6 @@ def mimo_ergodic(
     return _shaped(link, tuple(
         _sample_mean(_det_rates(invariants, point.rho / m)) for point in links
     ))
-
-
-def _rank(p0: float, samples: int) -> int:
-    """The nearest rank of the p0-quantile among ``samples`` sorted rates."""
-    return max(math.ceil(p0 * samples) - 1, 0)
 
 
 # A CLI grid needs one rank set at a time.

@@ -11,13 +11,12 @@ between this module and the analytic modules is a genuine two-route check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _sample_mean
+from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _rank, _sample_mean
 from .orderstats import SelectionConfig, max_cdf
 from .streams import McRun, Request, _check_sample, draw_reduced
 
@@ -100,8 +99,7 @@ def sample_selection_gain(
     if reference_cdf is None:
         reference_cdf = lambda x: max_cdf(cfg, x)  # noqa: E731
     quantiles = tuple(
-        (p, float(draws[max(math.ceil(p * draws.size) - 1, 0)]))
-        for p in DEFAULT_QUANTILES
+        (p, float(draws[_rank(p, draws.size)])) for p in DEFAULT_QUANTILES
     )
     return EmpiricalSummary(
         mean=float(draws.mean()),

@@ -13,14 +13,15 @@ reduce pipeline: within a chunk it draws consecutive blocks of about half
 ``SLAB_ELEMENTS`` normals into two reused buffers, and writes each block's
 reductions into the results.  A generator's stream does not depend on how
 its draws are split, so the blocks hold the chunk's numbers bit for bit,
-while only the two buffers, one slab of normals in all, are alive at a
-time.  One call serves several (shape, reduce, row) requests, drawing each
-chunk's stream once per pass; each request declares the row of its result,
-so every array is sized before the first draw.  The calling thread draws
-the next block while it and a helper thread reduce the last one and hand
-whole results to the caller's consumer.  Nothing is kept between calls: an
-estimator draws its own sample, or reads one a caller passes it, such as a
-pass's result, which ``_check_sample`` checks for its shape.
+while only the two buffers are alive at a time: one slab of normals in all,
+or, for a draw wider than half a slab, one whole draw each.  One call
+serves several (shape, reduce, row) requests, drawing each chunk's stream
+once per pass; each request declares the row of its result, so every array
+is sized before the first draw.  The calling thread draws the next block
+while it and a helper thread reduce the last one and hand whole results to
+the caller's consumer.  Nothing is kept between calls: an estimator draws
+its own sample, or reads one a caller passes it, such as a pass's result,
+which ``_check_sample`` checks for its shape.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ DEFAULT_SEED = 42
 
 # Normal draws per chunk: fixes which generator draws which sample.
 CHUNK_ELEMENTS = 1 << 22
-# Normal draws per slab (1 MiB), the two buffers of a pass together:
-# bounds peak memory, not the results.
+# Normal draws per slab (1 MiB), the two buffers of a pass together unless
+# a draw is wider than half a slab: bounds peak memory, not the results.
 SLAB_ELEMENTS = 1 << 17
 # Most bytes one array of a draw may take: its block of normals or a result.
 # Memory is committed lazily, so a larger array would not fail up front but

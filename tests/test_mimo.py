@@ -454,6 +454,55 @@ class TestReductionReference:
                 self.assert_matches(new, whole)
 
 
+class TestExpressionBits:
+    """At r = 2 and 3, mimo._gram_invariants gives the bits of the
+    expressions it writes, evaluated in Python floats one channel at a time
+    on the row dots of mimo._dot.  Scalar IEEE arithmetic rounds alike on
+    every CPU, so this pins the last bits that the goldens' 10 digits and
+    TestReductionReference's tolerance leave free."""
+
+    @staticmethod
+    def expected(z: np.ndarray) -> np.ndarray:
+        if z.shape[-1] < z.shape[-2]:
+            z = z.swapaxes(-1, -2)
+        r = z.shape[-2]
+        a, b = z[..., 0, :, :], z[..., 1, :, :]
+        # The row dots as the reduction takes them: the diagonal's over
+        # whole rows, each off-diagonal entry's over rows i and j.
+        diag = mimo._dot(a, a), mimo._dot(b, b)
+        pairs = list(combinations(range(r), 2))
+        dots = {(i, j): [mimo._dot(x[..., i, :], y[..., j, :])
+                         for x, y in ((a, a), (b, b), (b, a), (a, b))]
+                for i, j in pairs}
+        e = np.empty(z.shape[:-3] + (r,))
+        for c in np.ndindex(z.shape[:-3]):
+            g = [(float(diag[0][c][i]) + float(diag[1][c][i])) * 0.5 for i in range(r)]
+            re, im, s = {}, {}, {}
+            for pair in pairs:
+                aa, bb, ba, ab = (float(d[c]) for d in dots[pair])
+                re[pair] = (aa + bb) * 0.5
+                im[pair] = (ba - ab) * 0.5
+                s[pair] = re[pair] * re[pair] + im[pair] * im[pair]
+            if r == 2:
+                e[c] = g[0] + g[1], g[0] * g[1] - s[0, 1]
+                continue
+            g1, g2, g3 = g
+            s12, s13, s23 = s[0, 1], s[0, 2], s[1, 2]
+            triple = ((re[0, 1] * re[1, 2] - im[0, 1] * im[1, 2]) * re[0, 2]
+                      + (re[0, 1] * im[1, 2] + im[0, 1] * re[1, 2]) * im[0, 2])
+            e2 = (g1 * g2 - s12) + (g1 * g3 - s13) + (g2 * g3 - s23)
+            e3 = g1 * g2 * g3 + 2 * triple - g1 * s23 - g2 * s13 - g3 * s12
+            e[c] = g1 + g2 + g3, e2, e3
+        return e
+
+    # m < n takes the swap; (12, 16) is a K-user slab of 16 users.
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (4, 2), (3, 3), (3, 6), (5, 3)])
+    @pytest.mark.parametrize("lead", [(300,), (12, 16)])
+    def test_matches_the_expressions(self, n, m, lead):
+        z = np.random.default_rng(50 * n + m).standard_normal((*lead, 2, n, m))
+        assert np.array_equal(mimo._gram_invariants(z), self.expected(z))
+
+
 class TestRankBootstrap:
     @pytest.mark.parametrize(
         "seed,samples,p0",

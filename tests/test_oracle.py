@@ -55,6 +55,12 @@ class TestSummary:
         # cdf at the empirical median is 0.5 up to sampling noise
         assert abs(max_cdf(cfg, median) - 0.5) <= 4.0 / math.sqrt(MC.samples) + 1e-3
 
+    def test_median_of_an_odd_sample_is_its_middle_draw(self):
+        # Nearest rank: of 1,001 draws the 0.5 quantile is the 501st smallest.
+        cfg, mc = SelectionConfig(2, 3), McRun(1_001, 5)
+        median = dict(sample_selection_gain(cfg, mc).quantiles)[0.5]
+        assert median == np.sort(_draws(cfg, mc))[500]
+
     @pytest.mark.parametrize("m", [1, 3, 10, 100])
     def test_mean_matches_harmonic_sum(self, m):
         s = sample_selection_gain(SelectionConfig(1, m), MC)

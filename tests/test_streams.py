@@ -2,6 +2,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,50 @@ class TestPipelinedPass:
         assert stopped.value.args == (0,)
         assert len(calls) < len(list(chunk_generators(mc, 12)))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_a_failed_draw_stops_the_pass(self, monkeypatch, helpers):
+        # The second block's draw fails while the first block's reductions
+        # are queued, one of them completing the narrower request: the
+        # caller gets the generator's error, and no consumer runs after.
+        monkeypatch.setattr(streams, "_helpers", lambda: helpers)
+        blocks = []
+
+        class Broken(Exception):
+            pass
+
+        class Failing:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                blocks.append(len(out))
+                if len(blocks) == 2:
+                    raise Broken
+                return self.rng.standard_normal(out=out)
+
+        def failing(mc, elems_per_draw):
+            for count, rng in chunk_generators(mc, elems_per_draw):
+                yield count, Failing(rng)
+
+        monkeypatch.setattr(streams, "chunk_generators", failing)
+
+        def slow(z):
+            time.sleep(0.02)  # still reducing when the draw fails
+            return z.sum(axis=1)
+
+        returned, late = threading.Event(), []
+        before = threading.active_count()
+        # 2,000 and 400,000 normals: the first fits in one block, the
+        # second takes several.
+        with pytest.raises(Broken):
+            draw_shared(McRun(1_000, 9), [((2,), slow, ()), ((400,), slow, ())],
+                        lambda i, result: late.append(returned.is_set()))
+        returned.set()
+        assert len(blocks) == 2
+        assert threading.active_count() == before
+        time.sleep(0.1)
+        assert True not in late
 
 
 class TestSlabMemory:
