@@ -82,22 +82,12 @@ def _ks_statistic(sorted_draws: np.ndarray, reference_cdf: _ArrayCdf) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
-def sample_selection_gain(
-    cfg: SelectionConfig,
-    mc: McRun,
-    reference_cdf: _ArrayCdf | None = None,
-) -> EmpiricalSummary:
-    """Simulate the selection gain and summarize it.
-
-    ``reference_cdf`` sets the target of the KS distance: it maps the sorted
-    sample, an array, to one cdf value per point (``ValueError`` otherwise);
-    by default the exact selection-gain cdf is used.
-    """
+def sample_selection_gain(cfg: SelectionConfig, mc: McRun) -> EmpiricalSummary:
+    """Simulate the selection gain and summarize it; the KS distance is
+    taken against the exact selection-gain cdf, ``max_cdf``."""
     if mc.samples < 1_000:
         raise ValueError(f"summary needs >= 1000 samples, got {mc.samples}")
     draws = _draws(cfg, mc)
-    if reference_cdf is None:
-        reference_cdf = lambda x: max_cdf(cfg, x)  # noqa: E731
     quantiles = tuple(
         (p, float(draws[_rank(p, draws.size)])) for p in DEFAULT_QUANTILES
     )
@@ -105,7 +95,7 @@ def sample_selection_gain(
         mean=float(draws.mean()),
         variance=float(draws.var(ddof=1)),
         quantiles=quantiles,
-        ks_distance=_ks_statistic(draws, reference_cdf),
+        ks_distance=_ks_statistic(draws, lambda x: max_cdf(cfg, x)),
         samples=mc.samples,
         seed=mc.seed,
     )

@@ -11,17 +11,20 @@ correlated (common random numbers), and sharing their draws is exact.
 Every sampler draws through ``draw_shared``, the one chunk -> block ->
 reduce pipeline: within a chunk it draws consecutive blocks of about half
 ``SLAB_ELEMENTS`` normals into two reused buffers, and writes each block's
-reductions into the results.  A generator's stream does not depend on how
-its draws are split, so the blocks hold the chunk's numbers bit for bit,
-while only the two buffers are alive at a time: one slab of normals in all,
-or, for a draw wider than half a slab, one whole draw each.  One call
-serves several (shape, reduce, row) requests, drawing each chunk's stream
-once per pass; each request declares the row of its result, so every array
-is sized before the first draw.  The calling thread draws the next block
-while it and a helper thread reduce the last one and hand whole results to
-the caller's consumer.  Nothing is kept between calls: an estimator draws
-its own sample, or reads one a caller passes it, such as a pass's result,
-which ``_check_sample`` checks for its shape.
+reductions into the results.  Which draws a block holds, and their result
+rows, follow from the chunk index and the stream position alone; the head of
+a draw that straddles a block edge is carried from the previous block.  A
+generator's stream does not depend on how its draws are split, so the blocks
+hold the chunk's numbers bit for bit, while only the two buffers are alive
+at a time: one slab of normals in all, or, for a draw wider than half a
+slab, one whole draw each.  One call serves several (shape, reduce, row)
+requests, drawing each chunk's stream once per pass; each request declares
+the row of its result, so every array is sized before the first draw.  The
+calling thread draws the next block while it and a helper thread reduce the
+last one and hand whole results to the caller's consumer.  Nothing is kept
+between calls: an estimator draws its own sample, or reads one a caller
+passes it, such as a pass's result, which ``_check_sample`` checks for its
+shape.
 """
 from __future__ import annotations
 
@@ -149,37 +152,30 @@ def _blocks(
 ) -> Iterator[list[tuple[int, np.ndarray, int]]]:
     """Draw the chunk streams a block at a time, the two ``buffers`` taking
     turns, and yield each block's reductions: (request, view of its whole
-    draws, first result row), one per request with draws in the block."""
+    draws, first result row), one per request with draws in the block.
+
+    Everything yielded follows from the chunk index and the stream position
+    ``drawn``.  Before each block but a chunk's first go the last ``head``
+    numbers of the previous block, so a draw across the edge is whole."""
     per_chunk = [_per_chunk(elems) for elems in sizes]
-    at = [0] * len(sizes)  # draws of each request handed out
-    blocks = width = 0
+    buf, previous = buffers
     # The widest draw has the most chunks, as its chunks hold the fewest.
     for index, (_, rng) in enumerate(chunk_generators(mc, max(sizes))):
         ends = [max(0, min(per, mc.samples - index * per)) * elems
                 for per, elems in zip(per_chunk, sizes)]
-        starts = [0] * len(sizes)  # stream offset of each next draw
-        drawn = 0
-        while drawn < max(ends):
-            # Every request has its whole draws up to ``drawn``; the tail
-            # left, under one draw of each, goes before the block, in the
-            # buffer whose block is reduced already.
-            tail = drawn - min((start for start, end in zip(starts, ends) if start < end),
-                               default=drawn)
-            buf, previous = buffers[blocks % 2], buffers[1 - blocks % 2]
-            buf[head - tail : head] = previous[head + width - tail : head + width]
+        for drawn in range(0, max(ends), block):
+            if drawn:  # the block before, not a chunk's last, is full
+                buf[:head] = previous[block : block + head]
             width = min(block, max(ends) - drawn)
             rng.standard_normal(out=buf[head : head + width])
-            drawn += width
             items = []
-            for i, (elems, end) in enumerate(zip(sizes, ends)):
-                stop = min(end, drawn) // elems * elems
-                if stop > starts[i]:
-                    lo = head + starts[i] - (drawn - width)
-                    items.append((i, buf[lo : lo + stop - starts[i]], at[i]))
-                    at[i] += (stop - starts[i]) // elems
-                    starts[i] = stop
+            for i, (per, elems, end) in enumerate(zip(per_chunk, sizes, ends)):
+                first, stop = min(drawn, end) // elems, min(drawn + width, end) // elems
+                if stop > first:
+                    lo = head + first * elems - drawn
+                    items.append((i, buf[lo : lo + (stop - first) * elems], index * per + first))
             yield items
-            blocks += 1
+            buf, previous = previous, buf
 
 
 def draw_shared(

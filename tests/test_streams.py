@@ -390,9 +390,9 @@ class TestPipelinedPass:
 
 
 class TestSlabMemory:
-    """A sampler holds one slab of normals and its reductions, never two
-    slabs or a whole chunk, besides its result: numpy reports its buffers to
-    tracemalloc."""
+    """A sampler holds one slab of normals, or one whole draw per buffer for
+    a draw wider than half a slab, and its reductions, never a whole chunk,
+    besides its result: numpy reports its buffers to tracemalloc."""
 
     @staticmethod
     def bound(results):
@@ -465,6 +465,30 @@ class TestSlabMemory:
         assert 8 * kept_results <= streams.MAX_PASS_BYTES
         peak = self.traced_peak(lambda: mimo.grid_estimates(curves, mc, None, 16))
         assert peak < self.bound(kept_results)
+
+    def test_a_draw_wider_than_half_a_slab_fills_a_block(self):
+        # 4,000 users of (2, 3, 3) channels: 72,000 normals per draw, alone
+        # and beside the curve's single-user set of 18.
+        mc = McRun(1000, 3)
+        wide = mimo._user_sets(3, 3, 4000, (LinkParams(1.0),))
+        assert 4000 * 18 > SLAB_ELEMENTS // 2
+        for requests in ([wide], [wide, mimo._channels(3, 3)]):
+            sizes, block, head, arrays = streams._layout(mc, requests)
+            assert (sizes[0], block, head) == (72_000, 72_000, 0)
+            assert arrays[:2] == [((4000, 2, 3, 3), (72_000,))] * 2
+
+    def test_a_wide_draw_holds_two_draws_and_one_reduction(self):
+        # One request's reductions run one at a time, so the pass holds its
+        # two buffers, one reduction's own peak on a draw in a buffer, its
+        # result, and 64 KiB for the pass's Python objects.
+        mc = McRun(20, 3)
+        shape, reduce, _ = request = mimo._user_sets(3, 3, 4000, (LinkParams(1.0),))
+        _, block, head, _ = streams._layout(mc, [request])
+        buffer = np.zeros(head + block)
+        reduction = self.traced_peak(lambda: reduce(buffer[head:].reshape(-1, *shape)))
+        bound = 8 * (2 * (head + block) + mc.samples) + reduction + (64 << 10)
+        draw_reduced(mc, *request)  # first-call allocations are not the pass's
+        assert self.traced_peak(lambda: draw_reduced(mc, *request)) < bound
 
     def test_key_change_releases_the_kept_sample_first(self):
         # Holding the first sample while the second is drawn and reduced
