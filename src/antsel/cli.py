@@ -11,12 +11,12 @@ its rows in grid order, with the same bytes as formatting cell by cell
 
 The Monte Carlo work of a run is one ``streams.draw_shared`` call: the
 ``mimo`` grid's K-user tables and single-user sets
-(``mimo.grid_estimates``), or ``verify``'s three oracle selection-gain
-samples and four MIMO channel sets, checked first.  Each sample goes,
-read-only, to its estimators on whichever thread of the pass completed it;
-``verify``'s analytic checks run on the calling thread after it.  Results
-are read in grid or report order, and an error is the pass's earliest, so
-the output, and which error is reported, do not depend on the threads.
+(``mimo.grid_estimates``), or ``verify``'s seven samplers, drawn after its
+run and sample floor are checked and before its analytic checks.  Each
+sample goes, read-only, to its estimators on whichever thread of the pass
+completed it.  Results are read in grid or report order, and an error is
+the pass's earliest, so the output, and which error is reported, do not
+depend on the threads.
 
 Importing this module registers ``gc.freeze`` to run at interpreter exit.
 Finalization would otherwise run full collections over the tens of
@@ -166,9 +166,9 @@ def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
 def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
     """(n, m, cfg, rho_dbs, links), one (n, m) curve at a time in output
     order: n, then m, each curve with the SINRs in order, ``links`` a tuple
-    of ``LinkParams`` that the estimators take whole.  The one place where
-    dB becomes linear: the whole SINR list is converted before the first
-    curve is yielded, so a bad ``--rho-db`` is reported before any work.
+    of ``LinkParams`` that the estimators take whole.  The CLI's one place
+    where dB becomes linear: the whole SINR list is converted before the
+    first curve is yielded, so a bad ``--rho-db`` is reported before any work.
 
     Subcommands without ``--rho-db`` get curves of one point with rho_db
     and link None, and an empty ``--rho-db`` gives curves of no point,
@@ -366,23 +366,20 @@ def cmd_mimo(args: argparse.Namespace) -> int:
 _Check = tuple[str, bool, str]
 
 
-def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
-    """The oracle checks, Monte Carlo vs quadrature and the KS distance of
-    the sample against the exact distribution, and the MIMO check, the
-    Jensen ceiling and agreement with quadrature at n = m = 1.
-
-    The seven samplers, the oracle's (1, 1), (1, 5) and (2, 5) selection
-    gains and the MIMO (1, 2), (2, 2), (3, 4) and (1, 1) channel sets, are
-    drawn in one ``streams.draw_shared`` pass after the sample floor is
-    checked.  Each, sorted if a selection gain, goes read-only to its
-    estimators as soon as it is whole; the (1, 5) sample serves both.
-    """
+def _verify_checks(samples: int, seed: int) -> list[_Check]:
+    """verify's eight checks, in report order.  The run and its sample floor
+    are checked first.  Then one ``streams.draw_shared`` pass draws the seven
+    samplers; each sample, sorted if a selection gain, goes read-only to its
+    estimators on whichever thread completed it, and their estimates fill one
+    list per sampler family.  The analytic checks run after the pass."""
+    mc = McRun(samples, seed)
     if mc.samples < 1_000:
         raise ValueError(f"ergodic estimate needs >= 1000 samples, got {mc.samples}")
     link = LinkParams(10**0.5)
     configs = (SelectionConfig(1, 1), SelectionConfig(1, 5), SelectionConfig(2, 5))
     points = ((1, 2, 1.0), (2, 2, 10**0.5), (3, 4, 1.0), (1, 1, 1.0))
-    estimates: dict[int, CapacityResult] = {}
+    oracle_est: list[CapacityResult | None] = [None] * len(configs)
+    mimo_est: list[CapacityResult | None] = [None] * len(points)
     ks: list[float] = []
 
     def consume(k: int, sample: np.ndarray) -> None:
@@ -390,90 +387,77 @@ def _sampled_checks(mc: McRun) -> tuple[list[_Check], _Check]:
             cfg = configs[k]
             sample.sort()
             sample.flags.writeable = False
-            estimates[k] = empirical_ergodic(cfg, link, mc, sample)
+            oracle_est[k] = empirical_ergodic(cfg, link, mc, sample)
             if k == 1:
                 ks.append(_ks_statistic(sample, lambda x: max_cdf(cfg, x)))
         else:
             n, m, rho = points[k - len(configs)]
             sample.flags.writeable = False
-            estimates[k] = mimo_ergodic(n, m, LinkParams(rho), mc, sample)
+            mimo_est[k - len(configs)] = mimo_ergodic(n, m, LinkParams(rho), mc, sample)
 
     draw_shared(mc, [*map(_gains, configs), *(_channels(n, m) for n, m, _ in points)], consume)
-    ok = True
-    detail = []
-    for k, cfg in enumerate(configs):
-        est = estimates[k]
-        ref = ergodic_capacity(cfg, link).value
-        z = (est.value - ref) / est.error_estimate
-        detail.append(f"(n={cfg.n},m={cfg.m}) z={z:+.2f}")
-        ok &= abs(z) <= 3.0
-    limit = 1.95 / math.sqrt(mc.samples)
-    oracle_checks = [("mc-vs-quadrature", ok, "; ".join(detail)),
-                     ("ks-exact-fit", ks[0] <= limit, f"KS = {ks[0]:.5f}, limit = {limit:.5f}")]
-
-    ok = True
-    for k, (n, m, rho) in enumerate(points[:-1], len(configs)):
-        ceiling = n * math.log2(1 + rho)
-        ok &= estimates[k].value <= ceiling + 3 * estimates[k].error_estimate
-    est = estimates[len(configs) + len(points) - 1]
-    ref = ergodic_capacity(SelectionConfig(1, 1), LinkParams(1.0)).value
-    z = (est.value - ref) / est.error_estimate
-    ok &= abs(z) <= 3.0
-    return oracle_checks, ("mimo-baseline", ok, f"Jensen ceiling respected; point z={z:+.2f}")
-
-
-def _verify_checks(samples: int, seed: int) -> list[_Check]:
-    results: list[_Check] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        results.append((name, ok, detail))
 
     # Quadrature mean vs the exponential-maximum harmonic sum.
-    worst = 0.0
+    mean_gap = 0.0
     for m in (1, 3, 10):
         harmonic = sum(1.0 / k for k in range(1, m + 1))
-        worst = max(worst, abs(mean_selection_gain(SelectionConfig(1, m)) - harmonic))
-    record("mean-harmonic", worst <= 1e-7, f"max |quad - harmonic| = {worst:.2e}")
+        mean_gap = max(mean_gap, abs(mean_selection_gain(SelectionConfig(1, m)) - harmonic))
 
     # Ergodic capacity inside its closed-form sandwich, one curve per (n, m).
-    ok = True
+    in_sandwich = True
     curve = (LinkParams(10**-0.5), LinkParams(10**0.5))
     for n in (1, 2, 3):
         for m in (1, 5, 20):
             cfg = SelectionConfig(n, m)
             for (lower, upper), val in zip(ergodic_bounds(cfg, curve),
                                            ergodic_capacity(cfg, curve)):
-                ok &= lower.value - 1e-6 <= val.value <= upper.value + 1e-6
-    record("capacity-sandwich", ok, "n in {1,2,3}, m in {1,5,20}, rho at -5/+5 dB")
+                in_sandwich &= lower.value - 1e-6 <= val.value <= upper.value + 1e-6
 
     # Outage round trip.
-    worst = 0.0
+    round_trip = 0.0
     for n in (1, 2):
         for m in (1, 4):
             cfg = SelectionConfig(n, m)
             for p0 in (0.01, 0.1, 0.5):
-                link = LinkParams(10**0.5)
                 c0 = outage_capacity(cfg, link, p0, "exact").value
-                worst = max(worst, abs(outage_probability(cfg, link, c0) - p0))
-    record("outage-round-trip", worst <= 1e-9, f"max |P(C(p0)) - p0| = {worst:.2e}")
+                round_trip = max(round_trip, abs(outage_probability(cfg, link, c0) - p0))
 
-    oracle_checks, mimo_check = _sampled_checks(McRun(samples, seed))
-    results += oracle_checks
+    near_quadrature = True
+    detail = []
+    for cfg, est in zip(configs, oracle_est):
+        ref = ergodic_capacity(cfg, link).value
+        z = (est.value - ref) / est.error_estimate
+        detail.append(f"(n={cfg.n},m={cfg.m}) z={z:+.2f}")
+        near_quadrature &= abs(z) <= 3.0
+    limit = 1.95 / math.sqrt(mc.samples)
 
     # Convergence-rate probe for the reference constants (n = 1).
     e100 = convergence_error(SelectionConfig(1, 100), FitStrategy.MRL, 0.0)
     e1000 = convergence_error(SelectionConfig(1, 1000), FitStrategy.MRL, 0.0)
     ratio = e100 / e1000
-    record("gumbel-rate", 5.0 <= ratio <= 20.0, f"error ratio per decade = {ratio:.2f}")
 
-    results.append(mimo_check)
+    mimo_ok = True
+    for (n, _, rho), est in zip(points, mimo_est[:-1]):
+        ceiling = n * math.log2(1 + rho)
+        mimo_ok &= est.value <= ceiling + 3 * est.error_estimate
+    ref = ergodic_capacity(SelectionConfig(1, 1), LinkParams(1.0)).value
+    point_z = (mimo_est[-1].value - ref) / mimo_est[-1].error_estimate
+    mimo_ok &= abs(point_z) <= 3.0
 
     # Variance of the selection gain stays at or above the single-branch value.
-    ok = all(
+    variance_ok = all(
         selection_gain_variance(SelectionConfig(1, m)) > 1.0 for m in (10, 100, 1000)
     )
-    record("variance-floor", ok, "Var > 1 for n=1, m in {10,100,1000}")
-    return results
+    return [
+        ("mean-harmonic", mean_gap <= 1e-7, f"max |quad - harmonic| = {mean_gap:.2e}"),
+        ("capacity-sandwich", in_sandwich, "n in {1,2,3}, m in {1,5,20}, rho at -5/+5 dB"),
+        ("outage-round-trip", round_trip <= 1e-9, f"max |P(C(p0)) - p0| = {round_trip:.2e}"),
+        ("mc-vs-quadrature", near_quadrature, "; ".join(detail)),
+        ("ks-exact-fit", ks[0] <= limit, f"KS = {ks[0]:.5f}, limit = {limit:.5f}"),
+        ("gumbel-rate", 5.0 <= ratio <= 20.0, f"error ratio per decade = {ratio:.2f}"),
+        ("mimo-baseline", mimo_ok, f"Jensen ceiling respected; point z={point_z:+.2f}"),
+        ("variance-floor", variance_ok, "Var > 1 for n=1, m in {10,100,1000}"),
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -21,8 +21,9 @@ single-user channel set once per call, or read the (samples, r) set a
 caller passes them last: an ergodic and an outage call of one curve given
 one set share a single draw.  The greedy-scheduled estimator draws its
 K-user set once per call, reduced slab by slab to a table of every SINR's
-best rate per slot: the rate grows with det - 1, so a slot's best rate is
-one ``log1p`` of its users' largest det - 1.  The reduction works in real
+best rate per slot, or reads the (samples, SINRs) table a caller passes it
+last: the rate grows with det - 1, so a slot's best rate is one ``log1p``
+of its users' largest det - 1.  The reduction works in real
 arithmetic on the real and imaginary parts of H, on the smaller of the
 two Gram matrices (H H† or H^T conj(H), which share their nonzero
 eigenvalues and so their e_k).  Up to r = 3 the e_k are polynomials in
@@ -48,9 +49,9 @@ samplers with one ``McRun`` read prefixes of the same chunk streams, so the
 curves of one run share their normals (they are correlated) and can share
 their draws exactly: the grid's K-user best-rate tables and single-user
 sets are drawn by one ``streams.draw_shared`` call.  Each set is estimated
-as soon as it is whole, on whichever thread of the pass completed it: a
-single-user set, made read-only, is passed to the curve's ``mimo_ergodic``
-and ``mimo_outage`` calls, a table goes to the curve's scheduled means, and
+as soon as it is whole, on whichever thread of the pass completed it: made
+read-only, a single-user set is passed to the curve's ``mimo_ergodic`` and
+``mimo_outage`` calls, a table to its ``mimo_scheduled_ergodic`` call, and
 then it is released.  Channels are drawn a block of normals at a time, so
 memory stays bounded however many curves a pass serves.  The estimators
 are safe to call from several threads.
@@ -243,14 +244,6 @@ def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Req
     return (users, 2, n, m), _BestRates(m, tuple(point.rho for point in links)), (len(links),)
 
 
-def _table_means(
-    link: Links, table: np.ndarray
-) -> CapacityResult | tuple[CapacityResult, ...]:
-    """The scheduled estimates of a curve from its best-rate table."""
-    # One SINR at a time, copied contiguous, as a single SINR's rates would be.
-    return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))
-
-
 def mimo_ergodic(
     n: int, m: int, link: Links, mc: McRun, invariants: np.ndarray | None = None
 ) -> CapacityResult | tuple[CapacityResult, ...]:
@@ -316,20 +309,27 @@ def mimo_outage(
 
 
 def mimo_scheduled_ergodic(
-    n: int, m: int, users: int, link: Links, mc: McRun
+    n: int, m: int, users: int, link: Links, mc: McRun, table: np.ndarray | None = None
 ) -> CapacityResult | tuple[CapacityResult, ...]:
     """Greedy-scheduled MIMO system capacity: mean of the best rate among
     ``users`` independent channels per slot, at one SINR or along a curve
     (a tuple of ``LinkParams`` gives a tuple of results).
 
     The K-user channels are drawn and reduced to each slot's best rate at
-    every SINR once per call.
+    every SINR once per call, or read from ``table``, if given, the
+    best-rate table ``draw_reduced(mc, *_user_sets(n, m, users, links))``
+    draws.
     """
     _check_ergodic(n, m, mc, users)
     links = _points(link)
     if not links:
         return ()
-    return _table_means(link, draw_reduced(mc, *_user_sets(n, m, users, links)))
+    if table is None:
+        table = draw_reduced(mc, *_user_sets(n, m, users, links))
+    else:
+        _check_sample(table, (mc.samples, len(links)))
+    # One SINR at a time, copied contiguous, as a single SINR's rates would be.
+    return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))
 
 
 # A curve of a grid: n, m and its SINRs.
@@ -374,10 +374,10 @@ def grid_estimates(
     def consume(k: int, result: np.ndarray) -> None:
         i = draws[k][0]
         n, m, links = curves[i]
-        if k < tables:
-            estimates[i]["scheduled"] = _table_means(links, result)
-            return
         result.flags.writeable = False
+        if k < tables:
+            estimates[i]["scheduled"] = mimo_scheduled_ergodic(n, m, users, links, mc, result)
+            return
         estimates[i]["ergodic"] = mimo_ergodic(n, m, links, mc, result)
         if p0 is not None:
             estimates[i]["outage"] = mimo_outage(n, m, links, p0, mc, result)

@@ -407,6 +407,23 @@ class TestVerify:
             "error: ergodic estimate needs >= 1000 samples, got 999\n")
         assert draws == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "999"], "ergodic estimate needs >= 1000 samples, got 999"),
+        (["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+    ], ids=["samples", "seed"])
+    def test_the_run_is_checked_before_any_quadrature(self, monkeypatch, capsys, argv, message):
+        calls = []
+
+        def recording(*args, estimator=cli.mean_selection_gain):
+            calls.append(args)
+            return estimator(*args)
+
+        monkeypatch.setattr(cli, "mean_selection_gain", recording)
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert calls == []
+
     def test_samples_are_handed_over_read_only(self, monkeypatch, tmp_path):
         # The selection-gain samples sorted, the channel sets as drawn.
         given = []

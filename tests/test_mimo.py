@@ -169,6 +169,8 @@ class TestValidation:
             mimo_ergodic(2, 3, link, mc, bad)
         with pytest.raises(ValueError, match=message):
             mimo_outage(3, 2, (link, link), 0.1, mc, bad)
+        with pytest.raises(ValueError, match=message):
+            mimo_scheduled_ergodic(2, 3, 4, (link, link), mc, bad)
         assert calls == []
 
     def test_empty_curve_draws_nothing(self, monkeypatch):
@@ -633,9 +635,9 @@ class TestReuse:
 
     def test_curve_calls_each_estimator_once(self, monkeypatch, tmp_path):
         # Two curves in one pass, estimated on its threads; list.append is
-        # atomic, so the recorders lose no call.
-        # The scheduled estimates come from the pass's tables, not from
-        # mimo_scheduled_ergodic calls.
+        # atomic, so the recorders lose no call.  Each curve's scheduled
+        # estimates come from one mimo_scheduled_ergodic call given the
+        # pass's table.
         draws = record_draws(monkeypatch)
         calls = []
         for name in ("mimo_ergodic", "mimo_outage", "mimo_scheduled_ergodic"):
@@ -652,7 +654,8 @@ class TestReuse:
                 "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
         assert sorted(calls) == [("mimo_ergodic", 1), ("mimo_ergodic", 2),
-                                 ("mimo_outage", 1), ("mimo_outage", 2)]
+                                 ("mimo_outage", 1), ("mimo_outage", 2),
+                                 ("mimo_scheduled_ergodic", 1), ("mimo_scheduled_ergodic", 2)]
         # Every set comes from one pass, laid out as the widest.
         assert draws == [2 * 2 * 3 * 2]
 

@@ -17,7 +17,7 @@ from antsel.mimo import (
     mimo_ergodic,
     mimo_scheduled_ergodic,
 )
-from antsel.oracle import _draws, empirical_ergodic, sample_selection_gain
+from antsel.oracle import _draws, _gains, empirical_ergodic, sample_selection_gain
 from antsel import streams
 from antsel.streams import (
     CHUNK_ELEMENTS,
@@ -479,16 +479,22 @@ class TestSlabMemory:
 
     def test_a_wide_draw_holds_two_draws_and_one_reduction(self):
         # One request's reductions run one at a time, so the pass holds its
-        # two buffers, one reduction's own peak on a draw in a buffer, its
-        # result, and 64 KiB for the pass's Python objects.
-        mc = McRun(20, 3)
-        shape, reduce, _ = request = mimo._user_sets(3, 3, 4000, (LinkParams(1.0),))
-        _, block, head, _ = streams._layout(mc, [request])
-        buffer = np.zeros(head + block)
-        reduction = self.traced_peak(lambda: reduce(buffer[head:].reshape(-1, *shape)))
-        bound = 8 * (2 * (head + block) + mc.samples) + reduction + (64 << 10)
-        draw_reduced(mc, *request)  # first-call allocations are not the pass's
-        assert self.traced_peak(lambda: draw_reduced(mc, *request)) < bound
+        # two buffers, one reduction's own peak on the draws of a buffer, its
+        # result, and 64 KiB for the pass's Python objects.  The same holds
+        # for narrow draws over two chunks: 384 normals summed, and the
+        # oracle's 20.
+        for mc, request in [
+            (McRun(20, 3), mimo._user_sets(3, 3, 4000, (LinkParams(1.0),))),
+            (McRun(20_000, 4), ((384,), lambda z: z.sum(axis=1), ())),
+            (McRun(400_000, 3), _gains(SelectionConfig(2, 5))),
+        ]:
+            shape, reduce, row = request
+            _, block, head, _ = streams._layout(mc, [request])
+            buffer = np.zeros(head + block)
+            reduction = self.traced_peak(lambda: reduce(buffer[head:].reshape(-1, *shape)))
+            bound = 8 * (2 * (head + block) + mc.samples * math.prod(row)) + reduction + (64 << 10)
+            draw_reduced(mc, *request)  # first-call allocations are not the pass's
+            assert self.traced_peak(lambda: draw_reduced(mc, *request)) < bound, shape
 
     def test_key_change_releases_the_kept_sample_first(self):
         # Holding the first sample while the second is drawn and reduced
