@@ -169,11 +169,17 @@ def _shaped(link: Links, results: tuple[_T, ...]) -> _T | tuple[_T, ...]:
     return results[0] if isinstance(link, LinkParams) else results
 
 
+def _rate(rho: float, gain: float) -> float:
+    """log2(1 + rho gain), also where the product overflows a float."""
+    y = rho * gain
+    if math.isinf(y):
+        return (math.log(rho) + math.log(gain + 1.0 / rho)) / _LN2
+    return math.log1p(y) / _LN2
+
+
 def _rates(link: Links, gain: float) -> tuple[CapacityResult, ...]:
     """log2(1 + rho gain) at each SINR of a curve, one selection gain for all."""
-    return tuple(
-        CapacityResult(math.log1p(point.rho * gain) / _LN2) for point in _points(link)
-    )
+    return tuple(CapacityResult(_rate(point.rho, gain)) for point in _points(link))
 
 
 def _log2_1p_inplace(y: np.ndarray) -> np.ndarray:
@@ -254,30 +260,34 @@ def _expect(
     never exactly zero.  Each row is summed, and dotted with the coarse
     weights, on its own, so a scale's results do not depend on the others.
     Above ``QUAD_ABS_TOL`` a ``SolverError`` names the first failing scale.
+    A scale whose terms overflow gets an inf or nan estimate or error and
+    fails the same way, so numpy's overflow warnings are silenced: the
+    ``SolverError`` is the one report.
     """
     rule = _density_rule(cfg)
     column = np.asarray(scales, dtype=float)[:, None]
     rows = max(1, QUAD_BLOCK_ELEMENTS // rule.x.size)
     values: list[float] = []
     errors: list[float] = []
-    for start in range(0, len(column), rows):
-        block = column[start:start + rows]
-        terms = fn(block * rule.x)
-        terms *= rule.w
-        value = terms.sum(axis=1)
-        floor = np.finfo(float).eps * np.abs(terms, out=terms).sum(axis=1)
-        del terms
-        coarse = np.array([rule.coarse_w @ row for row in fn(block * rule.coarse_x)])
-        error = np.maximum(np.abs(coarse - value), floor)
-        values += value.tolist()
-        errors += error.tolist()
-        failed = np.flatnonzero(~(error <= QUAD_ABS_TOL))
-        if failed.size:
-            first = failed[0]
-            raise SolverError(
-                f"quadrature did not converge for n={cfg.n}, m={cfg.m} "
-                f"(estimate {values[start + first]!r}, error {errors[start + first]!r})"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(column), rows):
+            block = column[start:start + rows]
+            terms = fn(block * rule.x)
+            terms *= rule.w
+            value = terms.sum(axis=1)
+            floor = np.finfo(float).eps * np.abs(terms, out=terms).sum(axis=1)
+            del terms
+            coarse = np.array([rule.coarse_w @ row for row in fn(block * rule.coarse_x)])
+            error = np.maximum(np.abs(coarse - value), floor)
+            values += value.tolist()
+            errors += error.tolist()
+            failed = np.flatnonzero(~(error <= QUAD_ABS_TOL))
+            if failed.size:
+                first = failed[0]
+                raise SolverError(
+                    f"quadrature did not converge for n={cfg.n}, m={cfg.m} "
+                    f"(estimate {values[start + first]!r}, error {errors[start + first]!r})"
+                )
     return values, errors
 
 

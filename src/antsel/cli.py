@@ -1,13 +1,15 @@
 """Command-line front end: grid evaluation and CSV emission.
 
-Every data subcommand writes one CSV with a fixed, documented column
-schema, preceded by ``#`` comment lines recording the exact parameters, so
-outputs are byte-stable for identical invocations.  SINR is accepted in dB
-and converted to linear exactly once, in ``_grid``, which hands out the
-grid one (n, m) curve at a time.  A subcommand computes each curve as one
-block of columns; ``_emit`` formats a block a column at a time and writes
-its rows in grid order, with the same bytes as formatting cell by cell
-(``"%.10g" % x`` prints what ``f"{x:.10g}"`` prints).
+Every data subcommand writes one CSV with a fixed column schema
+(``SCHEMAS``), preceded by ``#`` comment lines recording the exact
+parameters, so outputs are byte-stable for identical invocations; the
+estimators its ``--mode`` may pick are listed in ``MODES``.  SINR is
+accepted in dB and converted to linear exactly once, in ``_grid``, which
+hands out the grid one (n, m) curve at a time with the curve's key columns.
+A subcommand fills in each curve's other columns; ``_emit`` formats the
+block a column at a time and writes its rows in grid order, with the same
+bytes as formatting cell by cell (``"%.10g" % x`` prints what
+``f"{x:.10g}"`` prints).
 
 The Monte Carlo work of a run is one ``streams.draw_shared`` call: the
 ``mimo`` grid's K-user tables and single-user sets
@@ -29,7 +31,8 @@ antsel`` alone registers nothing, and in-process callers of ``main`` are
 unaffected until their interpreter exits.
 
 Exit codes: 0 success, 2 invalid arguments or parameter combinations
-(a bad ``--rho-db`` exits 2 before any curve is computed) or a run that
+(the parser rejects a mode the subcommand does not have, and a bad
+``--rho-db`` exits 2 before any curve is computed) or a run that
 does not fit in memory (the message names the draw when a Monte Carlo
 draw runs out), 3 numerical diagnostic (solver or verification failure).
 """
@@ -91,6 +94,18 @@ SCHEMAS: dict[str, list[str]] = {
     "verify": ["check", "status", "detail"],
 }
 
+# The estimators each subcommand's --mode may pick, in --help order; a
+# subcommand missing here has no --mode.  No --mode fills every value
+# column; a mode fills only its estimator's columns, keeping the schema.
+MODES: dict[str, tuple[str, ...]] = {
+    "dist": ("exact", "approx"),
+    "outage": ("exact", "approx"),
+    "ergodic": ("exact", "bounds", "approx"),
+    "scheduling": ("exact", "approx"),
+    "table1": ("exact", "approx"),
+    "mimo": ("mc",),
+}
+
 # Cells printed with fixed decimals instead of 10 significant digits.
 _FORMATS = {"table1": {"exact_gain": ".4f", "approx_gain": ".2f"}}
 
@@ -147,40 +162,29 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _mode_set(args: argparse.Namespace, allowed: tuple[str, ...]) -> set[str]:
-    """Estimator selection for subcommands with alternatives.
-
-    No --mode fills every value column; an explicit mode fills only that
-    estimator's columns, keeping the schema fixed.
-    """
-    mode = getattr(args, "mode", None)
-    if mode is None:
-        return set(allowed)
-    if mode not in allowed:
-        raise ValueError(
-            f"mode {mode!r} is not available here (choose from {', '.join(allowed)})"
-        )
-    return {mode}
-
-
 def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
-    """(n, m, cfg, rho_dbs, links), one (n, m) curve at a time in output
-    order: n, then m, each curve with the SINRs in order, ``links`` a tuple
-    of ``LinkParams`` that the estimators take whole.  The CLI's one place
-    where dB becomes linear: the whole SINR list is converted before the
-    first curve is yielded, so a bad ``--rho-db`` is reported before any work.
+    """(block, cfg, links), one (n, m) curve at a time in output order: n,
+    then m, each curve with the SINRs in order.  ``block`` starts the
+    curve's block with its key columns: n, m and every option whose name is
+    a column of the subcommand's schema (the ``--rho-db`` list among them).
+    ``links`` is a tuple of ``LinkParams`` that the estimators take whole.
+    The CLI's one place where dB becomes linear: the whole SINR list is
+    converted before the first curve is yielded, so a bad ``--rho-db`` is
+    reported before any work.
 
-    Subcommands without ``--rho-db`` get curves of one point with rho_db
-    and link None, and an empty ``--rho-db`` gives curves of no point,
-    which the estimators still validate their options on.
-    ``configs=False`` yields cfg None, for estimators that validate (n, m)
-    themselves.
+    Subcommands without ``--rho-db`` get curves of one point with link
+    None, and an empty ``--rho-db`` gives curves of no point, which the
+    estimators still validate their options on.  ``configs=False`` yields
+    cfg None, for estimators that validate (n, m) themselves.
     """
     dbs = getattr(args, "rho_db", [None])
     links = tuple(None if db is None else LinkParams(db_to_linear(db)) for db in dbs)
+    columns = SCHEMAS[args.command]
     for n in args.n:
         for m in args.m:
-            yield n, m, SelectionConfig(n, m) if configs else None, dbs, links
+            keys = {**vars(args), "n": n, "m": m}
+            yield ({name: keys[name] for name in columns if name in keys},
+                   SelectionConfig(n, m) if configs else None, links)
 
 
 def _column(value: object, spec: str, rows: int) -> list[str]:
@@ -238,15 +242,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.points > MAX_GRID_VALUES:
         raise ValueError(f"--points must be at most {MAX_GRID_VALUES}, got {args.points}")
     strategy = _STRATEGIES[args.strategy]
-    enabled = _mode_set(args, ("exact", "approx"))
     blocks = []
-    for n, m, cfg, _, _ in _grid(args):
+    for block, cfg, _ in _grid(args):
         xs = _dist_grid(cfg, args.points)
-        block = {"n": n, "m": m, "strategy": args.strategy, "x": xs}
-        if "approx" in enabled and m >= 2:
+        block["x"] = xs
+        if args.mode in (None, "approx") and cfg.m >= 2:
             fit = normalizing_constants(cfg, strategy)
             block["approx_cdf"] = fit.cdf(np.array(xs)).tolist()
-        if "exact" in enabled:
+        if args.mode in (None, "exact"):
             block["exact_cdf"] = max_cdf(cfg, np.array(xs)).tolist()
         blocks.append(block)
     _emit(args, blocks)
@@ -256,27 +259,25 @@ def cmd_dist(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     # One row per (n, m), so the whole grid is one block.
     strategy = _STRATEGIES[args.strategy]
-    points = [(n, m, normalizing_constants(cfg, strategy))
-              for n, m, cfg, _, _ in _grid(args)]
-    moments = [approx_moments(fit) for _, _, fit in points]
-    _emit(args, [{"n": [n for n, _, _ in points], "m": [m for _, m, _ in points],
+    cfgs = [cfg for _, cfg, _ in _grid(args)]
+    fits = [normalizing_constants(cfg, strategy) for cfg in cfgs]
+    moments = [approx_moments(fit) for fit in fits]
+    _emit(args, [{"n": [cfg.n for cfg in cfgs], "m": [cfg.m for cfg in cfgs],
                   "strategy": args.strategy,
-                  "location": [fit.location for *_, fit in points],
-                  "scale": [fit.scale for *_, fit in points],
+                  "location": [fit.location for fit in fits],
+                  "scale": [fit.scale for fit in fits],
                   "mean": [mean for mean, _ in moments],
                   "variance": [var for _, var in moments]}])
     return 0
 
 
 def cmd_outage(args: argparse.Namespace) -> int:
-    enabled = _mode_set(args, ("exact", "approx"))
     blocks = []
-    for n, m, cfg, dbs, links in _grid(args):
-        block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0}
-        if "exact" in enabled:
+    for block, cfg, links in _grid(args):
+        if args.mode in (None, "exact"):
             exact = outage_capacity(cfg, links, args.p0, "exact")
             block["exact"] = [e.value for e in exact]
-        if "approx" in enabled and m >= 2:
+        if args.mode in (None, "approx") and cfg.m >= 2:
             approx = outage_capacity(cfg, links, args.p0, "gumbel")
             block.update(approx=[a.value for a in approx],
                          approx_clamped=[int(a.degenerate) for a in approx])
@@ -286,19 +287,17 @@ def cmd_outage(args: argparse.Namespace) -> int:
 
 
 def cmd_ergodic(args: argparse.Namespace) -> int:
-    enabled = _mode_set(args, ("exact", "bounds", "approx"))
     blocks = []
-    for n, m, cfg, dbs, links in _grid(args):
-        block = {"n": n, "m": m, "rho_db": dbs}
-        if "exact" in enabled:
+    for block, cfg, links in _grid(args):
+        if args.mode in (None, "exact"):
             exact = ergodic_capacity(cfg, links)
             block.update(exact=[e.value for e in exact],
                          quad_error=[e.error_estimate for e in exact])
-        if "bounds" in enabled:
+        if args.mode in (None, "bounds"):
             bounds = ergodic_bounds(cfg, links)
             block.update(lower=[lower.value for lower, _ in bounds],
                          upper=[upper.value for _, upper in bounds])
-        if "approx" in enabled:
+        if args.mode in (None, "approx"):
             block["approx"] = [a.value for a in ergodic_approx(cfg, links)]
         blocks.append(block)
     _emit(args, blocks)
@@ -306,20 +305,18 @@ def cmd_ergodic(args: argparse.Namespace) -> int:
 
 
 def cmd_scheduling(args: argparse.Namespace) -> int:
-    enabled = _mode_set(args, ("exact", "approx"))
     blocks = []
-    for n, m, cfg, dbs, links in _grid(args):
+    for block, cfg, links in _grid(args):
         scen = SchedulingScenario(cfg, args.users, links)
-        block = {"n": n, "m": m, "users": args.users, "rho_db": dbs}
-        if "exact" in enabled:
+        if args.mode in (None, "exact"):
             reps = gain_report(scen)
             block.update(greedy=[r.greedy.value for r in reps],
                          round_robin=[r.round_robin.value for r in reps],
                          gain_exact=[r.exact_gain for r in reps],
                          fractional=[r.fractional for r in reps])
-            if "approx" in enabled:
+            if args.mode in (None, "approx"):
                 block["gain_approx"] = [r.approx_gain for r in reps]
-        elif "approx" in enabled:
+        elif args.mode in (None, "approx"):
             block["gain_approx"] = list(scheduling_gain(scen, "approx"))
         blocks.append(block)
     _emit(args, blocks)
@@ -327,16 +324,14 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    enabled = _mode_set(args, ("exact", "approx"))
     if len(args.n) != 1:
         raise ValueError(f"table1 takes a single n, got {args.n}")
     blocks = []
-    for _, m, cfg, dbs, links in _grid(args):
+    for block, cfg, links in _grid(args):
         scen = SchedulingScenario(cfg, args.users, links)
-        block = {"m": m, "rho_db": dbs}
-        if "exact" in enabled:
+        if args.mode in (None, "exact"):
             block["exact_gain"] = list(scheduling_gain(scen, "exact"))
-        if "approx" in enabled and m >= 2:
+        if args.mode in (None, "approx") and cfg.m >= 2:
             block["approx_gain"] = list(scheduling_gain(scen, "approx"))
         blocks.append(block)
     _emit(args, blocks)
@@ -344,20 +339,15 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_mimo(args: argparse.Namespace) -> int:
-    _mode_set(args, ("mc",))
     mc = McRun(args.samples, args.seed)
     curves = list(_grid(args, configs=False))
-    estimates = grid_estimates([(n, m, links) for n, m, _, _, links in curves], mc,
-                               args.p0, args.users)
-    blocks = []
-    for (n, m, _, dbs, _), curve in zip(curves, estimates):
-        block = {"n": n, "m": m, "rho_db": dbs, "p0": args.p0, "users": args.users,
-                 "samples": args.samples, "seed": args.seed}
+    estimates = grid_estimates([(block["n"], block["m"], links) for block, _, links in curves],
+                               mc, args.p0, args.users)
+    for (block, _, _), curve in zip(curves, estimates):
         for name, results in curve.items():
             block[name] = [r.value for r in results]
             block[f"{name}_stderr"] = [r.error_estimate for r in results]
-        blocks.append(block)
-    _emit(args, blocks)
+    _emit(args, [block for block, _, _ in curves])
     return 0
 
 
@@ -480,22 +470,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, *, users: bool = False, mode: bool = True
+    parser: argparse.ArgumentParser, command: str, *, users: bool = False,
+    rho_db: list[float] | None = None,
 ) -> None:
+    """The grid options, declared in the order the ``# antsel`` line lists
+    them; ``--mode`` offers ``MODES[command]``, and ``rho_db`` is the
+    default of a ``--rho-db`` grid."""
     parser.add_argument("--n", type=parse_int_grid, default=[1],
                         help="receive antennas; int, comma list, or a..b")
     parser.add_argument("--m", type=parse_int_grid, default=[1],
                         help="transmit antennas; int, comma list, or a..b")
     if users:
         parser.add_argument("--users", type=int, default=32, help="number of users K")
-    if mode:
-        parser.add_argument(
-            "--mode",
-            choices=["exact", "approx", "bounds", "mc"],
-            default=None,
-            help="restrict output to one estimator (default: all available)",
-        )
+    if command in MODES:
+        parser.add_argument("--mode", choices=MODES[command], default=None,
+                            help="restrict output to one estimator (default: all)")
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    if rho_db is not None:
+        parser.add_argument("--rho-db", type=parse_float_grid, default=rho_db,
+                            help="SINR grid in dB; value, comma list, or start:step:stop")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,42 +500,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="exact vs Gumbel-approximate selection-gain cdf")
-    _add_common(p)
+    _add_common(p, "dist")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="lemma")
     p.add_argument("--points", type=int, default=400, help="grid points per curve")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("fit", help="Gumbel normalizing constants and moments")
-    _add_common(p, mode=False)
+    _add_common(p, "fit")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="lemma")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("outage", help="outage capacity, exact and approximate")
-    _add_common(p)
-    p.add_argument("--rho-db", type=parse_float_grid, default=[5.0],
-                   help="SINR grid in dB; value, comma list, or start:step:stop")
+    _add_common(p, "outage", rho_db=[5.0])
     p.add_argument("--p0", type=float, default=0.1, help="outage probability")
     p.set_defaults(func=cmd_outage)
 
     p = sub.add_parser("ergodic", help="ergodic capacity with bounds and approximation")
-    _add_common(p)
-    p.add_argument("--rho-db", type=parse_float_grid, default=[5.0])
+    _add_common(p, "ergodic", rho_db=[5.0])
     p.set_defaults(func=cmd_ergodic)
 
     p = sub.add_parser("scheduling", help="greedy vs round-robin scheduling capacities")
-    _add_common(p, users=True)
-    p.add_argument("--rho-db", type=parse_float_grid, default=[5.0])
+    _add_common(p, "scheduling", users=True, rho_db=[5.0])
     p.set_defaults(func=cmd_scheduling)
 
     p = sub.add_parser("table1", help="scheduling-gain table over (m, SINR)")
-    _add_common(p, users=True)
-    p.set_defaults(m=list(range(1, 21)))
-    p.add_argument("--rho-db", type=parse_float_grid, default=[-5.0, 0.0, 5.0, 10.0])
-    p.set_defaults(func=cmd_table1)
+    _add_common(p, "table1", users=True, rho_db=[-5.0, 0.0, 5.0, 10.0])
+    p.set_defaults(m=list(range(1, 21)), func=cmd_table1)
 
     p = sub.add_parser("mimo", help="open-loop MIMO Monte Carlo baseline")
-    _add_common(p)
-    p.add_argument("--rho-db", type=parse_float_grid, default=[5.0])
+    _add_common(p, "mimo", rho_db=[5.0])
     p.add_argument("--p0", type=float, default=None,
                    help="also estimate the p0 outage capacity")
     p.add_argument("--users", type=int, default=None,

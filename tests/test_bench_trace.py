@@ -30,6 +30,9 @@ commands = [
     ["mimo", "--n", "1,2", "--m", "2,3", "--rho-db=0,10", "--p0", "0.1",
      "--users", "3", "--samples", "10000"],
     ["verify", "--samples", "20000"],
+    ["dist", "--n", "1,2", "--m", "2,5", "--points", "20"],
+    ["outage", "--n", "1,2", "--m", "1..4", "--rho-db=0,10"],
+    ["fit", "--n", "1,2", "--m", "3..6"],
 ]
 codes, calls = [], []
 for i, argv in enumerate(commands):
@@ -46,7 +49,7 @@ def test_traced_commands_count_draws(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 8
     assert result["counts"]["streams.chunks"] > 0
     assert result["counts"]["mimo.normals"] > 0
     # ergodic: 6 curves, one call each; scheduling: 2 curves, greedy and
@@ -54,3 +57,12 @@ def test_traced_commands_count_draws(tmp_path):
     before, after = result["calls"][0], result["calls"][2]
     assert after["capacity.ergodic"] - before["capacity.ergodic"] == 6 + 2 * 2
     assert after["scheduling"] - result["calls"][1]["scheduling"] == 2
+    # The curves workload's own commands, each counted from the call before:
+    # dist fits and evaluates one Gumbel per curve with m >= 2 (4 curves);
+    # outage makes 8 exact curve calls and 6 Gumbel ones (m >= 2); fit
+    # builds one fit per (n, m).
+    verify, dist, outage, fit = result["calls"][4:]
+    assert dist["gumbel.fit"] - verify["gumbel.fit"] == 4
+    assert dist["gumbel.cdf"] - verify["gumbel.cdf"] == 4
+    assert outage["capacity.closed_form"] - dist["capacity.closed_form"] == 8 + 6
+    assert fit["gumbel.fit"] - outage["gumbel.fit"] == 8

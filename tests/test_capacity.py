@@ -389,6 +389,44 @@ class TestErgodicApprox:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+class TestNearLimitRates:
+    """log2(1 + rho gain) up to the largest SINR ``db_to_linear`` accepts,
+    where rho gain overflows a float, against 50-digit mpmath at the gain
+    the library solves for."""
+
+    DBS = (3075.0, 3078.0, 3080.0, 3081.0, 3082.0, 3082.5)
+
+    @staticmethod
+    def curves(cfg, links):
+        """(rates along the curve, the gain they are taken at) per estimator."""
+        fit = normalizing_constants(cfg, FitStrategy.MRL)
+        bounds = ergodic_bounds(cfg, links)
+        q_lower = orderstats.characteristic_largest(cfg)
+        return [
+            (outage_capacity(cfg, links, 0.5, "exact"),
+             tail_quantile(cfg.n, -math.expm1(math.log(0.5) / cfg.m))),
+            (outage_capacity(cfg, links, 0.5, "gumbel"),
+             fit.location - fit.scale * math.log(-math.log(0.5))),
+            ([lower for lower, _ in bounds], q_lower),
+            ([upper for _, upper in bounds],
+             tail_quantile(cfg.n, 1.0 / (math.exp(EULER_GAMMA) * (cfg.m + 1)))),
+            (ergodic_approx(cfg, links), q_lower + EULER_GAMMA),
+        ]
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (4, 8), (16, 40)])
+    def test_rates_match_mpmath(self, n, m):
+        import mpmath
+
+        links = tuple(LinkParams(capacity.db_to_linear(db)) for db in self.DBS)
+        assert math.isinf(links[-1].rho * 2.0)
+        for results, gain in self.curves(SelectionConfig(n, m), links):
+            assert gain > 0.0
+            for link, result in zip(links, results):
+                with mpmath.workdps(50):
+                    want = mpmath.log(1 + mpmath.mpf(link.rho) * mpmath.mpf(gain), 2)
+                assert abs(result.value - want) <= 1e-14 * want
+
+
 class TestSelectionGainMoments:
     def test_single_branch_mean(self):
         assert mean_selection_gain(SelectionConfig(1, 1)) == pytest.approx(

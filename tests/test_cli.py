@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -141,7 +142,9 @@ class TestErgodic:
         assert float(row[5]) < float(row[6])
 
     def test_unavailable_mode_exits_two(self, capsys):
-        assert main(["ergodic", "--n", "1", "--m", "2", "--mode", "mc"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["ergodic", "--n", "1", "--m", "2", "--mode", "mc"])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_high_snr_single_branch(self, tmp_path):
@@ -707,6 +710,72 @@ class TestArgHandling:
         out = capsys.readouterr().out
         assert out.startswith("# antsel fit")
         assert "location" in out.splitlines()[1]
+
+
+# Each subcommand's estimators, in --help order; fit and verify have no --mode.
+OWN_MODES = {
+    "dist": ("exact", "approx"),
+    "fit": (),
+    "outage": ("exact", "approx"),
+    "ergodic": ("exact", "bounds", "approx"),
+    "scheduling": ("exact", "approx"),
+    "table1": ("exact", "approx"),
+    "mimo": ("mc",),
+    "verify": (),
+}
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", ["exact", "approx", "bounds", "mc"])
+    @pytest.mark.parametrize("command", sorted(OWN_MODES))
+    def test_only_its_own_modes_parse(self, command, mode, capsys):
+        if mode in OWN_MODES[command]:
+            assert cli.build_parser().parse_args([command, "--mode", mode]).mode == mode
+            return
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mode", mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mode" in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", sorted(OWN_MODES))
+    def test_help_lists_its_own_modes(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--mode \{([^}]*)\}", capsys.readouterr().out))
+        assert listed == ({",".join(OWN_MODES[command])} if OWN_MODES[command] else set())
+
+
+class TestNearLimitSinr:
+    @pytest.mark.parametrize("argv,cfg", [
+        (["ergodic", "--n", "4", "--m", "8", "--rho-db", "3075"], "n=4, m=8"),
+        (["ergodic", "--rho-db", "3082"], "n=1, m=1"),
+        (["table1", "--rho-db", "3082"], "n=1, m=32"),
+    ])
+    def test_overflowing_quadrature_exits_three(self, argv, cfg, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: quadrature did not converge for {cfg} "
+                                "(estimate inf, error nan)\n")
+
+    def test_the_error_is_all_of_stderr(self):
+        # Outside pytest's warning filters: numpy's overflow warnings would
+        # print here, before the error line.
+        proc = run_python("-m", "antsel.cli", "ergodic", "--n", "4", "--m", "8",
+                          "--rho-db", "3075", check=False)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: quadrature did not converge for n=4, m=8 "
+                               "(estimate inf, error nan)\n")
+
+    def test_rates_stay_finite(self, capsys):
+        for argv in (["outage", "--n", "2", "--m", "3", "--rho-db=3075,3082,3082.5"],
+                     ["ergodic", "--rho-db", "3082", "--mode", "bounds"],
+                     ["scheduling", "--rho-db", "3082", "--mode", "approx"]):
+            assert main(argv) == 0
+            assert "inf" not in capsys.readouterr().out
 
 
 def rowwise_csv(command, rows):

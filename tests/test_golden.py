@@ -59,6 +59,8 @@ CASES: dict[str, str] = {
     "fit_large_n": "fit --n 700,708,710,800,3000 --m 2,32",
     "outage_large_n": "outage --n 709,800 --m 2 --rho-db 5",
     "dist_large_n": "dist --n 800 --m 2 --points 5",
+    # SINRs near the largest float, where rho times the gain overflows.
+    "outage_near_limit": "outage --n 1,2 --m 3 --rho-db=3075,3082,3082.5",
     # Every --mode.
     **{f"dist_mode_{mode}": f"dist --n 2 --m 5 --points 10 --mode {mode}"
        for mode in ("exact", "approx")},
@@ -92,6 +94,8 @@ CASES: dict[str, str] = {
     # Quadrature that does not converge: the first failing SINR is named.
     "err_ergodic_quad": "ergodic --n 5000 --m 1 --rho-db=-10,5,20",
     "err_scheduling_quad": "scheduling --n 5000 --m 1 --rho-db=-10,5",
+    # An integrand that overflows fails the quadrature, with no numpy warning.
+    "err_ergodic_near_limit": "ergodic --n 4 --m 8 --rho-db 3075",
 }
 
 # Quadrature columns by command; table1 prints exact_gain with 4 decimals.

@@ -689,8 +689,9 @@ class TestSharedGrid:
         args = cli.build_parser().parse_args([*argv, "--out", str(path)])
         mc = McRun(args.samples, args.seed)
         blocks = []
-        for n, m, _, dbs, links in cli._grid(args, configs=False):
-            block = {"n": n, "m": m, "rho_db": dbs, "p0": None, "users": args.users,
+        for curve, _, links in cli._grid(args, configs=False):
+            n, m = curve["n"], curve["m"]
+            block = {"n": n, "m": m, "rho_db": args.rho_db, "p0": None, "users": args.users,
                      "samples": args.samples, "seed": args.seed}
             for name, results in (
                 ("ergodic", mimo_ergodic(n, m, links, mc)),

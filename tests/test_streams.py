@@ -460,7 +460,8 @@ class TestSlabMemory:
             ["mimo", "--n", "2", "--m", "6,5,4", "--rho-db", "5", "--users", "16",
              "--samples", "20000", "--seed", "3"])
         mc = McRun(args.samples, args.seed)
-        curves = [(n, m, links) for n, m, _, _, links in cli._grid(args, configs=False)]
+        curves = [(block["n"], block["m"], links)
+                  for block, _, links in cli._grid(args, configs=False)]
         kept_results = mc.samples * (len(curves) + 2 * len(curves))
         assert 8 * kept_results <= streams.MAX_PASS_BYTES
         peak = self.traced_peak(lambda: mimo.grid_estimates(curves, mc, None, 16))
