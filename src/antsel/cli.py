@@ -162,7 +162,7 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
+def _grid(args: argparse.Namespace) -> Iterator[tuple]:
     """(block, cfg, links), one (n, m) curve at a time in output order: n,
     then m, each curve with the SINRs in order.  ``block`` starts the
     curve's block with its key columns: n, m and every option whose name is
@@ -174,8 +174,8 @@ def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
 
     Subcommands without ``--rho-db`` get curves of one point with link
     None, and an empty ``--rho-db`` gives curves of no point, which the
-    estimators still validate their options on.  ``configs=False`` yields
-    cfg None, for estimators that validate (n, m) themselves.
+    estimators still validate their options on.  ``cfg`` is the curve's
+    ``SelectionConfig``, which checks (n, m) for every subcommand.
     """
     dbs = getattr(args, "rho_db", [None])
     links = tuple(None if db is None else LinkParams(db_to_linear(db)) for db in dbs)
@@ -184,7 +184,7 @@ def _grid(args: argparse.Namespace, configs: bool = True) -> Iterator[tuple]:
         for m in args.m:
             keys = {**vars(args), "n": n, "m": m}
             yield ({name: keys[name] for name in columns if name in keys},
-                   SelectionConfig(n, m) if configs else None, links)
+                   SelectionConfig(n, m), links)
 
 
 def _column(value: object, spec: str, rows: int) -> list[str]:
@@ -340,8 +340,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_mimo(args: argparse.Namespace) -> int:
     mc = McRun(args.samples, args.seed)
-    curves = list(_grid(args, configs=False))
-    estimates = grid_estimates([(block["n"], block["m"], links) for block, _, links in curves],
+    curves = list(_grid(args))
+    estimates = grid_estimates([(cfg.n, cfg.m, links) for _, cfg, links in curves],
                                mc, args.p0, args.users)
     for (block, _, _), curve in zip(curves, estimates):
         for name, results in curve.items():

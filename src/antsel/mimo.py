@@ -8,9 +8,9 @@ i.i.d. unit-variance complex Gaussian entries is
 
 with t = rho/m, r = min(n, m) and e_k the sum of the k x k principal
 minors of the Gram matrix H H† (the k-th elementary symmetric polynomial
-of its eigenvalues).  Ergodic capacity, outage capacity, and the
-greedy-scheduled multiuser variant are estimated by seeded,
-chunk-deterministic simulation.  Receive arrays up to n = 8 are supported.
+of its eigenvalues).  Ergodic, outage and greedy-scheduled multiuser
+capacity are estimated by seeded, chunk-deterministic simulation, for any
+(n, m) that ``SelectionConfig`` accepts with n <= 8.
 
 Each estimator takes one ``LinkParams`` or a whole SINR curve (a tuple of
 them gives a tuple of results), validates its arguments once per call and
@@ -76,6 +76,7 @@ from .capacity import (
     _sample_mean,
     _shaped,
 )
+from .orderstats import SelectionConfig
 from .streams import (
     McRun,
     Request,
@@ -95,10 +96,9 @@ _BOOTSTRAP_TAG = 1
 
 
 def _validate(n: int, m: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_RX_ANTENNAS:
+    SelectionConfig(n, m)
+    if n > MAX_RX_ANTENNAS:
         raise ValueError(f"n must be an integer in 1..{MAX_RX_ANTENNAS}, got {n!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -244,6 +244,14 @@ def _user_sets(n: int, m: int, users: int, links: tuple[LinkParams, ...]) -> Req
     return (users, 2, n, m), _BestRates(m, tuple(point.rho for point in links)), (len(links),)
 
 
+def _sample(mc: McRun, request: Request, given: np.ndarray | None) -> np.ndarray:
+    """The sample ``request`` draws, or ``given`` once its shape is checked."""
+    if given is None:
+        return draw_reduced(mc, *request)
+    _check_sample(given, (mc.samples, *request[2]))
+    return given
+
+
 def mimo_ergodic(
     n: int, m: int, link: Links, mc: McRun, invariants: np.ndarray | None = None
 ) -> CapacityResult | tuple[CapacityResult, ...]:
@@ -255,10 +263,7 @@ def mimo_ergodic(
     links = _points(link)
     if not links:
         return ()
-    if invariants is None:
-        invariants = draw_reduced(mc, *_channels(n, m))
-    else:
-        _check_sample(invariants, (mc.samples, min(n, m)))
+    invariants = _sample(mc, _channels(n, m), invariants)
     return _shaped(link, tuple(
         _sample_mean(_det_rates(invariants, point.rho / m)) for point in links
     ))
@@ -294,10 +299,7 @@ def mimo_outage(
         return ()
     k = _rank(p0, mc.samples)
     ranks = _bootstrap_ranks(mc.seed, mc.samples, k)
-    if invariants is None:
-        invariants = draw_reduced(mc, *_channels(n, m))
-    else:
-        _check_sample(invariants, (mc.samples, min(n, m)))
+    invariants = _sample(mc, _channels(n, m), invariants)
 
     def quantile(point: LinkParams) -> CapacityResult:
         rates = _det_rates(invariants, point.rho / m)
@@ -324,10 +326,7 @@ def mimo_scheduled_ergodic(
     links = _points(link)
     if not links:
         return ()
-    if table is None:
-        table = draw_reduced(mc, *_user_sets(n, m, users, links))
-    else:
-        _check_sample(table, (mc.samples, len(links)))
+    table = _sample(mc, _user_sets(n, m, users, links), table)
     # One SINR at a time, copied contiguous, as a single SINR's rates would be.
     return _shaped(link, tuple(_sample_mean(rates.copy()) for rates in table.T))
 

@@ -4,10 +4,10 @@ Draws go through the physical channel model end to end: each branch gain is
 a sum of squared magnitudes of unit-variance complex Gaussians, and the
 selection gain is the maximum over m branches.  Each draw is one channel's
 2nm normals, drawn and reduced by ``streams.draw_reduced`` as the MIMO
-sampler draws its channels, and sorted once; every estimator reads it
-sorted, the mean included, and ``empirical_ergodic`` can be given it.
-Nothing here reuses the closed-form distribution theory, so agreement
-between this module and the analytic modules is a genuine two-route check.
+sampler draws its channels, and sorted once for every estimator; the rate
+map is ``mimo._det_rates`` at rank 1.  Nothing here reuses the closed-form
+distribution theory, so agreement between this module and the analytic
+modules is a genuine two-route check.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import CapacityResult, LinkParams, _log2_1p_inplace, _rank, _sample_mean
+from .capacity import CapacityResult, LinkParams, _rank, _sample_mean
+from .mimo import _det_rates
 from .orderstats import SelectionConfig, max_cdf
 from .streams import McRun, Request, _check_sample, draw_reduced
 
@@ -120,4 +121,4 @@ def empirical_ergodic(
         draws = _draws(cfg, mc)
     else:
         _check_sample(draws, (mc.samples,))
-    return _sample_mean(_log2_1p_inplace(link.rho * draws))
+    return _sample_mean(_det_rates(draws[:, None], link.rho))

@@ -278,8 +278,6 @@ def characteristic_largest(cfg: SelectionConfig) -> float:
 
     Equals ln m when n = 1; zero when m = 1.
     """
-    if cfg.m == 1:
-        return 0.0
     return tail_quantile(cfg.n, 1.0 / cfg.m)
 
 

@@ -151,6 +151,11 @@ class TestOutageCapacity:
             with pytest.raises(ValueError):
                 outage_capacity(cfg, LinkParams(1.0), p0)
 
+    def test_rejects_the_cli_mode_name(self):
+        # "approx" is the CLI's --mode; the library calls the estimator "gumbel".
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'gumbel', got 'approx'"):
+            outage_capacity(SelectionConfig(1, 2), LinkParams(1.0), 0.1, mode="approx")
+
     def test_gumbel_matches_fitted_quantile(self):
         res = outage_capacity(SelectionConfig(1, 10), LinkParams(RHO_5DB), 0.1, "gumbel")
         gain = math.log(10.0) - math.log(-math.log(0.1))

@@ -650,8 +650,11 @@ class TestArgHandling:
         assert captured.err == "error: SINR 4000 dB is out of range\n"
 
     @pytest.mark.parametrize("argv,message", [
-        # A bad SINR is reported before any curve runs; after that the first
-        # failing curve in grid order decides.
+        # A bad SINR is reported before any curve runs, then a bad (n, m) of
+        # any curve, as the grid is listed; after that the first failing
+        # curve in grid order decides.
+        (["--n", "9,0"], "n must be a positive integer, got 0"),
+        (["--n", "2,0", "--samples", "500"], "n must be a positive integer, got 0"),
         (["--n", "9", "--rho-db=0,4000"], "SINR 4000 dB is out of range"),
         (["--n", "9", "--rho-db=4000,0"], "SINR 4000 dB is out of range"),
         (["--n", "1,9", "--rho-db=0,4000", "--samples", "1000"],

@@ -61,6 +61,8 @@ CASES: dict[str, str] = {
     "dist_large_n": "dist --n 800 --m 2 --points 5",
     # SINRs near the largest float, where rho times the gain overflows.
     "outage_near_limit": "outage --n 1,2 --m 3 --rho-db=3075,3082,3082.5",
+    # Monte Carlo rates there, where det - 1 overflows and the scaled form runs.
+    "mimo_near_limit": "mimo --n 1,2 --m 2,3 --rho-db=3075,3082 --users 3 --samples 2000",
     # Every --mode.
     **{f"dist_mode_{mode}": f"dist --n 2 --m 5 --points 10 --mode {mode}"
        for mode in ("exact", "approx")},

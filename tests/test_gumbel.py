@@ -106,6 +106,11 @@ class TestNormalizingConstants:
         with pytest.raises(ValueError):
             normalizing_constants(SelectionConfig(2, 2), FitStrategy.DENSITY_ROOT)
 
+    def test_rejects_a_cli_strategy_token(self):
+        # The CLI maps "lemma" to FitStrategy.MRL; the library takes the member.
+        with pytest.raises(ValueError, match="unknown strategy 'lemma'"):
+            normalizing_constants(SelectionConfig(2, 4), "lemma")
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             GumbelFit(0.0, 0.0)

@@ -689,7 +689,7 @@ class TestSharedGrid:
         args = cli.build_parser().parse_args([*argv, "--out", str(path)])
         mc = McRun(args.samples, args.seed)
         blocks = []
-        for curve, _, links in cli._grid(args, configs=False):
+        for curve, _, links in cli._grid(args):
             n, m = curve["n"], curve["m"]
             block = {"n": n, "m": m, "rho_db": args.rho_db, "p0": None, "users": args.users,
                      "samples": args.samples, "seed": args.seed}

@@ -1,6 +1,7 @@
 """Channel-level sampling oracle vs the analytic machinery."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ class TestEmpiricalErgodic:
         )
         assert lower - 3 * est.error_estimate <= est.value
         assert est.value <= upper + 3 * est.error_estimate
+
+    @pytest.mark.parametrize("n,m,rho", [(2, 3, 1e308), (1, 1, 10.0**308.25)])
+    def test_near_the_largest_float_sinr(self, n, m, rho):
+        # rho times the larger gains overflows a float: the rates stay finite,
+        # with no warning, and match log2(1 + rho g) at 50 digits on the same
+        # sample.
+        import mpmath
+
+        cfg, mc = SelectionConfig(n, m), McRun(2_000, 1)
+        gains = _draws(cfg, mc)
+        assert math.isinf(rho * float(gains[-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = empirical_ergodic(cfg, LinkParams(rho), mc)
+        assert math.isfinite(est.value) and math.isfinite(est.error_estimate)
+        with mpmath.workdps(50):
+            rates = [mpmath.log(1 + mpmath.mpf(rho) * mpmath.mpf(g), 2)
+                     for g in gains]
+            mean = float(mpmath.fsum(rates) / len(rates))
+        assert abs(est.value - mean) <= 1e-12 * mean
 
 
 class TestSharedSample:

@@ -461,7 +461,7 @@ class TestSlabMemory:
              "--samples", "20000", "--seed", "3"])
         mc = McRun(args.samples, args.seed)
         curves = [(block["n"], block["m"], links)
-                  for block, _, links in cli._grid(args, configs=False)]
+                  for block, _, links in cli._grid(args)]
         kept_results = mc.samples * (len(curves) + 2 * len(curves))
         assert 8 * kept_results <= streams.MAX_PASS_BYTES
         peak = self.traced_peak(lambda: mimo.grid_estimates(curves, mc, None, 16))
