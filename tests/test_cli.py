@@ -653,8 +653,6 @@ class TestArgHandling:
         # A bad SINR is reported before any curve runs, then a bad (n, m) of
         # any curve, as the grid is listed; after that the first failing
         # curve in grid order decides.
-        (["--n", "9,0"], "n must be a positive integer, got 0"),
-        (["--n", "2,0", "--samples", "500"], "n must be a positive integer, got 0"),
         (["--n", "9", "--rho-db=0,4000"], "SINR 4000 dB is out of range"),
         (["--n", "9", "--rho-db=4000,0"], "SINR 4000 dB is out of range"),
         (["--n", "1,9", "--rho-db=0,4000", "--samples", "1000"],
@@ -665,6 +663,8 @@ class TestArgHandling:
          "users must be a positive integer, got 0"),
         (["--n", "1,2", "--p0", "1.5", "--samples", "10000"],
          "outage probability must lie in (0, 1), got 1.5"),
+        (["--n", "9,0"], "n must be a positive integer, got 0"),
+        (["--n", "2,0", "--samples", "500"], "n must be a positive integer, got 0"),
     ])
     def test_mimo_grid_errors_keep_their_order(self, argv, message, capsys):
         assert main(["mimo", *argv]) == 2
